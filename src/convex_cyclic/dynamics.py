@@ -205,7 +205,9 @@ def hull_contains(query: HullQuery) -> HullResult:
     weight = 1e3 * max(1.0, float(np.linalg.norm(target)))
     A = np.vstack([G, weight * np.ones((1, G.shape[1]))])
     b = np.append(target, weight)
-    w, _ = nnls(A, b)
+    # scipy's default cap of 3 iterations per column is too small for long,
+    # nearly collinear orbit prefixes and raises instead of answering
+    w, _ = nnls(A, b, maxiter=10 * A.shape[1])
     total = w.sum()
     if total > 0:
         w = w / total

@@ -180,7 +180,10 @@ class Eigenstructure:
 
 
 def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clustering of points in the plane."""
+    """Single-linkage clustering of points in the plane.
+
+    Groups come in order of their smallest index, members ascending.
+    """
     n = len(values)
     parent = list(range(n))
 
@@ -190,12 +193,12 @@ def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    first, second = np.triu_indices(n, 1)
+    close = np.abs(values[first] - values[second]) <= radius
+    for i, j in zip(first[close].tolist(), second[close].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -205,37 +208,41 @@ def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
 def eigenstructure(matrix: MatrixSpec | np.ndarray, tol: float | None = None) -> Eigenstructure:
     """Cluster the spectrum and compute multiplicities.
 
-    Eigenvalues within ``tol`` of each other are merged (single linkage)
-    and reported at their mean; the geometric multiplicity is the kernel
-    dimension of ``T - lambda*I`` measured by singular values against the
-    threshold ``tol * max(1, sigma_max)``.
+    Eigenvalues come from one eigenvalue-only solve: the real solver on the
+    entries of a real-field matrix, so that its real eigenvalues are exactly
+    real and its complex ones come in exactly conjugate pairs, and the
+    complex solver otherwise.  Eigenvalues within ``tol`` of each other are
+    merged (single linkage) and reported at their mean.  A single
+    eigenvalue has geometric multiplicity one; for a repeated cluster it is
+    the kernel dimension of ``T - lambda*I`` measured by singular values
+    against the threshold ``tol * max(1, sigma_max)``, capped by the
+    cluster size.
     """
     spec = _coerce_matrix(matrix)
     if tol is None:
         tol = default_tolerance(spec)
     if not tol > 0.0:
         raise PreconditionViolated("tolerance must be positive")
-    entries = spec.entries.astype(complex)
     n = spec.dimension
-    raw = np.linalg.eig(entries)[0]
+    raw = np.linalg.eigvals(spec.entries).astype(complex)
     infos = []
     for group in _cluster(raw, tol):
+        if len(group) == 1:
+            infos.append(EigenvalueInfo(complex(raw[group[0]]), 1, 1))
+            continue
         value = complex(np.mean(raw[group]))
-        shifted = entries - value * np.eye(n)
-        sigma = np.linalg.svd(shifted, compute_uv=False)
-        threshold = tol * max(1.0, float(sigma[0]) if len(sigma) else 0.0)
-        rank = int(np.sum(sigma > threshold))
-        geometric = min(max(1, n - rank), len(group))
-        infos.append(EigenvalueInfo(value, len(group), geometric))
+        sigma = np.linalg.svd(spec.entries - value * np.eye(n), compute_uv=False)
+        rank = int(np.sum(sigma > tol * max(1.0, float(sigma[0]))))
+        infos.append(EigenvalueInfo(value, len(group), min(max(1, n - rank), len(group))))
     infos.sort(key=lambda info: (info.value.real, info.value.imag))
-    pairs = []
+    pairs: list[tuple[int, int]] = []
     if spec.field == "real":
-        for i, a in enumerate(infos):
-            if a.value.imag > tol:
-                for j, b in enumerate(infos):
-                    if abs(a.value - b.value.conjugate()) <= tol:
-                        pairs.append((min(i, j), max(i, j)))
-    pairs = sorted(set(pairs))
+        values = np.array([info.value for info in infos])
+        first, second = np.triu_indices(len(infos), 1)
+        # the gap is symmetric, so one member in the upper half-plane suffices
+        upper = (values.imag[first] > tol) | (values.imag[second] > tol)
+        paired = upper & (np.abs(values[first] - values[second].conj()) <= tol)
+        pairs = list(zip(first[paired].tolist(), second[paired].tolist()))
     return Eigenstructure(
         field=spec.field,
         eigenvalues=tuple(infos),
@@ -352,16 +359,15 @@ def classify(matrix: MatrixSpec | np.ndarray, tol: float | None = None) -> Conve
             if abs(lam.imag) <= 2 * tol and abs(lam.real) <= 2 * tol:
                 borderline = True
     if spec.field == "complex":
-        for i in range(len(infos)):
-            for j in range(i + 1, len(infos)):
-                gap = abs(infos[i].value - infos[j].value.conjugate())
-                if gap <= tol:
-                    eigen_ok = False
-                    failures.append(
-                        FailedCondition(REASON_CONJUGATE_PAIR, (infos[i].value, infos[j].value))
-                    )
-                elif gap <= 2 * tol:
-                    borderline = True
+        values = np.array([info.value for info in infos])
+        first, second = np.triu_indices(len(infos), 1)
+        gaps = np.abs(values[first] - values[second].conj())
+        paired = gaps <= tol
+        for i, j in zip(first[paired].tolist(), second[paired].tolist()):
+            eigen_ok = False
+            failures.append(FailedCondition(REASON_CONJUGATE_PAIR, (infos[i].value, infos[j].value)))
+        if np.any(~paired & (gaps <= 2 * tol)):
+            borderline = True
 
     return ConvexCyclicVerdict(
         field=spec.field,

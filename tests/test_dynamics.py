@@ -125,6 +125,42 @@ class TestHullContains:
         same = dynamics.hull_contains(HullQuery((1.0 + 0.0j,), 1.0 + 0.0j))
         assert same.contained
 
+    def test_long_orbit_prefix_needs_more_nnls_iterations(self):
+        # J2(lam) + diag(4 values) with 18 orbit points: scipy's default
+        # NNLS iteration cap (3 per column) raises RuntimeError here
+        diag = [
+            1.2055532916663225 - 0.3305135560464532j,
+            1.2055532916663225 - 0.3305135560464532j,
+            -2.801500413031169 - 0.5682580349911064j,
+            -0.5715023846994345 - 1.4651265983609822j,
+            -1.912988032092721 + 1.4080897307836882j,
+            1.2435308286651379 + 1.732538442682374j,
+        ]
+        T = np.diag(diag)
+        T[0, 1] = 1.0
+        x = np.array([
+            -0.5578361490123633 - 0.8597715372314775j,
+            0.502457532156046 + 0.9180026334089519j,
+            1.2383275891017547 + 0.4889496709045225j,
+            0.43950871331484315 + 0.24250315987433793j,
+            -1.3592910352396146 + 0.07169240473839661j,
+            -0.1314491589961715 + 1.1810776479937655j,
+        ])
+        # a convex combination of x, Tx, T^2 x, T^3 x
+        target = np.array([
+            1.0988353402108983 + 0.9957686060713471j,
+            1.4089730660604787 + 0.6995612211215916j,
+            -8.754758967658725 - 13.67389747970875j,
+            0.6773082236909913 + 0.9859699057019023j,
+            -4.407555559312637 - 8.86530439270476j,
+            -1.6907619284246134 - 6.113667005319568j,
+        ])
+        points = tuple(dynamics.orbit(T, x, 17).points)
+        result = dynamics.hull_contains(HullQuery(points, target))
+        assert result.contained
+        assert result.weights.sum() == pytest.approx(1.0)
+        assert np.all(result.weights >= 0.0)
+
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):
             dynamics.hull_contains(HullQuery((), np.array([0.0])))

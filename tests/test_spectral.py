@@ -125,6 +125,134 @@ class TestEigenstructure:
         with pytest.raises(PreconditionViolated):
             spectral.eigenstructure(np.diag([-2.0]), tol=0.0)
 
+    @staticmethod
+    def _reference_pairs(structure) -> tuple[tuple[int, int], ...]:
+        infos, tol = structure.eigenvalues, structure.tol
+        pairs = set()
+        for i, a in enumerate(infos):
+            if a.value.imag > tol:
+                for j, b in enumerate(infos):
+                    if abs(a.value - b.value.conjugate()) <= tol:
+                        pairs.add((min(i, j), max(i, j)))
+        return tuple(sorted(pairs))
+
+    def test_conjugate_pairs_on_real_rotation_cases(self):
+        expected = {
+            "cc_real_rotation": ((0, 1),),
+            "cc_real_mixed": ((1, 2),),
+            "cc_real_two_rotations": ((0, 1), (2, 3)),
+            "fail_real_disk_rotation": ((0, 1),),
+            "fail_real_repeated_rotation": ((0, 1),),
+            "fail_real_small_rotation": ((0, 1),),
+            "fail_real_disk_mixed": ((0, 1),),
+        }
+        rng = np.random.default_rng(53)
+        for entry in suite.golden_suite():
+            base = build(entry.spec)
+            if base.field != "real":
+                continue
+            structure = spectral.eigenstructure(base)
+            assert structure.conjugate_pairs == expected.get(entry.name, ()), entry.name
+            q = _orthogonal(rng, base.dimension)
+            conjugated = spectral.eigenstructure(MatrixSpec("real", q @ base.entries @ q.T))
+            assert conjugated.conjugate_pairs == self._reference_pairs(conjugated), entry.name
+        mixed = DirectSumSpec(
+            (RealJordanBlockSpec(1, 2.0, 1.0), DiagonalEntrySpec(-3.0), RealJordanBlockSpec(1, 1.5, 2.5))
+        )
+        assert spectral.eigenstructure(build(mixed)).conjugate_pairs == ((1, 2), (3, 4))
+
+    def test_real_solver_pairs_split_defective_rotation(self):
+        # the real solver returns exact conjugates, so even the split
+        # eigenvalues of a 2-fold rotation block pair up
+        structure = spectral.eigenstructure(build(RealJordanBlockSpec(2, 2.0, 1.0)))
+        assert structure.conjugate_pairs == self._reference_pairs(structure)
+        assert len(structure.conjugate_pairs) == len(structure.eigenvalues) // 2
+
+
+def _reference_clusters(values: np.ndarray, radius: float) -> list[list[int]]:
+    """Connected components of the graph joining points within ``radius``,
+    in order of smallest member, members ascending."""
+    n = len(values)
+    seen = [False] * n
+    groups = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in range(n):
+                if not seen[j] and abs(values[i] - values[j]) <= radius:
+                    seen[j] = True
+                    stack.append(j)
+        groups.append(sorted(members))
+    return groups
+
+
+class TestCluster:
+    def test_matches_brute_force_on_grid_points_with_exact_ties(self):
+        # integer points at radius 1: neighbours along an axis sit exactly
+        # at the radius, diagonal neighbours just beyond it, and repeated
+        # points at distance zero
+        rng = np.random.default_rng(54)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            values = rng.integers(0, 7, n) + 1j * rng.integers(0, 4, n)
+            assert spectral._cluster(values, 1.0) == _reference_clusters(values, 1.0)
+
+    def test_matches_brute_force_on_chains(self):
+        # chains of steps just inside or just outside the radius, so that
+        # single linkage joins points far apart along a chain
+        rng = np.random.default_rng(55)
+        radius = 1e-8
+        for _ in range(100):
+            steps = radius * rng.choice([0.5, 0.999, 1.001, 3.0], size=int(rng.integers(2, 30)))
+            direction = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            values = rng.permutation(2.0 + direction * np.cumsum(steps))
+            assert spectral._cluster(values, radius) == _reference_clusters(values, radius)
+
+    def test_matches_brute_force_on_scattered_points(self):
+        rng = np.random.default_rng(56)
+        for _ in range(100):
+            n = int(rng.integers(1, 60))
+            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            radius = float(rng.uniform(0.01, 0.5))
+            assert spectral._cluster(values, radius) == _reference_clusters(values, radius)
+
+
+class TestRankTests:
+    @staticmethod
+    def _count_svd(monkeypatch) -> list:
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_distinct_spectrum_needs_no_rank_test(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        values = -1.5 - np.arange(64) * 0.25
+        q = _orthogonal(rng, 64)
+        matrix = MatrixSpec("real", q @ np.diag(values) @ q.T)
+        tol = spectral.default_tolerance(matrix)
+        calls = self._count_svd(monkeypatch)
+        verdict = spectral.classify(matrix, tol)
+        assert verdict.is_convex_cyclic
+        assert len(verdict.eigenstructure.eigenvalues) == 64
+        assert calls == []
+
+    def test_one_rank_test_per_repeated_cluster(self, monkeypatch):
+        calls = self._count_svd(monkeypatch)
+        structure = spectral.eigenstructure(np.diag([-2.0, -2.0, -3.0, -4.0]), tol=1e-8)
+        assert calls == [(4, 4)]
+        assert [info.geometric_mult for info in structure.eigenvalues] == [1, 1, 2]
+
 
 class TestClassify:
     def test_golden_suite_verdicts(self):
@@ -193,6 +321,21 @@ class TestClassify:
         assert len(payload["eigenvalues"]) == 2
         assert all(len(item["value"]) == 2 for item in payload["eigenvalues"])
         assert payload["tolerances_used"]["disk_threshold"] > 1.0
+
+    def test_real_spectrum_of_real_conjugate_is_not_borderline(self):
+        # well inside every clause; the real solver returns exactly real
+        # eigenvalues, so no rounding-level imaginary part trips the band
+        rng = np.random.default_rng(58)
+        for _ in range(10):
+            n = int(rng.integers(6, 13))
+            values = rng.permutation(np.concatenate([-1.5 - 0.3 * np.arange(n - 2), [1.6, 2.9]]))
+            u, v = _orthogonal(rng, n), _orthogonal(rng, n)
+            conjugator = u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v
+            matrix = MatrixSpec("real", conjugator @ np.diag(values) @ np.linalg.inv(conjugator))
+            verdict = spectral.classify(matrix)
+            assert not verdict.borderline
+            assert all(info.value.imag == 0.0 for info in verdict.eigenstructure.eigenvalues)
+            assert {c.reason for c in verdict.failed_conditions} == {spectral.REASON_NONNEGATIVE_REAL}
 
     def test_default_tolerance_scales_with_norm(self):
         small = spectral.default_tolerance(np.diag([-2.0]))
