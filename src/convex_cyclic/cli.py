@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=None, help="interpolation degree cap")
     common.add_argument("--horizon", type=int, default=None, help="orbit length")
     common.add_argument("--threshold", type=float, default=None, help="margin or threshold override")
-    common.add_argument("--budget", type=int, default=None, help="polynomial budget for density scans")
+    common.add_argument("--budget", type=int, default=None, help="longest orbit prefix (hull generators) for density scans")
 
     parser = argparse.ArgumentParser(
         prog="convex-cyclic",

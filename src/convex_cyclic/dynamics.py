@@ -1,12 +1,12 @@
 """Orbit dynamics: growth witnesses and empirical hull-density scans.
 
 The membership question "is a target in the closed convex hull of the
-polynomial images of a vector" is settled empirically: hulls are sampled
-by nonnegative least squares over a finite generator set (orbit points,
-first-degree peaking images, and their pairwise products), and growth
-witnesses certify unboundedness of functionals along orbits, which is the
-separation-based obstruction to such capture ever failing on admissible
-matrices.
+convex-polynomial images of a vector" is settled empirically.  Those
+images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
+hull test by nonnegative least squares against a finite orbit prefix
+decides it.  Growth witnesses certify unboundedness of functionals along
+orbits, which is the separation-based obstruction to such capture ever
+failing on admissible matrices.
 """
 
 from __future__ import annotations
@@ -184,13 +184,42 @@ class HullResult:
     weights: np.ndarray
 
 
-def hull_contains(query: HullQuery) -> HullResult:
-    """Convex-hull membership by nonnegative least squares.
+def _hull_solve(G: np.ndarray, target: np.ndarray, tolerance: float) -> HullResult:
+    """Is the embedded target within ``tolerance`` of the hull of G's columns?
 
     The unit-sum constraint rides along as a heavily weighted extra row;
     the decision uses the true Euclidean distance after renormalizing the
-    weights, so the verdict never depends on the penalty weight.
+    weights, so the verdict never depends on the penalty weight or on the
+    column scaling.
     """
+    # solving in units of a power of two above every entry rounds exactly
+    # and keeps norms and the weighted row finite up to the float range
+    peak = max(np.max(np.abs(G), initial=1.0), np.max(np.abs(target), initial=1.0))
+    s = math.ldexp(1.0, math.frexp(peak)[1])
+    G, target = G / s, target / s
+    # NNLS runs on unit-norm columns (zero columns stay as they are): its
+    # residual otherwise grows with the generator magnitudes and swamps an
+    # absolute tolerance.  The weight must dominate the target scale but
+    # stay far below 1 / eps times the tolerance, or rounding in the
+    # weighted row alone would swamp the residual decision.
+    norms = np.linalg.norm(G, axis=0)
+    norms[norms == 0] = 1.0
+    weight = 1e3 * max(1.0 / s, float(np.linalg.norm(target)))
+    A = np.vstack([G / norms, weight / norms])
+    b = np.append(target, weight)
+    # scipy's default cap of 3 iterations per column is too small for long,
+    # nearly collinear orbit prefixes and raises instead of answering
+    u, _ = nnls(A, b, maxiter=10 * A.shape[1])
+    w = u / norms
+    total = w.sum()
+    if total > 0:
+        w = w / total
+    residual = s * float(np.linalg.norm(G @ w - target))
+    return HullResult(contained=residual <= tolerance, residual=residual, weights=w)
+
+
+def hull_contains(query: HullQuery) -> HullResult:
+    """Convex-hull membership of the query target by nonnegative least squares."""
     pts = [_embed(np.atleast_1d(np.asarray(p))) for p in query.points]
     if not pts:
         raise PreconditionViolated("hull query needs at least one point")
@@ -198,30 +227,20 @@ def hull_contains(query: HullQuery) -> HullResult:
     dims = {len(p) for p in pts} | {len(target)}
     if len(dims) != 1:
         raise DimensionMismatch(len(target), len(pts[0]))
-    G = np.column_stack(pts)
-    # the weight must dominate the target scale but stay far below
-    # 1 / eps times the tolerance, or rounding in the weighted row alone
-    # would swamp the residual decision
-    weight = 1e3 * max(1.0, float(np.linalg.norm(target)))
-    A = np.vstack([G, weight * np.ones((1, G.shape[1]))])
-    b = np.append(target, weight)
-    # scipy's default cap of 3 iterations per column is too small for long,
-    # nearly collinear orbit prefixes and raises instead of answering
-    w, _ = nnls(A, b, maxiter=10 * A.shape[1])
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    residual = float(np.linalg.norm(G @ w - target))
-    return HullResult(contained=residual <= query.tolerance, residual=residual, weights=w)
+    return _hull_solve(np.column_stack(pts), target, query.tolerance)
 
 
 @dataclass(frozen=True)
 class DensityReport:
+    """Capture counts, the orbit length used, and why the orbit stopped
+    (``budget``, ``norm_cap`` or ``overflow``; ``budget`` when no targets)."""
+
     total: int
     captured: int
     fraction: float
     miss_indices: tuple[int, ...]
     generators_used: int
+    stop_reason: str = "budget"
 
     def to_jsonable(self) -> dict:
         return {
@@ -230,56 +249,29 @@ class DensityReport:
             "fraction": self.fraction,
             "miss_indices": list(self.miss_indices),
             "generators_used": self.generators_used,
+            "stop_reason": self.stop_reason,
         }
 
 
 def _generator_points(
     T: np.ndarray, x: np.ndarray, budget: int, norm_cap: float
-) -> list[np.ndarray]:
-    """Polynomial images of x used as hull generators, deterministic order.
+) -> tuple[list[np.ndarray], str]:
+    """The orbit prefix x, Tx, T^2 x, ... and why it stopped.
 
-    Orbit points come first, then the degree-(m+1) two-term family
-    z^m (alpha z + 1 - alpha) for alpha in {1/8 .. 7/8} with m ascending,
-    then pairwise products of that family.  Every one is a convex
-    combination of orbit points, so the scan only ever samples inside the
-    true attainable hull.
+    The convex-polynomial images of x are exactly the convex hull of its
+    orbit, so no other generator can enlarge the hull.  The prefix holds at
+    most ``budget`` points and ends before a non-finite point or one with
+    an entry beyond ``norm_cap``.
     """
-    alphas = [i / 8 for i in range(1, 8)]
-    orbit_pts: list[np.ndarray] = [x.copy()]
-    while len(orbit_pts) <= budget:
-        nxt = T @ orbit_pts[-1]
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > norm_cap:
-            break
-        orbit_pts.append(nxt)
-
-    generators: list[np.ndarray] = list(orbit_pts[: budget])
-    for m in range(len(orbit_pts) - 1):
-        if len(generators) >= budget:
-            break
-        for alpha in alphas:
-            if len(generators) >= budget:
-                break
-            generators.append((1 - alpha) * orbit_pts[m] + alpha * orbit_pts[m + 1])
-    # products (z^m (a z + 1 - a)) * (z^l (b z + 1 - b)) expand over three
-    # consecutive orbit points starting at m + l
-    for m in range(len(orbit_pts) - 2):
-        for l in range(m, len(orbit_pts) - 2 - m):
-            if m + l + 2 >= len(orbit_pts) or len(generators) >= budget:
-                break
-            for a in alphas:
-                if len(generators) >= budget:
-                    break
-                for bcoef in alphas:
-                    if len(generators) >= budget:
-                        break
-                    generators.append(
-                        (1 - a) * (1 - bcoef) * orbit_pts[m + l]
-                        + (a * (1 - bcoef) + bcoef * (1 - a)) * orbit_pts[m + l + 1]
-                        + a * bcoef * orbit_pts[m + l + 2]
-                    )
-        if len(generators) >= budget:
-            break
-    return generators
+    points = [x.copy()]
+    while len(points) < budget:
+        nxt = T @ points[-1]
+        if not np.all(np.isfinite(nxt)):
+            return points, "overflow"
+        if np.max(np.abs(nxt)) > norm_cap:
+            return points, "norm_cap"
+        points.append(nxt)
+    return points, "budget"
 
 
 def empirical_density_scan(
@@ -289,7 +281,8 @@ def empirical_density_scan(
     poly_budget: int = 400,
     tolerance: float = 1e-6,
 ) -> DensityReport:
-    """Fraction of targets captured by hulls of polynomial images of x.
+    """Fraction of targets in the hull of the orbit prefix of x (at most
+    ``poly_budget`` points, cut at 1e7 times the largest input norm).
 
     Targets live in the matrix's own space (complex coordinates allowed
     for complex matrices); the hull test runs in interleaved real
@@ -306,13 +299,14 @@ def empirical_density_scan(
     if not target_list:
         return DensityReport(total=0, captured=0, fraction=1.0, miss_indices=(), generators_used=0)
 
-    scale = max(
-        [1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(_embed(t))) for t in target_list]
-    )
-    generators = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
+    # overflow shows as a non-finite orbit point or an infinite norm cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(_embed(t))) for t in target_list])
+        generators, stop_reason = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
+    G = np.column_stack([_embed(p) for p in generators])
     misses = []
     for i, t in enumerate(target_list):
-        result = hull_contains(HullQuery(tuple(generators), t, tolerance))
+        result = _hull_solve(G, _embed(t), tolerance)
         if not result.contained:
             misses.append(i)
             logger.debug("target %d missed, residual %.3e", i, result.residual)
@@ -323,6 +317,7 @@ def empirical_density_scan(
         fraction=captured / len(target_list),
         miss_indices=tuple(misses),
         generators_used=len(generators),
+        stop_reason=stop_reason,
     )
 
 

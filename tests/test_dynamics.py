@@ -169,15 +169,19 @@ class TestHullContains:
 
 
 class TestDensityScan:
-    def test_negative_diagonal_grid_fully_captured(self):
-        grid = np.linspace(-8.0, 8.0, 3)
-        targets = [np.array([a, b]) for a in grid for b in grid]
+    GRID = [np.array([a, b]) for a in (-8.0, 0.0, 8.0) for b in (-8.0, 0.0, 8.0)]
+
+    def test_negative_diagonal_grid_fully_captured(self, validate_schema):
         report = dynamics.empirical_density_scan(
-            np.diag([-2.0, -3.0]), np.ones(2), targets, poly_budget=400
+            np.diag([-2.0, -3.0]), np.ones(2), self.GRID, poly_budget=400
         )
         assert report.fraction == 1.0
         assert report.captured == report.total == 9
         assert report.miss_indices == ()
+        # the largest input norm is about 11.3, so 3^17 is the first orbit
+        # entry beyond the 1e7 * scale cap
+        assert (report.stop_reason, report.generators_used) == ("norm_cap", 17)
+        validate_schema("density", report.to_jsonable())
 
     def test_conjugate_pair_obstruction_never_captured(self):
         report = dynamics.empirical_density_scan(
@@ -205,6 +209,94 @@ class TestDensityScan:
     def test_budget_precondition(self):
         with pytest.raises(PreconditionViolated):
             dynamics.empirical_density_scan(np.diag([-2.0]), [1.0], [[1.0]], poly_budget=0)
+
+    def test_large_orbit_combinations_are_captured(self):
+        # convex combinations of x .. T^12 x have norms 1e3 to 1e5; an NNLS
+        # on unscaled generator columns leaves residuals of 1e-6 to 1e-5
+        T = np.diag([-2.0, -3.0])
+        points = dynamics.orbit(T, [1.0, 1.0], 12).points
+        rng = np.random.default_rng(0)
+        targets = [rng.dirichlet(np.ones(13)) @ points for _ in range(10)]
+        report = dynamics.empirical_density_scan(T, np.ones(2), targets, poly_budget=400)
+        assert report.captured == 10
+
+    def test_stop_reason_budget(self, validate_schema):
+        report = dynamics.empirical_density_scan(np.diag([-0.5]), [1.0], [[0.25]], poly_budget=10)
+        assert (report.stop_reason, report.generators_used) == ("budget", 10)
+        validate_schema("density", report.to_jsonable())
+
+    def test_stop_reason_overflow(self, validate_schema):
+        # a target norm beyond the float range lifts the cap, so the orbit
+        # 1, 1e10, .., 1e300 ends at its first infinite point
+        report = dynamics.empirical_density_scan(np.diag([1e10]), [1.0], [[1e300]], poly_budget=400)
+        assert (report.stop_reason, report.generators_used) == ("overflow", 31)
+        assert report.total == 1
+        validate_schema("density", report.to_jsonable())
+
+    def test_nnls_sees_only_the_orbit_prefix(self, monkeypatch):
+        widths = []
+        solve = dynamics.nnls
+
+        def recording(A, b, **kwargs):
+            widths.append(A.shape[1])
+            return solve(A, b, **kwargs)
+
+        monkeypatch.setattr(dynamics, "nnls", recording)
+        report = dynamics.empirical_density_scan(
+            np.diag([-2.0, -3.0]), np.ones(2), self.GRID, poly_budget=400
+        )
+        assert len(widths) == len(self.GRID)
+        assert max(widths) <= report.generators_used <= 25
+
+
+class TestOrbitHullCapture:
+    """Inside targets are convex combinations of orbit points in the
+    prefix; outside targets sit at a proven distance >= 0.5 from the hull.
+
+    Real field: a leading diagonal entry lam = 1.5 with x-coordinate 1 has
+    image coordinate p(lam) >= 1 for every convex p, so a target with that
+    coordinate 1 - d lies at distance >= d.  Complex field: leading entries
+    z, conj(z) with x-coordinates 1 have image coordinates w, conj(w), so a
+    target (a, b) lies at distance >= |b - conj(a)| / sqrt(2).
+    """
+
+    BLOCKS = {
+        "negative diagonal": np.diag([-2.0, -3.0]),
+        "rotation-scaling": 2.0 * np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]),
+        "J2": np.array([[-2.0, 1.0], [0.0, -2.0]]),
+    }
+    Z = 1.5 * np.exp(2.0j)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_inside_captured_outside_missed(self, field, name):
+        rng = np.random.default_rng(5)
+        tail = rng.uniform(0.5, 1.5, 2)
+        if field == "real":
+            head = np.diag([1.5])
+            x = np.concatenate([[1.0], tail])
+        else:
+            head = np.diag([self.Z, np.conj(self.Z)])
+            x = np.concatenate([[1.0, 1.0], tail * np.exp(2j * np.pi * rng.uniform(size=2))])
+        h = len(head)
+        T = np.zeros((h + 2, h + 2), dtype=x.dtype)
+        T[:h, :h] = head
+        T[h:, h:] = self.BLOCKS[name]
+        points = dynamics.orbit(T, x, 5).points
+        targets, outside = [], []
+        for i in range(12):
+            t = rng.dirichlet(np.ones(len(points))) @ points
+            if i % 2:
+                d = float(rng.uniform(1.0, 4.0))
+                if field == "real":
+                    t[0] = 1.0 - d
+                else:
+                    t[1] = np.conj(t[0]) + d * np.exp(2j * np.pi * rng.uniform())
+                outside.append(i)
+            targets.append(t)
+        report = dynamics.empirical_density_scan(T, x, targets, poly_budget=64)
+        assert report.generators_used >= len(points)
+        assert report.miss_indices == tuple(outside)
 
 
 class TestDirectSumVector:
