@@ -153,15 +153,6 @@ def derivative(p: ConvexPolynomial, order: int = 1) -> np.ndarray:
     return c
 
 
-def _derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(order):
-        if len(c) <= 1:
-            return np.zeros(0)
-        c = c[1:] * np.arange(1, len(c), dtype=float)
-    return c
-
-
 def multiply(p: ConvexPolynomial, q: ConvexPolynomial) -> ConvexPolynomial:
     """Product polynomial; coefficient convolution then renormalization."""
     return ConvexPolynomial(np.convolve(p.coeffs, q.coeffs))

@@ -184,28 +184,56 @@ class HullResult:
     weights: np.ndarray
 
 
-def _hull_solve(G: np.ndarray, target: np.ndarray, tolerance: float) -> HullResult:
+@dataclass(frozen=True)
+class _HullBasis:
+    """The target-independent half of a hull solve over G's columns."""
+
+    points: np.ndarray  # G in units of ``scale``
+    scale: float  # the power of two just above ``peak``
+    peak: float  # largest entry magnitude of G, at least 1
+    norms: np.ndarray  # column 2-norms of ``points``, zero columns 0
+    unit: np.ndarray  # ``points`` on unit-norm columns, zero columns as they are
+
+
+def _hull_basis(G: np.ndarray) -> _HullBasis:
+    peak = np.max(np.abs(G), initial=1.0)
+    scale = math.ldexp(1.0, math.frexp(peak)[1])
+    points = G / scale
+    norms = np.linalg.norm(points, axis=0)
+    return _HullBasis(points, scale, peak, norms, points / np.where(norms > 0, norms, 1.0))
+
+
+def _hull_solve(basis: _HullBasis, target: np.ndarray, tolerance: float) -> HullResult:
     """Is the embedded target within ``tolerance`` of the hull of G's columns?
 
-    The unit-sum constraint rides along as a heavily weighted extra row;
-    the decision uses the true Euclidean distance after renormalizing the
-    weights, so the verdict never depends on the penalty weight or on the
-    column scaling.
+    ``_hull_basis(G)`` does the work that depends on G alone (peak, column
+    norms, unit-norm columns), once per generator matrix; this does the
+    rest, once per target.  The unit-sum constraint rides along as a
+    heavily weighted extra row; the decision uses the true Euclidean
+    distance after renormalizing the weights, so the verdict never depends
+    on the penalty weight or on the column scaling.
+
+    The solve runs in units of ``s``, a power of two above every entry of
+    G and of the target, so scaling rounds exactly and keeps norms and the
+    weighted row finite up to the float range.  ``s`` is the basis's own
+    scale unless the target outgrows G; then ``r = basis.scale / s`` is a
+    power of two too, and ``(G/s) / (norms·r) == G/norms``, ``norm(G/s) ==
+    norms·r`` and ``(G/s) @ w == ((G/basis.scale) @ w)·r`` hold exactly, so
+    sharing the basis changes no bit of the result while no scaled entry
+    (nor its square, inside the column norms) leaves the normal range.
     """
-    # solving in units of a power of two above every entry rounds exactly
-    # and keeps norms and the weighted row finite up to the float range
-    peak = max(np.max(np.abs(G), initial=1.0), np.max(np.abs(target), initial=1.0))
+    peak = max(basis.peak, np.max(np.abs(target), initial=1.0))
     s = math.ldexp(1.0, math.frexp(peak)[1])
-    G, target = G / s, target / s
+    r = basis.scale / s
+    target = target / s
     # NNLS runs on unit-norm columns (zero columns stay as they are): its
     # residual otherwise grows with the generator magnitudes and swamps an
     # absolute tolerance.  The weight must dominate the target scale but
     # stay far below 1 / eps times the tolerance, or rounding in the
     # weighted row alone would swamp the residual decision.
-    norms = np.linalg.norm(G, axis=0)
-    norms[norms == 0] = 1.0
+    norms = np.where(basis.norms > 0, basis.norms * r, 1.0)
     weight = 1e3 * max(1.0 / s, float(np.linalg.norm(target)))
-    A = np.vstack([G / norms, weight / norms])
+    A = np.vstack([basis.unit, weight / norms])
     b = np.append(target, weight)
     # scipy's default cap of 3 iterations per column is too small for long,
     # nearly collinear orbit prefixes and raises instead of answering
@@ -214,7 +242,7 @@ def _hull_solve(G: np.ndarray, target: np.ndarray, tolerance: float) -> HullResu
     total = w.sum()
     if total > 0:
         w = w / total
-    residual = s * float(np.linalg.norm(G @ w - target))
+    residual = s * float(np.linalg.norm((basis.points @ w) * r - target))
     return HullResult(contained=residual <= tolerance, residual=residual, weights=w)
 
 
@@ -227,7 +255,7 @@ def hull_contains(query: HullQuery) -> HullResult:
     dims = {len(p) for p in pts} | {len(target)}
     if len(dims) != 1:
         raise DimensionMismatch(len(target), len(pts[0]))
-    return _hull_solve(np.column_stack(pts), target, query.tolerance)
+    return _hull_solve(_hull_basis(np.column_stack(pts)), target, query.tolerance)
 
 
 @dataclass(frozen=True)
@@ -303,10 +331,10 @@ def empirical_density_scan(
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(_embed(t))) for t in target_list])
         generators, stop_reason = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
-    G = np.column_stack([_embed(p) for p in generators])
+    basis = _hull_basis(np.column_stack([_embed(p) for p in generators]))
     misses = []
     for i, t in enumerate(target_list):
-        result = _hull_solve(G, _embed(t), tolerance)
+        result = _hull_solve(basis, _embed(t), tolerance)
         if not result.contained:
             misses.append(i)
             logger.debug("target %d missed, residual %.3e", i, result.residual)

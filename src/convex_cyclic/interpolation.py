@@ -4,7 +4,12 @@ Value and derivative targets at real and complex nodes become equality rows
 in the monomial coefficients; together with nonnegativity and the unit-sum
 row this is a linear feasibility problem solved per degree (HiGHS, with a
 mass-minimizing objective that keeps coefficient weight at low degrees) and
-polished by nonnegative least squares on the support.  A Feasible
+polished by nonnegative least squares on the support.  HiGHS is driven
+directly through scipy's bindings, with exactly the options and status
+reading of ``scipy.optimize.linprog(method="highs")``: the answers are the
+same bit for bit, without the wrapper's per-call option validation, sparse
+conversion and result assembly, which cost about twice the solve itself on
+these small LPs.  A Feasible
 certificate is issued only after the delivered coefficients clear the
 residual tolerance under two independent measurements, the double-precision
 polynomial algebra that is reported and an extended-precision jet
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
+from scipy.optimize._highspy import _core as highs
 
 from . import convex_poly
 from ._jsonutil import complex_pair, parse_complex, parse_real
@@ -549,6 +555,64 @@ def _polish(
     return None
 
 
+LP_OPTIMAL = "optimal"
+LP_INFEASIBLE = "infeasible"
+
+
+def _lp_options() -> highs.HighsOptions:
+    """The HiGHS options ``linprog(method="highs")`` sets for this LP."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-7
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    return options
+
+
+_LP_OPTIONS = _lp_options()
+
+
+def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """Minimize ``c @ x`` subject to ``A x = b``, ``x >= 0``, with HiGHS.
+
+    Same model, options and status reading as ``linprog(method="highs")``,
+    without its per-call option validation, sparse conversion and result
+    assembly.  Returns ``(LP_OPTIMAL, x)``, ``(LP_INFEASIBLE, None)``, or
+    HiGHS's text for any other status with ``None``.  linprog's own check of
+    an optimal point (bounds and rows within 3e-4) is left out: every
+    candidate faces the residual gate of ``solve_at_degree``, far tighter.
+    """
+    m, n = A.shape
+    # HiGHS reads n costs and m right-hand sides through raw pointers
+    c, b = np.ascontiguousarray(c, dtype=float), np.ascontiguousarray(b, dtype=float)
+    if c.shape != (n,) or b.shape != (m,):
+        raise ValueError("LP costs and right-hand sides must match the constraint matrix")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("LP input must not contain inf or nan")
+    nonzero = A.T != 0  # CSC, column by column, explicit zeros dropped
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=start[1:])
+    index = np.nonzero(nonzero)[1].astype(np.int32)
+    value = A.T[nonzero]
+    solver = highs._Highs()
+    solver.passOptions(_LP_OPTIONS)
+    solver.passModel(
+        n, m, len(value), int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
+        c, np.zeros(n), np.full(n, highs.kHighsInf), b, b, start, index, value,
+        np.zeros(n, dtype=np.int32),  # every column continuous
+    )
+    solver.run()
+    status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kOptimal:
+        return LP_OPTIMAL, np.array(solver.getSolution().col_value)
+    if status == highs.HighsModelStatus.kInfeasible:
+        return LP_INFEASIBLE, None
+    return solver.modelStatusToString(status), None
+
+
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
     """Feasibility at one fixed degree; verified polynomial or None.
 
@@ -590,26 +654,14 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
         for t in range(order):
             ff *= np.maximum(idx - t, 0.0)
         weight = weight + ff / scale**order
-    result = linprog(
-        c=weight,
-        A_eq=eq_rows,
-        b_eq=eq_rhs,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-7,
-        },
-    )
-    if result.status == 2:  # proven infeasible at this degree
+    status, b = _highs_lp(weight, eq_rows, eq_rhs)
+    if status == LP_INFEASIBLE:  # proven infeasible at this degree
         return None
-    if result.status != 0 or result.x is None:
-        logger.debug("degree %d: LP status %s, trying NNLS fallback", degree, result.status)
+    if status != LP_OPTIMAL:
+        logger.debug("degree %d: LP status %s, trying NNLS fallback", degree, status)
         b_fallback = _weighted_nnls(eq_rows, eq_rhs)
         return checked(b_fallback * col_scale if b_fallback is not None else None)
 
-    b = np.asarray(result.x, dtype=float)
     support = np.nonzero(b > b.max() * 1e-14)[0] if b.max() > 0 else np.arange(len(b))
     p = checked(_polish(problem, eq_rows, eq_rhs, row_norm, col_scale, support))
     if p is not None:

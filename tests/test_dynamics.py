@@ -161,6 +161,44 @@ class TestHullContains:
         assert result.weights.sum() == pytest.approx(1.0)
         assert np.all(result.weights >= 0.0)
 
+    @staticmethod
+    def _per_call_hull(points, target):
+        """Residual and weights with every normalisation redone per call,
+        as before the generator-only half was shared across targets."""
+        G, target = np.column_stack(points), np.asarray(target, dtype=float)
+        peak = max(np.max(np.abs(G), initial=1.0), np.max(np.abs(target), initial=1.0))
+        s = math.ldexp(1.0, math.frexp(peak)[1])
+        G, target = G / s, target / s
+        norms = np.linalg.norm(G, axis=0)
+        norms[norms == 0] = 1.0
+        weight = 1e3 * max(1.0 / s, float(np.linalg.norm(target)))
+        A = np.vstack([G / norms, weight / norms])
+        u, _ = dynamics.nnls(A, np.append(target, weight), maxiter=10 * A.shape[1])
+        w = u / norms
+        if w.sum() > 0:
+            w = w / w.sum()
+        return s * float(np.linalg.norm(G @ w - target)), w
+
+    def test_shared_basis_is_bit_identical_to_per_call_scaling(self):
+        rng = np.random.default_rng(3)
+        triangle = self.TRIANGLE + (np.zeros(2),)  # a zero column too
+        orbit = tuple(dynamics.orbit(np.diag([-2.0, -3.0]), [1.0, 1.0], 14).points)  # norms 1e5 to 1e7
+        cases = [
+            (triangle, [rng.uniform(-1.0, 2.0, 2) for _ in range(10)]),
+            (orbit, [rng.dirichlet(np.ones(len(orbit))) @ orbit for _ in range(10)]
+             + [rng.uniform(-1e7, 1e7, 2) for _ in range(5)]),
+            # targets far beyond the generators: the solve scale is 2^512
+            # or more, not the generators' own
+            (triangle, [np.array([1e154, 3e153]), np.array([-7e153, 0.5]), np.array([0.25, 3e155])]),
+            (orbit, [np.array([1e154, -1e154])]),
+        ]
+        for points, targets in cases:
+            for target in targets:
+                residual, weights = self._per_call_hull(points, target)
+                result = dynamics.hull_contains(HullQuery(points, target))
+                assert result.residual == residual
+                assert np.array_equal(result.weights, weights)
+
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):
             dynamics.hull_contains(HullQuery((), np.array([0.0])))
@@ -232,6 +270,19 @@ class TestDensityScan:
         assert (report.stop_reason, report.generators_used) == ("overflow", 31)
         assert report.total == 1
         validate_schema("density", report.to_jsonable())
+
+    def test_misses_match_per_target_hull_verdicts(self):
+        rng = np.random.default_rng(8)
+        T = np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 1.5]])
+        x = np.ones(3)
+        points = dynamics.orbit(T, x, 5).points
+        targets = [rng.dirichlet(np.ones(len(points))) @ points for _ in range(6)]
+        targets += [rng.uniform(-20.0, 20.0, 3) for _ in range(6)]
+        report = dynamics.empirical_density_scan(T, x, targets, poly_budget=64)
+        prefix = tuple(dynamics.orbit(T, x, report.generators_used - 1).points)
+        verdicts = [dynamics.hull_contains(HullQuery(prefix, t)).contained for t in targets]
+        assert report.miss_indices == tuple(i for i, inside in enumerate(verdicts) if not inside)
+        assert 0 < len(report.miss_indices) < len(targets)
 
     def test_nnls_sees_only_the_orbit_prefix(self, monkeypatch):
         widths = []

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from convex_cyclic import interpolation as itp
 from convex_cyclic.convex_poly import ConvexPolynomial
@@ -260,6 +264,138 @@ class TestSolve:
         ).to_jsonable()
         assert capped["status"] == "InfeasibleAtCap"
         assert capped["max_degree"] == 4
+
+
+def _posed_lps(monkeypatch, problem, degrees):
+    """The (c, A, b) of every LP solve_at_degree poses at the given degrees."""
+    lps = []
+    solve_lp = itp._highs_lp
+
+    def recording(c, A, b):
+        lps.append((c.copy(), A.copy(), b.copy()))
+        return solve_lp(c, A, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(itp, "_highs_lp", recording)
+        for degree in degrees:
+            itp.solve_at_degree(problem, degree)
+    return lps
+
+
+def _wide_22_rows() -> itp.InterpolationProblem:
+    """5 real and 3 complex nodes with order-2 targets, one modulus band."""
+    rng = np.random.default_rng(22)
+    return itp.InterpolationProblem(
+        tuple(itp.RealNode(x, tuple(rng.uniform(-10, 10, 2))) for x in (-2.1, -2.6, -3.1, -3.6, -4.1)),
+        tuple(
+            itp.ComplexNode(cmath.rect(m, a), tuple(complex(*rng.uniform(-5, 5, 2)) for _ in range(2)))
+            for m, a in ((2.3, 0.9), (3.0, 1.8), (3.7, -2.4))
+        ),
+    )
+
+
+class TestHighsLp:
+    """The direct HiGHS call must answer exactly as ``linprog(method="highs")``
+    with the same options did: same status class, bit-identical point."""
+
+    # a 14-row instance whose degree-32 LP ends in neither status on scipy 1.17
+    ROWS14 = itp.InterpolationProblem(
+        (
+            itp.RealNode(-3.133764120927619, (-6.905888997842469, 3.3167200629204086, 5.008674682345415)),
+            itp.RealNode(-2.345031586792506, (2.837780656714415, -1.14785459212853, 4.414099133436853)),
+        ),
+        (
+            itp.ComplexNode(
+                -2.8788728112725805 - 1.841823195963359j,
+                (0.09111335132213633 + 0.3016478974487963j, -2.5476551680754804 - 0.2169776452178685j),
+            ),
+            itp.ComplexNode(
+                -2.3960342542048862 - 0.37955156062138334j,
+                (-2.41295640303655 - 0.0330728275777674j, -3.2885688285899617 + 4.914453892138966j),
+            ),
+        ),
+    )
+
+    @staticmethod
+    def _linprog(c, A, b):
+        return linprog(
+            c=c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+            options={"presolve": True, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-7},
+        )
+
+    def test_matches_linprog(self, monkeypatch):
+        sampled = itp.sample_admissible_problem(np.random.default_rng(0))
+        wide = _wide_22_rows()
+        assert wide.constraint_count() == 22 and itp.check_admissibility(wide).admissible
+        lps = (
+            _posed_lps(monkeypatch, itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),)), [4])
+            + _posed_lps(monkeypatch, sampled, itp._escalation_degrees(sampled)[:2])
+            + _posed_lps(monkeypatch, wide, itp._escalation_degrees(wide))
+            + _posed_lps(monkeypatch, self.ROWS14, [32])
+        )
+        seen = set()
+        for c, A, b in lps:
+            expected = self._linprog(c, A, b)
+            status, x = itp._highs_lp(c, A, b)
+            if expected.status == 0:
+                assert status == itp.LP_OPTIMAL
+                assert np.array_equal(x, expected.x)
+            elif expected.status == 2:
+                assert (status, x) == (itp.LP_INFEASIBLE, None)
+            else:
+                assert status not in (itp.LP_OPTIMAL, itp.LP_INFEASIBLE) and x is None
+            seen.add(expected.status)
+        assert {0, 2} <= seen
+
+    def test_first_escalation_degree_proven_infeasible(self, monkeypatch):
+        # the sampled narrow problem and the 22-row one both need more than
+        # #rows + 2 coefficients
+        for problem in (itp.sample_admissible_problem(np.random.default_rng(0)), _wide_22_rows()):
+            ((c, A, b),) = _posed_lps(monkeypatch, problem, [problem.constraint_count() + 2])
+            assert itp._highs_lp(c, A, b) == (itp.LP_INFEASIBLE, None)
+            assert self._linprog(c, A, b).status == 2
+
+    def test_malformed_input_rejected(self):
+        with pytest.raises(ValueError):
+            itp._highs_lp(np.ones(2), np.array([[1.0, np.nan]]), np.ones(1))
+        with pytest.raises(ValueError):
+            itp._highs_lp(np.ones(1), np.ones((1, 2)), np.ones(1))
+        with pytest.raises(ValueError):
+            itp._highs_lp(np.ones(2), np.ones((1, 2)), np.ones(2))
+
+
+class TestLpFallback:
+    """An LP that ends neither optimal nor infeasible hands over to the
+    weighted NNLS, whose candidate must still clear both verifications."""
+
+    PROBLEM = itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),))
+
+    @pytest.fixture()
+    def fallback_calls(self, monkeypatch):
+        calls = []
+        fallback = itp._weighted_nnls
+
+        def recording(eq_rows, eq_rhs):
+            calls.append(eq_rows.shape)
+            return fallback(eq_rows, eq_rhs)
+
+        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
+        monkeypatch.setattr(itp, "_weighted_nnls", recording)
+        return calls
+
+    def test_fallback_candidate_is_verified(self, fallback_calls, caplog):
+        with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
+            p = itp.solve_at_degree(self.PROBLEM, 4)
+        assert fallback_calls == [(3, 5)]  # two target rows and the simplex row
+        assert any("LP status Unknown, trying NNLS fallback" in r.message for r in caplog.records)
+        assert p is not None
+        assert _max_residual(self.PROBLEM, p) <= self.PROBLEM.residual_tol
+
+    @pytest.mark.parametrize("gate", ["_verify", "_verify_extended"])
+    def test_each_verification_gates_the_fallback(self, fallback_calls, monkeypatch, gate):
+        monkeypatch.setattr(itp, gate, lambda problem, p: math.inf)
+        assert itp.solve_at_degree(self.PROBLEM, 4) is None
+        assert fallback_calls == [(3, 5)]
 
 
 class TestSampler:
