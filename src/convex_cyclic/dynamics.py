@@ -4,9 +4,10 @@ The membership question "is a target in the closed convex hull of the
 convex-polynomial images of a vector" is settled empirically.  Those
 images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
-decides it.  Growth witnesses certify unboundedness of functionals along
-orbits, which is the separation-based obstruction to such capture ever
-failing on admissible matrices.
+decides it; scipy's NNLS is imported at the first hull test, so orbits and
+growth witnesses never load ``scipy.optimize``.  Growth witnesses certify
+unboundedness of functionals along orbits, which is the separation-based
+obstruction to such capture ever failing on admissible matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .convex_poly import ConvexPolynomial
 from .errors import (
@@ -201,6 +201,15 @@ def _hull_basis(G: np.ndarray) -> _HullBasis:
     points = G / scale
     norms = np.linalg.norm(points, axis=0)
     return _HullBasis(points, scale, peak, norms, points / np.where(norms > 0, norms, 1.0))
+
+
+def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.ndarray, float]:
+    """``scipy.optimize.nnls``, imported at the first call rather than with
+    the package: loading ``scipy.optimize`` costs more than the rest of the
+    import, and classification never solves a least-squares problem."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(A, b, maxiter=maxiter)
 
 
 def _hull_solve(basis: _HullBasis, target: np.ndarray, tolerance: float) -> HullResult:

@@ -9,11 +9,13 @@ directly through scipy's bindings, with exactly the options and status
 reading of ``scipy.optimize.linprog(method="highs")``: the answers are the
 same bit for bit, without the wrapper's per-call option validation, sparse
 conversion and result assembly, which cost about twice the solve itself on
-these small LPs.  A Feasible
-certificate is issued only after the delivered coefficients clear the
-residual tolerance under two independent measurements, the double-precision
-polynomial algebra that is reported and an extended-precision jet
-evaluation that rounding in the first cannot fool.  Degrees escalate
+these small LPs.  ``scipy.optimize`` (the HiGHS bindings and NNLS) is
+loaded at the first LP, not with the module, so only callers that
+interpolate pay for it.  A Feasible certificate is issued only after
+the delivered coefficients clear the residual tolerance under two
+independent measurements, the double-precision polynomial algebra that
+is reported and an extended-precision jet evaluation that rounding in
+the first cannot fool.  Degrees escalate
 geometrically up to the cap.  Node sets with distinct real nodes below -1
 and distinct non-real complex nodes outside the closed unit disk with no
 conjugate pairs are admissible: for those, every target assignment is
@@ -22,18 +24,18 @@ feasible at some degree.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.optimize._highspy import _core as highs
 
 from . import convex_poly
 from ._jsonutil import complex_pair, parse_complex, parse_real
 from .convex_poly import NODE_TOLERANCE, ConvexPolynomial
+from .dynamics import nnls
 from .errors import ParseError, PreconditionViolated
 
 __all__ = [
@@ -559,8 +561,13 @@ LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
 
 
-def _lp_options() -> highs.HighsOptions:
-    """The HiGHS options ``linprog(method="highs")`` sets for this LP."""
+@functools.cache
+def _lp_options() -> tuple[Any, Any]:
+    """scipy's HiGHS bindings and the options ``linprog(method="highs")``
+    sets for this LP, both loaded at the first LP rather than with the
+    package."""
+    from scipy.optimize._highspy import _core as highs
+
     options = highs.HighsOptions()
     options.presolve = "on"
     options.primal_feasibility_tolerance = 1e-10
@@ -569,10 +576,7 @@ def _lp_options() -> highs.HighsOptions:
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
-    return options
-
-
-_LP_OPTIONS = _lp_options()
+    return highs, options
 
 
 def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndarray | None]:
@@ -597,8 +601,9 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndar
     np.cumsum(nonzero.sum(axis=1), out=start[1:])
     index = np.nonzero(nonzero)[1].astype(np.int32)
     value = A.T[nonzero]
+    highs, options = _lp_options()
     solver = highs._Highs()
-    solver.passOptions(_LP_OPTIONS)
+    solver.passOptions(options)
     solver.passModel(
         n, m, len(value), int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
         c, np.zeros(n), np.full(n, highs.kHighsInf), b, b, start, index, value,

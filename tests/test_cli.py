@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import convex_cyclic
 
 ANALYZE_REAL = json.dumps({"field": "real", "rows": [[-2.0, 0.0], [0.0, -3.0]]})
 ANALYZE_BLOCKS = json.dumps(
@@ -201,3 +207,45 @@ class TestInputOutputPlumbing:
         with pytest.raises(SystemExit) as info:
             run_cli(["--version"])
         assert info.value.code == 0
+
+
+# The examples above, run in a fresh interpreter: the pytest process has
+# already imported scipy.optimize, so only a new process can show which
+# calls load it.
+COLD_START = """
+import contextlib, io, json, sys
+
+seen = {}
+import convex_cyclic
+seen["import convex_cyclic"] = "scipy.optimize" in sys.modules
+import convex_cyclic.cli
+seen["import convex_cyclic.cli"] = "scipy.optimize" in sys.modules
+for command, payload in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert convex_cyclic.cli.main([command, "--input", payload]) == 0
+    seen[command] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "solver_call", [("interpolate", INTERPOLATE_OK), ("density", DENSITY_OK)], ids=["interpolate", "density"]
+    )
+    def test_scipy_optimize_loads_only_for_a_solver(self, solver_call):
+        src = str(Path(convex_cyclic.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        calls = [("analyze", ANALYZE_REAL), ("peak", PEAK_OK), ("orbit", ORBIT_REAL), solver_call]
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, json.dumps(calls)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import convex_cyclic": False,
+            "import convex_cyclic.cli": False,
+            "analyze": False,
+            "peak": False,
+            "orbit": False,
+            solver_call[0]: True,
+        }
