@@ -36,8 +36,10 @@ __all__ = [
     "PeakingCertificate",
     "GrowthQuery",
     "validate",
+    "horner",
     "evaluate",
     "derivative",
+    "node_pairs",
     "multiply",
     "compose",
     "peaking_polynomial",
@@ -119,38 +121,65 @@ def validate(coeffs: Sequence[float]) -> ConvexPolynomial:
     return ConvexPolynomial(np.asarray(coeffs, dtype=float))
 
 
+def horner(coeffs: Sequence[complex], z: complex | float) -> complex | float:
+    """Evaluate the ascending coefficient vector ``coeffs`` at ``z``.
+
+    Horner's scheme in Python scalars: a float for real ``z``, a complex
+    number for complex ``z`` (every step adds the coefficient as a complex
+    number).  The single Horner kernel of the package.
+    """
+    if isinstance(z, complex):
+        acc: complex | float = 0.0 + 0.0j
+        for a in np.asarray(coeffs)[::-1]:
+            acc = acc * z + complex(a)
+        return acc
+    z = float(z)
+    acc = 0.0
+    for a in np.asarray(coeffs)[::-1]:
+        acc = acc * z + a
+    return acc
+
+
 def evaluate(p: ConvexPolynomial, z: complex | float) -> complex | float:
     """Evaluate ``p`` at ``z`` by Horner's scheme.
 
     Returns a float for real ``z`` and a complex number otherwise; the
     scheme commutes with conjugation exactly, so ``p(conj(z)) == conj(p(z))``.
     """
-    coeffs = p.coeffs
-    if isinstance(z, complex):
-        acc: complex | float = 0.0 + 0.0j
-    else:
-        z = float(z)
-        acc = 0.0
-    for a in coeffs[::-1]:
-        acc = acc * z + a
-    return acc
+    return horner(p.coeffs, z)
 
 
-def derivative(p: ConvexPolynomial, order: int = 1) -> np.ndarray:
+def derivative(p: ConvexPolynomial | Sequence[complex], order: int = 1) -> np.ndarray:
     """Coefficients of the ``order``-th derivative, as a plain vector.
 
+    ``p`` is a convex-polynomial or a plain ascending coefficient vector.
     The result is not renormalized (derivatives of convex-polynomials are
     generally not convex-polynomials).  An empty vector is returned when
     ``order`` exceeds the degree.
     """
     if order < 0:
         raise PreconditionViolated("derivative order must be nonnegative")
-    c = np.asarray(p.coeffs, dtype=float)
+    c = np.asarray(getattr(p, "coeffs", p))
+    c = c.astype(np.result_type(c, float), copy=False)
     for _ in range(order):
         if len(c) <= 1:
             return np.zeros(0)
         c = c[1:] * np.arange(1, len(c), dtype=float)
     return c
+
+
+def node_pairs(nodes: Sequence[complex], conjugate: bool = False) -> list[tuple[int, int]]:
+    """Index pairs ``i < j``, in row order, of nodes closer than ``NODE_TOLERANCE``.
+
+    Closeness is ``|a_i - a_j|``, or ``|a_i - conj(a_j)|`` with ``conjugate``
+    (a real node is its own conjugate, but ``i == j`` is never a pair).
+    """
+    return [
+        (i, j)
+        for i in range(len(nodes))
+        for j in range(i + 1, len(nodes))
+        if abs(nodes[i] - (nodes[j].conjugate() if conjugate else nodes[j])) <= NODE_TOLERANCE
+    ]
 
 
 def multiply(p: ConvexPolynomial, q: ConvexPolynomial) -> ConvexPolynomial:
@@ -199,19 +228,15 @@ def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[complex]]:
     """Validate the peaking preconditions; return (R, maximum-modulus nodes)."""
     if not nodes:
         raise PreconditionViolated("node set must be nonempty")
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if abs(nodes[i] - nodes[j]) <= NODE_TOLERANCE:
-                raise PreconditionViolated("nodes must be distinct")
+    if node_pairs(nodes):
+        raise PreconditionViolated("nodes must be distinct")
     moduli = [abs(z) for z in nodes]
     max_modulus = max(moduli)
     if not max_modulus > 1.0:
         raise PreconditionViolated("maximum node modulus must exceed 1")
     top = [z for z, m in zip(nodes, moduli) if max_modulus - m <= NODE_TOLERANCE * max(1.0, max_modulus)]
-    for i in range(len(top)):
-        for j in range(len(top)):
-            if i != j and abs(top[i] - top[j].conjugate()) <= NODE_TOLERANCE:
-                raise PreconditionViolated("conjugate pair among maximum-modulus nodes")
+    if node_pairs(top, conjugate=True):
+        raise PreconditionViolated("conjugate pair among maximum-modulus nodes")
     return max_modulus, top
 
 

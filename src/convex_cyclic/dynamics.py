@@ -28,7 +28,7 @@ from .errors import (
     ZeroFunctional,
 )
 from .jordan_forms import DirectSumSpec, build, matrix_polynomial
-from .spectral import MatrixSpec, classify, convex_cyclic_vector_test
+from .spectral import MatrixSpec, _coerce_matrix, classify, convex_cyclic_vector_test
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -50,17 +50,6 @@ logger = logging.getLogger("convex_cyclic.dynamics")
 OVERFLOW_LIMIT = 1e300
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
-
-
-def _entries(matrix: MatrixLike) -> np.ndarray:
-    if isinstance(matrix, MatrixSpec):
-        return matrix.entries
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise PreconditionViolated("matrix must be square")
-    if np.iscomplexobj(arr):
-        return arr.astype(complex)
-    return arr.astype(float)
 
 
 def _vector(x: Any, dimension: int, is_complex: bool) -> np.ndarray:
@@ -90,7 +79,7 @@ def orbit(matrix: MatrixLike, x: Any, horizon: int) -> OrbitTrace:
     """Forward orbit of ``x`` under the matrix, horizon + 1 points."""
     if not (isinstance(horizon, int) and horizon >= 0):
         raise PreconditionViolated("horizon must be an integer >= 0")
-    T = _entries(matrix)
+    T = _coerce_matrix(matrix).entries
     v = _vector(x, T.shape[0], np.iscomplexobj(T))
     points = np.empty((horizon + 1, len(v)), dtype=T.dtype)
     points[0] = v
@@ -131,7 +120,7 @@ def growth_witness(
     ZeroFunctional for f = 0 and OverflowReached if the orbit leaves the
     representable range before any witness appears.
     """
-    T = _entries(matrix)
+    T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
     v = _vector(x, T.shape[0], is_complex)
     f = _vector(functional, T.shape[0], is_complex)
@@ -327,7 +316,7 @@ def empirical_density_scan(
     """
     if not (isinstance(poly_budget, int) and poly_budget >= 1):
         raise PreconditionViolated("poly_budget must be an integer >= 1")
-    T = _entries(matrix)
+    T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
     v = _vector(x, T.shape[0], is_complex)
     target_list = [
@@ -395,9 +384,8 @@ def direct_sum_vector(
         if not verdict.is_convex_cyclic:
             raise PremiseViolated("first summand is not convex-cyclic under the polynomial")
         second_image = matrix_polynomial(polynomial, build(specs[1]))
-        entries = second_image.entries if isinstance(second_image, MatrixSpec) else second_image
-        radius = float(np.max(np.abs(np.linalg.eigvals(entries.astype(complex)))))
-        scale = max(1.0, float(np.linalg.norm(entries, 2)))
+        radius = float(np.max(np.abs(np.linalg.eigvals(second_image.astype(complex)))))
+        scale = max(1.0, float(np.linalg.norm(second_image, 2)))
         if radius > radius_tol * scale:
             raise PremiseViolated("second summand image is not nilpotent within tolerance")
     if len(vectors) == 1:

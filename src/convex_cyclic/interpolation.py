@@ -2,22 +2,25 @@
 
 Value and derivative targets at real and complex nodes become equality rows
 in the monomial coefficients; together with nonnegativity and the unit-sum
-row this is a linear feasibility problem solved per degree (HiGHS, with a
-mass-minimizing objective that keeps coefficient weight at low degrees) and
-polished by nonnegative least squares on the support.  HiGHS is driven
+row this is a linear feasibility problem, posed per degree.  Each degree has
+one route to a certificate.  HiGHS solves the LP with a mass-minimizing
+objective that keeps coefficient weight at low degrees; the support of an
+optimal point is polished by nonnegative least squares and mixed-precision
+refinement; and the polished coefficients make a Feasible certificate only
+after they clear the residual tolerance under two independent
+measurements, the double-precision polynomial algebra that is reported and
+an extended-precision jet evaluation that rounding in the first cannot
+fool.  Any other outcome (an infeasible LP, an LP that ends without an
+optimum, a candidate that fails a measurement) moves on to the next
+degree; degrees escalate geometrically up to the cap.  HiGHS is driven
 directly through scipy's bindings, with exactly the options and status
 reading of ``scipy.optimize.linprog(method="highs")``: the answers are the
 same bit for bit, without the wrapper's per-call option validation, sparse
 conversion and result assembly, which cost about twice the solve itself on
 these small LPs.  ``scipy.optimize`` (the HiGHS bindings and NNLS) is
 loaded at the first LP, not with the module, so only callers that
-interpolate pay for it.  A Feasible certificate is issued only after
-the delivered coefficients clear the residual tolerance under two
-independent measurements, the double-precision polynomial algebra that
-is reported and an extended-precision jet evaluation that rounding in
-the first cannot fool.  Degrees escalate
-geometrically up to the cap.  Node sets with distinct real nodes below -1
-and distinct non-real complex nodes outside the closed unit disk with no
+interpolate pay for it.  Node sets with distinct real nodes below -1 and
+distinct non-real complex nodes outside the closed unit disk with no
 conjugate pairs are admissible: for those, every target assignment is
 feasible at some degree.
 """
@@ -32,9 +35,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from . import convex_poly
 from ._jsonutil import complex_pair, parse_complex, parse_real
-from .convex_poly import NODE_TOLERANCE, ConvexPolynomial
+from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, derivative, horner, node_pairs
 from .dynamics import nnls
 from .errors import ParseError, PreconditionViolated
 
@@ -226,14 +228,10 @@ def check_admissibility(problem: InterpolationProblem) -> AdmissibilityReport:
     -1, complex nodes non-real and strictly outside the closed unit disk,
     and no conjugate pair among the complex nodes.
     """
-    violations: list[AdmissibilityViolation] = []
     nodes = problem.all_nodes()
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if abs(nodes[i] - nodes[j]) <= NODE_TOLERANCE:
-                violations.append(
-                    AdmissibilityViolation(VIOLATION_DUPLICATE_NODE, (nodes[i], nodes[j]))
-                )
+    violations = [
+        AdmissibilityViolation(VIOLATION_DUPLICATE_NODE, (nodes[i], nodes[j])) for i, j in node_pairs(nodes)
+    ]
     for node in problem.real_nodes:
         if not node.x < -1.0:
             violations.append(
@@ -245,12 +243,8 @@ def check_admissibility(problem: InterpolationProblem) -> AdmissibilityReport:
         if abs(node.z) <= 1.0:
             violations.append(AdmissibilityViolation(VIOLATION_COMPLEX_NODE_IN_CLOSED_DISK, (node.z,)))
     cplx = [n.z for n in problem.complex_nodes]
-    for i in range(len(cplx)):
-        for j in range(i + 1, len(cplx)):
-            if abs(cplx[i] - cplx[j].conjugate()) <= NODE_TOLERANCE:
-                violations.append(
-                    AdmissibilityViolation(VIOLATION_CONJUGATE_NODE_PAIR, (cplx[i], cplx[j]))
-                )
+    for i, j in node_pairs(cplx, conjugate=True):
+        violations.append(AdmissibilityViolation(VIOLATION_CONJUGATE_NODE_PAIR, (cplx[i], cplx[j])))
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
 
 
@@ -322,20 +316,18 @@ def necessary_target_check(problem: InterpolationProblem) -> list[NecessaryViola
         value_checks(node.z, node.targets)
 
     cplx = problem.complex_nodes
-    for i in range(len(cplx)):
-        for k in range(i + 1, len(cplx)):
-            if abs(cplx[i].z - cplx[k].z.conjugate()) <= NODE_TOLERANCE:
-                shared = min(len(cplx[i].targets), len(cplx[k].targets))
-                for j in range(shared):
-                    if abs(cplx[i].targets[j] - cplx[k].targets[j].conjugate()) > 2 * tol:
-                        out.append(
-                            NecessaryViolation(
-                                NECESSARY_CONJUGATE_SYMMETRY,
-                                (cplx[i].z, cplx[k].z),
-                                j,
-                                "conjugate nodes require conjugate targets",
-                            )
-                        )
+    for i, k in node_pairs([n.z for n in cplx], conjugate=True):
+        shared = min(len(cplx[i].targets), len(cplx[k].targets))
+        for j in range(shared):
+            if abs(cplx[i].targets[j] - cplx[k].targets[j].conjugate()) > 2 * tol:
+                out.append(
+                    NecessaryViolation(
+                        NECESSARY_CONJUGATE_SYMMETRY,
+                        (cplx[i].z, cplx[k].z),
+                        j,
+                        "conjugate nodes require conjugate targets",
+                    )
+                )
     return out
 
 
@@ -375,7 +367,7 @@ def _constraint_rows(problem: InterpolationProblem, degree: int) -> tuple[np.nda
 
     Columns carry the substitution ``a_i = scale**(-i) * b_i`` with
     ``scale = max(1, max node modulus)``, which keeps every coefficient
-    polynomially bounded regardless of degree.
+    polynomially bounded regardless of degree; every entry is finite.
     """
     nodes = problem.all_nodes()
     scale = max([1.0] + [abs(u) for u in nodes])
@@ -393,6 +385,12 @@ def _constraint_rows(problem: InterpolationProblem, degree: int) -> tuple[np.nda
             falling *= i - t
         powers[order:] = falling * np.power(complex(u), i - order)
         scaled = powers * col_scale
+        # u**(i - order) overflows long before its scaled entry does;
+        # rebuild exactly those entries from powers of u / scale
+        bad = ~np.isfinite(scaled)
+        if bad.any():
+            k = bad[order:]
+            scaled[bad] = falling[k] * np.power(complex(u) / scale, (i - order)[k]) * scale ** (-order)
         if is_real:
             rows.append(scaled.real)
             rhs.append(float(target.real))
@@ -402,12 +400,13 @@ def _constraint_rows(problem: InterpolationProblem, degree: int) -> tuple[np.nda
             rows.append(scaled.imag)
             rhs.append(float(target.imag))
 
-    for node in problem.real_nodes:
-        for j, y in enumerate(node.targets):
-            add(complex(node.x), j, complex(y), True)
-    for node in problem.complex_nodes:
-        for j, w in enumerate(node.targets):
-            add(node.z, j, w, False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in problem.real_nodes:
+            for j, y in enumerate(node.targets):
+                add(complex(node.x), j, complex(y), True)
+        for node in problem.complex_nodes:
+            for j, w in enumerate(node.targets):
+                add(node.z, j, w, False)
 
     rows.append(col_scale.copy())
     rhs.append(1.0)
@@ -417,21 +416,12 @@ def _constraint_rows(problem: InterpolationProblem, degree: int) -> tuple[np.nda
 def _verify(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
     """Largest constraint residual, measured through the polynomial algebra."""
     worst = 0.0
-
-    def horner(coeffs: np.ndarray, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for a in coeffs[::-1]:
-            acc = acc * z + complex(a)
-        return acc
-
     for node in problem.real_nodes:
         for j, y in enumerate(node.targets):
-            value = horner(convex_poly.derivative(p, j), complex(node.x))
-            worst = max(worst, abs(value - y))
+            worst = max(worst, abs(horner(derivative(p, j), complex(node.x)) - y))
     for node in problem.complex_nodes:
         for j, w in enumerate(node.targets):
-            value = horner(convex_poly.derivative(p, j), node.z)
-            worst = max(worst, abs(value - w))
+            worst = max(worst, abs(horner(derivative(p, j), node.z) - w))
     return worst
 
 
@@ -621,9 +611,11 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndar
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
     """Feasibility at one fixed degree; verified polynomial or None.
 
-    Infeasibility at a degree is decided by the LP; a candidate counts as
-    feasible only if its independently re-evaluated residuals stay within
-    ``residual_tol``.
+    One route: the LP either proves the degree infeasible, ends with any
+    other non-optimal status (both give None, and ``solve`` escalates), or
+    returns an optimal point whose support ``_polish`` refines.  The refined
+    candidate counts as feasible only if its residuals stay within
+    ``residual_tol`` under both ``_verify`` and ``_verify_extended``.
     """
     rows, rhs, scale = _constraint_rows(problem, degree)
     row_norm = np.maximum(np.abs(rows).max(axis=1), 1e-300)
@@ -632,21 +624,6 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
 
     idx = np.arange(degree + 1, dtype=float)
     col_scale = scale ** (-idx)
-
-    def checked(a: np.ndarray | None) -> ConvexPolynomial | None:
-        if a is None:
-            return None
-        p = _to_polynomial(np.asarray(a, dtype=float))
-        if p is None:
-            return None
-        # both measurements must clear the tolerance: the float64 algebra
-        # is the reported figure, the extended one cannot be fooled by
-        # evaluation rounding
-        if _verify(problem, p) <= problem.residual_tol and (
-            _verify_extended(problem, p) <= problem.residual_tol
-        ):
-            return p
-        return None
 
     # the objective tracks coefficient mass through value and jet rows at
     # the largest node; minimizing it keeps the cancellation that float64
@@ -660,34 +637,22 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
             ff *= np.maximum(idx - t, 0.0)
         weight = weight + ff / scale**order
     status, b = _highs_lp(weight, eq_rows, eq_rhs)
-    if status == LP_INFEASIBLE:  # proven infeasible at this degree
-        return None
     if status != LP_OPTIMAL:
-        logger.debug("degree %d: LP status %s, trying NNLS fallback", degree, status)
-        b_fallback = _weighted_nnls(eq_rows, eq_rhs)
-        return checked(b_fallback * col_scale if b_fallback is not None else None)
+        if status != LP_INFEASIBLE:  # infeasible is a proof; anything else is not
+            logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
+        return None
 
     support = np.nonzero(b > b.max() * 1e-14)[0] if b.max() > 0 else np.arange(len(b))
-    p = checked(_polish(problem, eq_rows, eq_rhs, row_norm, col_scale, support))
-    if p is not None:
+    a = _polish(problem, eq_rows, eq_rhs, row_norm, col_scale, support)
+    p = _to_polynomial(a) if a is not None else None
+    # both measurements must clear the tolerance: the float64 algebra is
+    # the reported figure, the extended one cannot be fooled by evaluation
+    # rounding
+    if p is not None and _verify(problem, p) <= problem.residual_tol and (
+        _verify_extended(problem, p) <= problem.residual_tol
+    ):
         return p
-    p = checked(b * col_scale)
-    if p is not None:
-        return p
-    logger.debug("degree %d: LP point failed verification, trying NNLS fallback", degree)
-    b_fallback = _weighted_nnls(eq_rows, eq_rhs)
-    return checked(b_fallback * col_scale if b_fallback is not None else None)
-
-
-def _weighted_nnls(eq_rows: np.ndarray, eq_rhs: np.ndarray) -> np.ndarray | None:
-    """Full-column NNLS with the simplex row upweighted; fallback path."""
-    weights = np.ones(len(eq_rhs))
-    weights[-1] = 1e3
-    try:
-        b, _ = nnls(eq_rows * weights[:, None], eq_rhs * weights)
-    except Exception:
-        return None
-    return b
+    return None
 
 
 def _escalation_degrees(problem: InterpolationProblem) -> list[int]:

@@ -18,6 +18,7 @@ from typing import Any, Sequence, Union
 import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
+from .convex_poly import derivative, horner
 from .errors import OddLength, ParseError, PreconditionViolated
 from .spectral import MatrixSpec
 
@@ -223,22 +224,6 @@ def build(spec: BlockSpec | DirectSumSpec) -> MatrixSpec:
     return MatrixSpec(field, out)
 
 
-def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
-    c = np.asarray(coeffs)
-    for _ in range(order):
-        if len(c) <= 1:
-            return np.zeros(0)
-        c = c[1:] * np.arange(1, len(c))
-    return c
-
-
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for a in np.asarray(coeffs)[::-1]:
-        acc = acc * z + complex(a)
-    return acc
-
-
 def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> np.ndarray:
     """Closed form for ``p(J)`` on a lower-triangular Jordan block.
 
@@ -249,11 +234,10 @@ def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> 
     """
     if size < 1:
         raise PreconditionViolated("block size must be >= 1")
-    coeffs = np.asarray(getattr(p, "coeffs", p))
     lam = complex(eigenvalue)
     out = np.zeros((size, size), dtype=complex)
     for d in range(size):
-        value = _horner(_poly_derivative(coeffs, d), lam) / math.factorial(d)
+        value = horner(derivative(p, d), lam) / math.factorial(d)
         for i in range(d, size):
             out[i, i - d] = value
     return out

@@ -160,18 +160,15 @@ class EigenvalueInfo:
 
 @dataclass(frozen=True)
 class Eigenstructure:
-    """Clustered eigenvalues with multiplicities and adjoint spectrum.
+    """Clustered eigenvalues with multiplicities.
 
-    Every cluster gets an entry (conjugate partners of a real matrix are
-    listed separately so that algebraic multiplicities sum to the
-    dimension); ``conjugate_pairs`` carries the pairing metadata as index
-    pairs into ``eigenvalues`` for real matrices.
+    Every cluster gets an entry, sorted by real then imaginary part
+    (conjugate partners of a real matrix are listed separately so that
+    algebraic multiplicities sum to the dimension).
     """
 
     field: str
     eigenvalues: tuple[EigenvalueInfo, ...]
-    adjoint_spectrum: tuple[complex, ...]
-    conjugate_pairs: tuple[tuple[int, int], ...]
     tol: float
 
     @property
@@ -235,21 +232,7 @@ def eigenstructure(matrix: MatrixSpec | np.ndarray, tol: float | None = None) ->
         rank = int(np.sum(sigma > tol * max(1.0, float(sigma[0]))))
         infos.append(EigenvalueInfo(value, len(group), min(max(1, n - rank), len(group))))
     infos.sort(key=lambda info: (info.value.real, info.value.imag))
-    pairs: list[tuple[int, int]] = []
-    if spec.field == "real":
-        values = np.array([info.value for info in infos])
-        first, second = np.triu_indices(len(infos), 1)
-        # the gap is symmetric, so one member in the upper half-plane suffices
-        upper = (values.imag[first] > tol) | (values.imag[second] > tol)
-        paired = upper & (np.abs(values[first] - values[second].conj()) <= tol)
-        pairs = list(zip(first[paired].tolist(), second[paired].tolist()))
-    return Eigenstructure(
-        field=spec.field,
-        eigenvalues=tuple(infos),
-        adjoint_spectrum=tuple(info.value.conjugate() for info in infos),
-        conjugate_pairs=tuple(pairs),
-        tol=float(tol),
-    )
+    return Eigenstructure(field=spec.field, eigenvalues=tuple(infos), tol=float(tol))
 
 
 def is_cyclic(structure: Eigenstructure | MatrixSpec | np.ndarray, tol: float | None = None) -> bool:

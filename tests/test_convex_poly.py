@@ -145,6 +145,53 @@ class TestAlgebra:
         with pytest.raises(PreconditionViolated):
             convex_poly.derivative(ConvexPolynomial([1.0]), -1)
 
+    def test_derivative_of_plain_vector_matches_polynomial(self):
+        p = ConvexPolynomial([0.25, 0.0, 0.5, 0.25])
+        for order in range(5):
+            assert np.array_equal(convex_poly.derivative(list(p.coeffs), order), convex_poly.derivative(p, order))
+        assert np.array_equal(convex_poly.derivative([1j, 2.0, 3j], 1), [2.0, 6j])
+
+    def test_horner_matches_evaluate(self):
+        p = ConvexPolynomial([0.25, 0.0, 0.5, 0.25])
+        for z in (-2.0, 0.5, 1.5 - 2.0j, -0.0j):
+            assert convex_poly.horner(p.coeffs, z) == convex_poly.evaluate(p, z)
+        assert isinstance(convex_poly.horner(p.coeffs, -2.0), float)
+        assert isinstance(convex_poly.horner(p.coeffs, -2.0 + 0.0j), complex)
+        assert convex_poly.horner([], 2.0j) == 0.0
+
+
+class TestNodePairs:
+    POOL = (0j, 1e-10 + 0j, 2e-10 + 0j, 0.5e-10j, -0.5e-10j, -2.0 + 0j, 1 + 2j, 1 - 2j, 1 + 2j + 1e-11, 1 + 2.5e-10j, 3j)
+
+    @staticmethod
+    def _brute(nodes, conjugate):
+        out = []
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                other = nodes[j].conjugate() if conjugate else nodes[j]
+                if abs(nodes[i] - other) <= convex_poly.NODE_TOLERANCE:
+                    out.append((i, j))
+        return out
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            nodes = [self.POOL[k] for k in rng.integers(0, len(self.POOL), int(rng.integers(0, 8)))]
+            for conjugate in (False, True):
+                assert convex_poly.node_pairs(nodes, conjugate) == self._brute(nodes, conjugate)
+
+    def test_ties_count_and_pairs_come_in_row_order(self):
+        # 1e-10 and 2e-10 - 1e-10 equal NODE_TOLERANCE exactly
+        assert convex_poly.node_pairs([0j, 1e-10, 2e-10]) == [(0, 1), (1, 2)]
+        assert convex_poly.node_pairs([0.5e-10j, 0.5e-10j], conjugate=True) == [(0, 1)]
+        assert convex_poly.node_pairs([1.0, 1.0, 1.0]) == [(0, 1), (0, 2), (1, 2)]
+        assert convex_poly.node_pairs([]) == []
+
+    def test_real_points_are_their_own_conjugates(self):
+        assert convex_poly.node_pairs([-2.0], conjugate=True) == []
+        assert convex_poly.node_pairs([-2.0, -3.0, -2.0], conjugate=True) == [(0, 2)]
+        assert convex_poly.node_pairs([2j, -2j, 3.0], conjugate=True) == [(0, 1)]
+
 
 class TestPeaking:
     def test_frozen_mixed_pair(self):

@@ -12,6 +12,7 @@ from convex_cyclic import dynamics, interpolation, suite
 from convex_cyclic.dynamics import Bounded, DensityReport, GrowthWitness, HullQuery
 from convex_cyclic.errors import (
     DimensionMismatch,
+    NonSquare,
     OverflowReached,
     PreconditionViolated,
     PremiseViolated,
@@ -42,6 +43,34 @@ class TestOrbit:
             dynamics.orbit(np.diag([-2.0]), [1.0], -1)
         with pytest.raises(DimensionMismatch):
             dynamics.orbit(np.diag([-2.0, -3.0]), [1.0], 2)
+
+
+class TestMatrixCoercion:
+    """Orbits, witnesses and scans take matrices through the one coercion
+    the spectral layer uses."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_matrix_rejected(self, bad):
+        T = np.array([[-2.0, 0.0], [0.0, bad]])
+        with pytest.raises(PreconditionViolated):
+            dynamics.orbit(T, [1.0, 1.0], 3)
+        with pytest.raises(PreconditionViolated):
+            dynamics.growth_witness(T, [1.0, 1.0], [1.0, 0.0], 1e6)
+        with pytest.raises(PreconditionViolated):
+            dynamics.empirical_density_scan(T, [1.0, 1.0], [[0.0, 0.0]])
+
+    def test_non_square_matrix_rejected(self):
+        T = np.ones((2, 3))
+        with pytest.raises(NonSquare):
+            dynamics.orbit(T, [1.0, 1.0], 3)
+        with pytest.raises(NonSquare):
+            dynamics.growth_witness(T, [1.0, 1.0], [1.0, 0.0], 1.0)
+        with pytest.raises(NonSquare):
+            dynamics.empirical_density_scan(T, [1.0, 1.0], [[0.0, 0.0]])
+
+    def test_field_follows_the_array_dtype(self):
+        assert dynamics.orbit([[2, 0], [0, 3]], [1, 1], 1).points.dtype == float
+        assert dynamics.orbit(np.diag([2.0 + 0j, 3.0]), [1.0, 1.0], 1).points.dtype == complex
 
 
 class TestGrowthWitness:

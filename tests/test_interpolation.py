@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from convex_cyclic import dynamics
 from convex_cyclic import interpolation as itp
 from convex_cyclic.convex_poly import ConvexPolynomial
 from convex_cyclic.errors import ParseError, PreconditionViolated
@@ -389,38 +390,68 @@ class TestHighsLp:
             itp._highs_lp(np.ones(2), np.ones((1, 2)), np.ones(2))
 
 
-class TestLpFallback:
-    """An LP that ends neither optimal nor infeasible hands over to the
-    weighted NNLS, whose candidate must still clear both verifications."""
+class TestSingleRoute:
+    """One route from the LP to a certificate: an LP that ends neither
+    optimal nor infeasible yields no candidate, and the polished point of an
+    optimal LP must clear both verifications."""
 
     PROBLEM = itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),))
 
-    @pytest.fixture()
-    def fallback_calls(self, monkeypatch):
+    def test_unknown_lp_status_escalates_without_nnls(self, monkeypatch, caplog):
         calls = []
-        fallback = itp._weighted_nnls
-
-        def recording(eq_rows, eq_rhs):
-            calls.append(eq_rows.shape)
-            return fallback(eq_rows, eq_rhs)
-
         monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
-        monkeypatch.setattr(itp, "_weighted_nnls", recording)
-        return calls
-
-    def test_fallback_candidate_is_verified(self, fallback_calls, caplog):
+        monkeypatch.setattr(itp, "nnls", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(dynamics, "nnls", lambda *args, **kwargs: calls.append(args))
         with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
-            p = itp.solve_at_degree(self.PROBLEM, 4)
-        assert fallback_calls == [(3, 5)]  # two target rows and the simplex row
-        assert any("LP status Unknown, trying NNLS fallback" in r.message for r in caplog.records)
-        assert p is not None
-        assert _max_residual(self.PROBLEM, p) <= self.PROBLEM.residual_tol
+            assert itp.solve_at_degree(self.PROBLEM, 4) is None
+            capped = itp.solve(itp.InterpolationProblem(self.PROBLEM.real_nodes, max_degree=16))
+        assert calls == []
+        assert capped.status == itp.STATUS_INFEASIBLE_AT_CAP
+        messages = [r.getMessage() for r in caplog.records]
+        assert "degree 4: LP status Unknown, no candidate at this degree" in messages
+        assert not any("fallback" in m for m in messages)
+        # solve moved through every escalation degree up to the cap
+        assert [m for m in messages if m.endswith("escalating")] == [
+            f"degree {d} infeasible or unverified, escalating" for d in (4, 8, 16)
+        ]
 
     @pytest.mark.parametrize("gate", ["_verify", "_verify_extended"])
-    def test_each_verification_gates_the_fallback(self, fallback_calls, monkeypatch, gate):
+    def test_each_verification_gates_the_polish(self, monkeypatch, gate):
+        polished = []
+        polish = itp._polish
+
+        def recording(*args):
+            polished.append(polish(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(itp, "_polish", recording)
+        assert itp.solve_at_degree(self.PROBLEM, 4) is not None
         monkeypatch.setattr(itp, gate, lambda problem, p: math.inf)
         assert itp.solve_at_degree(self.PROBLEM, 4) is None
-        assert fallback_calls == [(3, 5)]
+        assert len(polished) == 2 and all(a is not None for a in polished)
+
+
+class TestOverflowingRows:
+    """Powers of the largest node overflow float64 long before their
+    scaled row entries do; the solve must still end in a certificate."""
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            (itp.RealNode(-40.0, (1.0,)), itp.RealNode(-1.5, (1e6,))),
+            (itp.RealNode(-1000.0, (1.0,)), itp.RealNode(-1.2, (50.0,))),
+            (itp.RealNode(-200.0, (0.5, 0.0)), itp.RealNode(-1.1, (3.0,))),
+        ],
+    )
+    def test_admissible_problem_gets_a_certificate(self, nodes):
+        problem = itp.InterpolationProblem(real_nodes=nodes)
+        assert itp.check_admissibility(problem).admissible
+        rows, _, _ = itp._constraint_rows(problem, problem.max_degree)
+        assert np.all(np.isfinite(rows))
+        # the value row at the largest node is (u / scale)**i = (-1)**i
+        assert np.allclose(rows[0], (-1.0) ** np.arange(problem.max_degree + 1), rtol=0.0, atol=1e-12)
+        cert = itp.solve(problem)
+        assert cert.status in (itp.STATUS_FEASIBLE, itp.STATUS_INFEASIBLE_AT_CAP)
 
 
 class TestSampler:
