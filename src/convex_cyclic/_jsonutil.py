@@ -52,11 +52,6 @@ def parse_complex(value: Any, where: str) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-class _CanonicalEncoder(json.JSONEncoder):
-    def iterencode(self, o, _one_shot=False):
-        return _encode(o)
-
-
 def _encode(obj: Any):
     if obj is None:
         yield "null"

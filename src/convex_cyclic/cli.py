@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from ._jsonutil import complex_pair, dumps_canonical, format_float, parse_complex, parse_real
+from ._jsonutil import complex_pair, dumps_canonical, parse_complex, parse_real
 from .convex_poly import DEFAULT_POWER_CAP, peaking_polynomial
 from .dynamics import empirical_density_scan, orbit
 from .errors import (
@@ -235,12 +235,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             for r in results
         ],
     }
-    text = dumps_canonical(summary)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, dumps_canonical(summary))
     return EXIT_OK if summary["passed"] else 1
 
 

@@ -10,12 +10,15 @@ refinement; and the polished coefficients make a Feasible certificate only
 after they clear the residual tolerance under two independent
 measurements, the double-precision polynomial algebra that is reported and
 an extended-precision jet evaluation that rounding in the first cannot
-fool.  Any other outcome (an infeasible LP, an LP that ends without an
-optimum, a candidate that fails a measurement) moves on to the next
-degree; degrees escalate geometrically up to the cap.  HiGHS is driven
-directly through scipy's bindings, with exactly the options and status
-reading of ``scipy.optimize.linprog(method="highs")``: the answers are the
-same bit for bit, without the wrapper's per-call option validation, sparse
+fool.  One row kernel builds every jet constraint: the LP's scaled float
+rows, and the raw longdouble rows that refinement and the extended
+measurement apply to the coefficients.  Any other outcome (an infeasible
+LP, an LP that ends without an optimum, a candidate that fails a
+measurement) moves on to the next degree; degrees escalate geometrically up
+to the cap.  HiGHS is driven directly through scipy's bindings, with
+exactly the options and status reading of
+``scipy.optimize.linprog(method="highs")``: the answers are the same bit
+for bit, without the wrapper's per-call option validation, sparse
 conversion and result assembly, which cost about twice the solve itself on
 these small LPs.  ``scipy.optimize`` (the HiGHS bindings and NNLS) is
 loaded at the first LP, not with the module, so only callers that
@@ -144,9 +147,7 @@ class InterpolationProblem:
 
     def constraint_count(self) -> int:
         """Number of scalar equality rows (complex targets count twice)."""
-        real = sum(len(n.targets) for n in self.real_nodes)
-        cplx = sum(len(n.targets) for n in self.complex_nodes)
-        return real + 2 * cplx
+        return sum(1 if is_real else 2 for *_, is_real in _targets(self))
 
     def to_jsonable(self) -> dict:
         return {
@@ -362,144 +363,81 @@ class InterpolationCertificate:
         return out
 
 
-def _constraint_rows(problem: InterpolationProblem, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scaled equality rows (simplex row last) for the given degree.
+def _targets(problem: InterpolationProblem) -> list[tuple[complex, int, complex, bool]]:
+    """Every jet target as ``(node, order, target, is_real)``, real nodes
+    first: the order of the constraint rows."""
+    out = [(complex(n.x), j, complex(y), True) for n in problem.real_nodes for j, y in enumerate(n.targets)]
+    out += [(n.z, j, w, False) for n in problem.complex_nodes for j, w in enumerate(n.targets)]
+    return out
 
-    Columns carry the substitution ``a_i = scale**(-i) * b_i`` with
-    ``scale = max(1, max node modulus)``, which keeps every coefficient
-    polynomially bounded regardless of degree; every entry is finite.
+
+def _jet_rows(
+    problem: InterpolationProblem, columns: np.ndarray, dtype: type, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows and right-hand sides over the monomial ``columns``,
+    computed in the complex type ``dtype``; the simplex row comes last.
+
+    The target of order j at node u constrains the j-th derivative, so its
+    row holds ``falling(i, j) * u**(i - j) * scale**(-i)`` in column i: the
+    columns carry the substitution ``a_i = scale**(-i) * b_i``.  A real
+    target takes the real part, a complex one the real and the imaginary
+    part as two rows.  ``scale = max(1, max node modulus)`` keeps every
+    coefficient polynomially bounded regardless of degree and every entry
+    finite; ``scale = 1`` gives the raw rows exactly.
     """
-    nodes = problem.all_nodes()
-    scale = max([1.0] + [abs(u) for u in nodes])
-    idx = np.arange(degree + 1, dtype=float)
-    col_scale = scale ** (-idx)
-
+    columns = np.asarray(columns)
+    col_scale = scale ** (-columns.astype(float))
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-
-    def add(u: complex, order: int, target: complex, is_real: bool):
-        powers = np.zeros(degree + 1, dtype=complex)
-        i = np.arange(order, degree + 1)
-        falling = np.ones(len(i))
-        for t in range(order):
-            falling *= i - t
-        powers[order:] = falling * np.power(complex(u), i - order)
-        scaled = powers * col_scale
-        # u**(i - order) overflows long before its scaled entry does;
-        # rebuild exactly those entries from powers of u / scale
-        bad = ~np.isfinite(scaled)
-        if bad.any():
-            k = bad[order:]
-            scaled[bad] = falling[k] * np.power(complex(u) / scale, (i - order)[k]) * scale ** (-order)
-        if is_real:
-            rows.append(scaled.real)
-            rhs.append(float(target.real))
-        else:
-            rows.append(scaled.real)
-            rhs.append(float(target.real))
-            rows.append(scaled.imag)
-            rhs.append(float(target.imag))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        for node in problem.real_nodes:
-            for j, y in enumerate(node.targets):
-                add(complex(node.x), j, complex(y), True)
-        for node in problem.complex_nodes:
-            for j, w in enumerate(node.targets):
-                add(node.z, j, w, False)
-
-    rows.append(col_scale.copy())
+        for u, order, target, is_real in _targets(problem):
+            z = dtype(u)
+            powers = np.zeros(len(columns), dtype=dtype)
+            used = columns >= order
+            i = columns[used]
+            falling = np.ones(len(i))
+            for t in range(order):
+                falling *= i - t
+            powers[used] = falling * np.power(z, i - order)
+            scaled = powers * col_scale
+            # u**(i - order) overflows long before its scaled entry does;
+            # rebuild exactly those entries from powers of u / scale
+            bad = ~np.isfinite(scaled)
+            if bad.any():
+                k = bad[used]
+                scaled[bad] = falling[k] * np.power(z / scale, (i - order)[k]) * scale ** (-order)
+            rows.append(scaled.real)
+            rhs.append(target.real)
+            if not is_real:
+                rows.append(scaled.imag)
+                rhs.append(target.imag)
+    rows.append(col_scale)
     rhs.append(1.0)
-    return np.array(rows), np.array(rhs), scale
+    real = np.finfo(dtype).dtype
+    return np.array(rows, dtype=real), np.array(rhs, dtype=real)
 
 
 def _verify(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
     """Largest constraint residual, measured through the polynomial algebra."""
-    worst = 0.0
-    for node in problem.real_nodes:
-        for j, y in enumerate(node.targets):
-            worst = max(worst, abs(horner(derivative(p, j), complex(node.x)) - y))
-    for node in problem.complex_nodes:
-        for j, w in enumerate(node.targets):
-            worst = max(worst, abs(horner(derivative(p, j), node.z) - w))
-    return worst
+    return max([0.0] + [abs(horner(derivative(p, j), u) - w) for u, j, w, _ in _targets(problem)])
 
 
 def _verify_extended(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
-    """Largest constraint residual with jets evaluated in longdouble.
+    """Largest constraint residual, with the jet rows built and applied in
+    longdouble.
 
     Plain float64 evaluation carries rounding of order eps times the
     coefficient mass, which near residual_tol can mask a true violation as
     easily as manufacture one; the extended measurement pins the gate to
     the polynomial itself.
     """
-    worst = 0.0
-
-    def jet(order: int, z: complex) -> complex:
-        zl = np.clongdouble(z)
-        acc = np.clongdouble(0.0)
-        for i in range(len(p.coeffs) - 1, order - 1, -1):
-            ff = 1.0
-            for t in range(order):
-                ff *= i - t
-            acc = acc * zl + np.longdouble(ff) * np.longdouble(p.coeffs[i])
-        return complex(acc)
-
-    for node in problem.real_nodes:
-        for j, y in enumerate(node.targets):
-            worst = max(worst, abs(jet(j, complex(node.x)) - y))
-    for node in problem.complex_nodes:
-        for j, w in enumerate(node.targets):
-            worst = max(worst, abs(jet(j, node.z) - w))
+    rows, rhs = _jet_rows(problem, np.arange(len(p.coeffs)), np.clongdouble, 1.0)
+    r = np.asarray(rows[:-1] @ np.asarray(p.coeffs, dtype=np.longdouble) - rhs[:-1], dtype=float)
+    worst, k = 0.0, 0
+    for *_, is_real in _targets(problem):
+        worst = max(worst, abs(r[k]) if is_real else math.hypot(r[k], r[k + 1]))
+        k += 1 if is_real else 2
     return worst
-
-
-def _to_polynomial(a: np.ndarray) -> ConvexPolynomial | None:
-    a = np.where(a > 0.0, a, 0.0)
-    total = a.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return None
-    return ConvexPolynomial(a / total)
-
-
-def _jet_rows_longdouble(
-    problem: InterpolationProblem, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw constraint rows over the given monomial columns, in longdouble.
-
-    Row order matches _constraint_rows exactly (simplex row last) so the
-    same row equilibration applies.  Extended precision here lets iterative
-    refinement measure residuals of a float64 coefficient vector below the
-    float64 rounding floor of the constraint mass.
-    """
-    rows: list[np.ndarray] = []
-    rhs: list[np.longdouble] = []
-
-    def add(u: complex, order: int, target: complex, is_real: bool) -> None:
-        zl = np.clongdouble(u)
-        vals = np.zeros(len(indices), dtype=np.clongdouble)
-        for k, i in enumerate(indices):
-            if i < order:
-                continue
-            ff = 1.0
-            for t in range(order):
-                ff *= i - t
-            vals[k] = np.longdouble(ff) * zl ** int(i - order)
-        rows.append(np.asarray(vals.real, dtype=np.longdouble))
-        rhs.append(np.longdouble(target.real))
-        if not is_real:
-            rows.append(np.asarray(vals.imag, dtype=np.longdouble))
-            rhs.append(np.longdouble(target.imag))
-
-    for node in problem.real_nodes:
-        for j, y in enumerate(node.targets):
-            add(complex(node.x), j, complex(y), True)
-    for node in problem.complex_nodes:
-        for j, w in enumerate(node.targets):
-            add(node.z, j, w, False)
-    rows.append(np.ones(len(indices), dtype=np.longdouble))
-    rhs.append(np.longdouble(1.0))
-    return np.array(rows), np.array(rhs)
 
 
 def _polish(
@@ -509,42 +447,40 @@ def _polish(
     row_norm: np.ndarray,
     col_scale: np.ndarray,
     support: np.ndarray,
-) -> np.ndarray | None:
+) -> ConvexPolynomial | None:
     """Drive the stored float64 coefficients to their smallest true residual.
 
     NNLS on the support gives a nonnegative start; mixed-precision
     refinement then iterates on the float64-rounded monomial coefficients
-    themselves, with residuals measured in longdouble, so the fixed point
-    is limited only by the rounding of the delivered vector.  Columns whose
-    weight turns negative are dropped and the refit restarts.
+    themselves, with residuals measured against the longdouble jet rows, so
+    the fixed point is limited only by the rounding of the delivered
+    vector.  A refined weight that turns negative gives no candidate.
     """
-    support = np.asarray(support, dtype=int)
+    try:
+        y, _ = nnls(eq_rows[:, support], eq_rhs)
+    except RuntimeError:  # scipy's NNLS iteration cap
+        return None
+    active = support[y > 0.0]
+    if len(active) == 0:
+        return None
+    sub_eq = eq_rows[:, active]
+    raw_ld, rhs_ld = _jet_rows(problem, active, np.clongdouble, 1.0)
     norm_ld = np.asarray(row_norm, dtype=np.longdouble)
+    a_sup = np.asarray(y[y > 0.0] * col_scale[active], dtype=np.longdouble)
     for _ in range(4):
-        if len(support) == 0:
-            return None
-        try:
-            y, _ = nnls(eq_rows[:, support], eq_rhs)
-        except Exception:
-            return None
-        active = support[y > 0.0]
-        if len(active) == 0:
-            return None
-        sub_eq = eq_rows[:, active]
-        raw_ld, rhs_ld = _jet_rows_longdouble(problem, active)
-        a_sup = np.asarray(y[y > 0.0] * col_scale[active], dtype=np.longdouble)
-        for _ in range(4):
-            a64 = np.where(np.asarray(a_sup, dtype=float) > 0.0, np.asarray(a_sup, dtype=float), 0.0)
-            r_eq = np.asarray((rhs_ld - raw_ld @ a64.astype(np.longdouble)) / norm_ld, dtype=float)
-            delta, *_ = np.linalg.lstsq(sub_eq, r_eq, rcond=None)
-            a_sup = a64.astype(np.longdouble) + (delta * col_scale[active]).astype(np.longdouble)
-        final = np.asarray(a_sup, dtype=float)
-        if np.all(final >= 0.0):
-            out = np.zeros(len(col_scale))
-            out[active] = final
-            return out
-        support = active[final > 0.0]
-    return None
+        a64 = np.where(np.asarray(a_sup, dtype=float) > 0.0, np.asarray(a_sup, dtype=float), 0.0)
+        r_eq = np.asarray((rhs_ld - raw_ld @ a64.astype(np.longdouble)) / norm_ld, dtype=float)
+        delta, *_ = np.linalg.lstsq(sub_eq, r_eq, rcond=None)
+        a_sup = a64.astype(np.longdouble) + (delta * col_scale[active]).astype(np.longdouble)
+    final = np.asarray(a_sup, dtype=float)
+    if not np.all(final >= 0.0):
+        return None
+    a = np.zeros(len(col_scale))
+    a[active] = np.where(final > 0.0, final, 0.0)  # -0.0 becomes 0.0
+    total = a.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        return None
+    return ConvexPolynomial(a / total)
 
 
 LP_OPTIMAL = "optimal"
@@ -617,19 +553,18 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
     candidate counts as feasible only if its residuals stay within
     ``residual_tol`` under both ``_verify`` and ``_verify_extended``.
     """
-    rows, rhs, scale = _constraint_rows(problem, degree)
+    scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
+    rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
     row_norm = np.maximum(np.abs(rows).max(axis=1), 1e-300)
     eq_rows = rows / row_norm[:, None]
     eq_rhs = rhs / row_norm
-
-    idx = np.arange(degree + 1, dtype=float)
-    col_scale = scale ** (-idx)
+    col_scale = rows[-1]  # the simplex row holds scale**(-i)
 
     # the objective tracks coefficient mass through value and jet rows at
     # the largest node; minimizing it keeps the cancellation that float64
     # storage of the answer must survive as small as the instance allows
-    max_order = max([1] + [len(n.targets) for n in problem.real_nodes]
-                    + [len(n.targets) for n in problem.complex_nodes])
+    idx = np.arange(degree + 1, dtype=float)
+    max_order = max([1] + [j + 1 for _, j, _, _ in _targets(problem)])
     weight = np.ones(degree + 1)
     for order in range(1, max_order):
         ff = np.ones(degree + 1)
@@ -642,9 +577,9 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
             logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
         return None
 
-    support = np.nonzero(b > b.max() * 1e-14)[0] if b.max() > 0 else np.arange(len(b))
-    a = _polish(problem, eq_rows, eq_rhs, row_norm, col_scale, support)
-    p = _to_polynomial(a) if a is not None else None
+    # an optimal point meets the simplex row, so its largest weight is positive
+    support = np.nonzero(b > b.max() * 1e-14)[0]
+    p = _polish(problem, eq_rows, eq_rhs, row_norm, col_scale, support)
     # both measurements must clear the tolerance: the float64 algebra is
     # the reported figure, the extended one cannot be fooled by evaluation
     # rounding

@@ -198,6 +198,22 @@ class TestInputOutputPlumbing:
         assert out2 == ""
         assert path.read_text(encoding="utf-8") == out
 
+    def test_selftest_output_file_matches_stdout(self, run_cli, tmp_path, monkeypatch):
+        from convex_cyclic import acceptance
+
+        canned = [
+            acceptance.CriterionResult(1, "first", True, "", 0.5),
+            acceptance.CriterionResult(2, "second", False, "gap 3.0e-01", 0.25),
+        ]
+        monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: canned)
+        path = tmp_path / "selftest.json"
+        code, out, _ = run_cli(["selftest"])
+        code2, out2, _ = run_cli(["selftest", "--output", str(path)])
+        assert code == code2 == 1
+        assert out2 == ""
+        assert path.read_text(encoding="utf-8") == out
+        assert json.loads(out)["criteria"][1]["detail"] == "gap 3.0e-01"
+
     def test_repeated_runs_are_byte_identical(self, run_cli):
         first = run_cli(["interpolate", "--input", INTERPOLATE_OK])
         second = run_cli(["interpolate", "--input", INTERPOLATE_OK])

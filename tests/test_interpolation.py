@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -431,6 +432,62 @@ class TestSingleRoute:
         assert len(polished) == 2 and all(a is not None for a in polished)
 
 
+class TestPolishNNLS:
+    """NNLS hitting scipy's iteration cap leaves the degree without a
+    candidate; any other error from NNLS is a fault and propagates."""
+
+    # rows22 case of the benchmark's fixed wide slice (bench/inputs.py,
+    # interpolate_round(0), wide case 29): NNLS on its 23-column optimal
+    # support at degree 48 reaches the iteration cap
+    WIDE = itp.InterpolationProblem(
+        real_nodes=(
+            itp.RealNode(-3.5316042673422885, (-2.412341926023222, -5.866336645075552)),
+            itp.RealNode(-3.2100414959102666, (8.218565210848688, 3.245679386377587)),
+            itp.RealNode(-2.892696320080612, (-0.39722043843795163, -9.800561535909116)),
+            itp.RealNode(-2.485515911811998, (3.7341175087252854, -2.1189858283846252)),
+            itp.RealNode(-2.1223172562686052, (-4.024485131618021, -5.766258631538797)),
+        ),
+        complex_nodes=(
+            itp.ComplexNode(
+                2.1903035389108116 - 2.773878574614328j,
+                (-1.6053104507391889 + 0.17722604928287808j, 4.02566818992529 + 4.966578670712328j),
+            ),
+            itp.ComplexNode(
+                -0.25125396943873435 + 2.3646830298967263j,
+                (1.5614850926205532 - 6.129568058630362j, 3.3736403755121462 + 9.062656463848821j),
+            ),
+            itp.ComplexNode(
+                2.7473046939230095 + 0.9471365284434808j,
+                (5.23182590951287 + 2.8627517072911037j, 0.40776381567387504 - 1.5188883039314034j),
+            ),
+        ),
+    )
+
+    def test_iteration_cap_gives_no_candidate(self, monkeypatch):
+        raised = []
+        solve = itp.nnls
+
+        def recording(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except RuntimeError as exc:
+                raised.append((args[0].shape, exc))
+                raise
+
+        monkeypatch.setattr(itp, "nnls", recording)
+        assert self.WIDE.constraint_count() == 22
+        assert itp.solve_at_degree(self.WIDE, 48) is None
+        assert [shape for shape, _ in raised] == [(23, 23)]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not an iteration cap")
+
+        monkeypatch.setattr(itp, "nnls", broken)
+        with pytest.raises(ValueError, match="not an iteration cap"):
+            itp.solve_at_degree(TestSingleRoute.PROBLEM, 4)
+
+
 class TestOverflowingRows:
     """Powers of the largest node overflow float64 long before their
     scaled row entries do; the solve must still end in a certificate."""
@@ -446,12 +503,76 @@ class TestOverflowingRows:
     def test_admissible_problem_gets_a_certificate(self, nodes):
         problem = itp.InterpolationProblem(real_nodes=nodes)
         assert itp.check_admissibility(problem).admissible
-        rows, _, _ = itp._constraint_rows(problem, problem.max_degree)
+        d = problem.max_degree
+        scale = max(abs(u) for u in problem.all_nodes())
+        rows, _ = itp._jet_rows(problem, np.arange(d + 1), complex, scale)
         assert np.all(np.isfinite(rows))
         # the value row at the largest node is (u / scale)**i = (-1)**i
         assert np.allclose(rows[0], (-1.0) ** np.arange(problem.max_degree + 1), rtol=0.0, atol=1e-12)
         cert = itp.solve(problem)
         assert cert.status in (itp.STATUS_FEASIBLE, itp.STATUS_INFEASIBLE_AT_CAP)
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*x.as_integer_ratio())
+
+
+class TestJetRows:
+    """One row builder serves the scaled float LP and the raw longdouble
+    refinement and gate."""
+
+    PROBLEM = itp.InterpolationProblem(
+        real_nodes=(itp.RealNode(-2.5, (1.0, -2.0, 0.5)),),
+        complex_nodes=(itp.ComplexNode(1.5 + 2.25j, (3.0 - 1.0j, 0.25j, -4.0)),),
+    )
+
+    def test_longdouble_rows_match_exact_jets(self):
+        columns = np.arange(41)
+        rows, rhs = itp._jet_rows(self.PROBLEM, columns, np.clongdouble, 1.0)
+        assert rows.dtype == rhs.dtype == np.longdouble
+        eps = _exact(np.finfo(np.longdouble).eps)
+        expected, bounds, targets = [], [], []
+        # real nodes first, then complex ones, each target order by order
+        jets = [(complex(n.x), j, complex(t), True) for n in self.PROBLEM.real_nodes for j, t in enumerate(n.targets)]
+        jets += [(n.z, j, t, False) for n in self.PROBLEM.complex_nodes for j, t in enumerate(n.targets)]
+        for u, order, target, is_real in jets:
+            re, im = Fraction(u.real), Fraction(u.imag)
+            row_re, row_im, bound = [], [], []
+            for i in columns:
+                k = int(i) - order
+                falling = math.perm(int(i), order) if k >= 0 else 0
+                # (re + i im)**k in exact arithmetic
+                p_re, p_im = Fraction(1), Fraction(0)
+                for _ in range(max(k, 0)):
+                    p_re, p_im = p_re * re - p_im * im, p_re * im + p_im * re
+                row_re.append(falling * p_re)
+                row_im.append(falling * p_im)
+                bound.append(8 * (k + 1) * eps * falling * Fraction(abs(u)) ** max(k, 0))
+            expected.append(row_re)
+            bounds.append(bound)
+            targets.append(target.real)
+            if not is_real:
+                expected.append(row_im)
+                bounds.append(bound)
+                targets.append(target.imag)
+        expected.append([Fraction(1)] * len(columns))
+        bounds.append([Fraction(0)] * len(columns))
+        targets.append(1.0)
+        assert rows.shape == (len(expected), len(columns))
+        for got, want, tol in zip(rows, expected, bounds):
+            for g, w, t in zip(got, want, tol):
+                assert abs(_exact(g) - w) <= t
+        assert [float(t) for t in rhs] == targets
+
+    def test_scaled_rows_are_raw_rows_times_column_scale(self):
+        problem = itp.sample_admissible_problem(np.random.default_rng(4))
+        scale = max(abs(u) for u in problem.all_nodes())
+        columns = np.arange(problem.max_degree + 1)
+        raw, raw_rhs = itp._jet_rows(problem, columns, complex, 1.0)
+        scaled, rhs = itp._jet_rows(problem, columns, complex, scale)
+        assert problem.complex_nodes and np.all(np.isfinite(raw))
+        assert np.array_equal(scaled, raw * scale ** (-columns.astype(float)))
+        assert np.array_equal(rhs, raw_rhs)
 
 
 class TestSampler:
