@@ -4,16 +4,20 @@ The membership question "is a target in the closed convex hull of the
 convex-polynomial images of a vector" is settled empirically.  Those
 images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
-decides it; scipy's NNLS is imported at the first hull test, so orbits and
-growth witnesses never load ``scipy.optimize``.  Growth witnesses certify
+decides it; its kernel, scipy's compiled ``_slsqplib``, is loaded alone at
+the first hull test, never ``scipy.optimize``.  Growth witnesses certify
 unboundedness of functionals along orbits, which is the separation-based
 obstruction to such capture ever failing on admissible matrices.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, Union
 
@@ -192,13 +196,39 @@ def _hull_basis(G: np.ndarray) -> _HullBasis:
     return _HullBasis(points, scale, peak, norms, points / np.where(norms > 0, norms, 1.0))
 
 
-def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.ndarray, float]:
-    """``scipy.optimize.nnls``, imported at the first call rather than with
-    the package: loading ``scipy.optimize`` costs more than the rest of the
-    import, and classification never solves a least-squares problem."""
-    from scipy.optimize import nnls as scipy_nnls
+def _scipy_extension(name: str) -> Any:
+    """The compiled module ``scipy.<name>``, loaded without running the package
+    ``__init__`` above it (``scipy.optimize``'s takes 0.28 s) and registered in
+    ``sys.modules``, so a later ``import scipy.optimize`` reuses it."""
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    root = importlib.util.find_spec("scipy")
+    *package, leaf = name.split(".")
+    directory = root and os.path.join(root.submodule_search_locations[0], *package)
+    spec = directory and importlib.machinery.PathFinder.find_spec(leaf, [directory])
+    if spec is None:
+        raise ImportError(f"No module named {full!r}", name=full)
+    sys.modules[full] = module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[full]
+        raise
+    return module
 
-    return scipy_nnls(A, b, maxiter=maxiter)
+
+def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.ndarray, float]:
+    """``scipy.optimize.nnls`` on a 1-D ``b``, checks and answers bit for bit, from the
+    compiled ``_slsqplib`` alone; ``RuntimeError`` when ``maxiter`` (3 per column) runs out."""
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError(f"NNLS needs a 2-D A and a 1-D b of matching rows, got {A.shape} and {b.shape}")
+    x, rnorm, info = _scipy_extension("optimize._slsqplib").nnls(A, b, maxiter or 3 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
 
 
 def _hull_solve(basis: _HullBasis, target: np.ndarray, tolerance: float) -> HullResult:

@@ -20,9 +20,9 @@ exactly the options and status reading of
 ``scipy.optimize.linprog(method="highs")``: the answers are the same bit
 for bit, without the wrapper's per-call option validation, sparse
 conversion and result assembly, which cost about twice the solve itself on
-these small LPs.  ``scipy.optimize`` (the HiGHS bindings and NNLS) is
-loaded at the first LP, not with the module, so only callers that
-interpolate pay for it.  Node sets with distinct real nodes below -1 and
+these small LPs.  The compiled HiGHS bindings and NNLS are loaded alone at
+the first LP, and ``scipy.optimize`` itself never is, so a cold solve pays
+only for them.  Node sets with distinct real nodes below -1 and
 distinct non-real complex nodes outside the closed unit disk with no
 conjugate pairs are admissible: for those, every target assignment is
 feasible at some degree.
@@ -40,7 +40,7 @@ import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
 from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, derivative, horner, node_pairs
-from .dynamics import nnls
+from .dynamics import _scipy_extension, nnls
 from .errors import ParseError, PreconditionViolated
 
 __all__ = [
@@ -489,10 +489,10 @@ LP_INFEASIBLE = "infeasible"
 
 @functools.cache
 def _lp_options() -> tuple[Any, Any]:
-    """scipy's HiGHS bindings and the options ``linprog(method="highs")``
-    sets for this LP, both loaded at the first LP rather than with the
-    package."""
-    from scipy.optimize._highspy import _core as highs
+    """scipy's compiled HiGHS bindings and the options
+    ``linprog(method="highs")`` sets for this LP, both loaded at the first
+    LP, without ``scipy.optimize``."""
+    highs = _scipy_extension("optimize._highspy._core")
 
     options = highs.HighsOptions()
     options.presolve = "on"

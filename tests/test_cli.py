@@ -226,42 +226,109 @@ class TestInputOutputPlumbing:
 
 
 # The examples above, run in a fresh interpreter: the pytest process has
-# already imported scipy.optimize, so only a new process can show which
-# calls load it.
+# already imported scipy.optimize, so only a new process can show that no
+# call loads it, and only there do the solvers load their compiled scipy
+# modules themselves instead of finding them in sys.modules.
 COLD_START = """
 import contextlib, io, json, sys
 
-seen = {}
+seen, stdout = {}, {}
 import convex_cyclic
 seen["import convex_cyclic"] = "scipy.optimize" in sys.modules
 import convex_cyclic.cli
 seen["import convex_cyclic.cli"] = "scipy.optimize" in sys.modules
 for command, payload in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert convex_cyclic.cli.main([command, "--input", payload]) == 0
     seen[command] = "scipy.optimize" in sys.modules
-print(json.dumps(seen))
+    stdout[command] = out.getvalue()
+print(json.dumps({"scipy.optimize loaded": seen, "stdout": stdout}))
 """
+
+
+def fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(convex_cyclic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestColdStart:
     @pytest.mark.parametrize(
         "solver_call", [("interpolate", INTERPOLATE_OK), ("density", DENSITY_OK)], ids=["interpolate", "density"]
     )
-    def test_scipy_optimize_loads_only_for_a_solver(self, solver_call):
-        src = str(Path(convex_cyclic.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    def test_no_command_loads_scipy_optimize(self, solver_call, run_cli):
         calls = [("analyze", ANALYZE_REAL), ("peak", PEAK_OK), ("orbit", ORBIT_REAL), solver_call]
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_START, json.dumps(calls)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_python(COLD_START, json.dumps(calls))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
+        report = json.loads(proc.stdout)
+        assert report["scipy.optimize loaded"] == {
             "import convex_cyclic": False,
             "import convex_cyclic.cli": False,
             "analyze": False,
             "peak": False,
             "orbit": False,
-            solver_call[0]: True,
+            solver_call[0]: False,
         }
+        # in process, the solvers reuse the modules scipy.optimize loaded
+        for command, payload in calls:
+            code, out, _ = run_cli([command, "--input", payload])
+            assert code == 0
+            assert report["stdout"][command] == out
+
+
+# Both orders of loading the solvers' compiled modules in one process.  A
+# pybind11 module such as HiGHS's refuses to initialise twice, so whichever
+# side comes second must find the other's module in sys.modules.
+SOLVE_AND_SCAN = """
+import numpy as np
+from convex_cyclic import empirical_density_scan, solve
+from convex_cyclic.interpolation import InterpolationProblem, RealNode
+
+assert solve(InterpolationProblem((RealNode(-2.0, (7.0,)),), ())).status == "Feasible"
+report = empirical_density_scan(np.diag([-2.0, -3.0]), [1.0, 1.0], [[-4.0, 2.0], [3.0, -5.0]], poly_budget=200)
+assert report.captured == 2
+"""
+SCIPY_OPTIMIZE_WORKS = """
+import numpy as np
+import scipy.optimize
+
+lp = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+assert lp.status == 0 and np.allclose(lp.x, [1.0, 0.0])
+x, rnorm = scipy.optimize.nnls(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, 1.0]))
+assert np.allclose(x, [1.5, 1.0]) and np.isclose(rnorm, 0.5 ** 0.5)
+"""
+KERNELS = ("scipy.optimize._highspy._core", "scipy.optimize._slsqplib")
+
+
+class TestScipyCoexistence:
+    def test_package_first(self):
+        script = SOLVE_AND_SCAN + f"""
+import sys
+from convex_cyclic import interpolation
+assert "scipy.optimize" not in sys.modules
+used = {{name: sys.modules[name] for name in {KERNELS!r}}}
+assert interpolation._lp_options()[0] is used["scipy.optimize._highspy._core"]
+""" + SCIPY_OPTIMIZE_WORKS + """
+assert all(sys.modules[name] is module for name, module in used.items())
+assert scipy.optimize._nnls._nnls is used["scipy.optimize._slsqplib"].nnls
+"""
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_scipy_first(self):
+        script = SCIPY_OPTIMIZE_WORKS + f"""
+import importlib.util, sys
+before = {{name: sys.modules[name] for name in {KERNELS!r}}}
+created = []
+module_from_spec = importlib.util.module_from_spec
+importlib.util.module_from_spec = lambda spec: created.append(spec.name) or module_from_spec(spec)
+""" + SOLVE_AND_SCAN + """
+from convex_cyclic import interpolation
+assert created == []
+assert interpolation._lp_options()[0] is before["scipy.optimize._highspy._core"]
+assert all(sys.modules[name] is module for name, module in before.items())
+"""
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.abc
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 from convex_cyclic import dynamics, interpolation, suite
 from convex_cyclic.dynamics import Bounded, DensityReport, GrowthWitness, HullQuery
@@ -233,6 +238,79 @@ class TestHullContains:
             dynamics.hull_contains(HullQuery((), np.array([0.0])))
         with pytest.raises(DimensionMismatch):
             dynamics.hull_contains(HullQuery((np.array([0.0, 1.0]),), np.array([0.0])))
+
+
+class TestNNLSParity:
+    """``dynamics.nnls`` calls scipy's compiled kernel with its own copy of
+    the ``scipy.optimize.nnls`` wrapper's checks; both must answer alike."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(11)
+        tall = rng.random((12, 5))
+        wide = rng.standard_normal((5, 12))
+        deficient = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 6))  # rank 3
+        for A in (tall, wide, deficient):
+            # a consistent b with several active columns, and a generic one
+            yield A, A @ rng.random(A.shape[1])
+            yield A, rng.standard_normal(A.shape[0])
+
+    @pytest.mark.parametrize("maxiter", [None, 40])
+    def test_bit_identical_to_scipy(self, maxiter):
+        for A, b in self._cases():
+            x, rnorm = dynamics.nnls(A, b, maxiter=maxiter)
+            expected_x, expected_rnorm = scipy_nnls(A, b, maxiter=maxiter)
+            assert x.tobytes() == expected_x.tobytes()
+            assert rnorm == expected_rnorm
+
+    def test_same_errors_as_scipy(self):
+        A, b = np.ones((4, 3)), np.ones(4)
+        bad_inputs = [
+            (np.where(np.eye(4, 3) > 0, np.nan, A), b),
+            (A, np.array([1.0, np.inf, 1.0, 1.0])),
+            (A, np.ones(5)),
+            (np.ones(4), b),
+        ]
+        for bad_A, bad_b in bad_inputs:
+            for solve in (dynamics.nnls, scipy_nnls):
+                with pytest.raises(ValueError):
+                    solve(bad_A, bad_b)
+
+    def test_iteration_cap_raises_like_scipy(self):
+        rng = np.random.default_rng(0)
+        A = rng.random((12, 5))
+        b = A @ rng.random(5)  # this solve needs six iterations
+        for solve in (dynamics.nnls, scipy_nnls):
+            with pytest.raises(RuntimeError):
+                solve(A, b, maxiter=5)
+            assert solve(A, b, maxiter=6)[1] < 1e-12
+
+
+class TestScipyExtension:
+    def test_missing_module_is_named(self):
+        with pytest.raises(ImportError, match="scipy.optimize._no_such_kernel") as info:
+            dynamics._scipy_extension("optimize._no_such_kernel")
+        assert info.value.name == "scipy.optimize._no_such_kernel"
+
+    def test_failed_load_is_unregistered(self, monkeypatch):
+        class Broken(importlib.abc.Loader):
+            def create_module(self, spec):
+                return None
+
+            def exec_module(self, module):
+                assert sys.modules["scipy.optimize._broken_kernel"] is module  # registered first
+                raise ImportError("broken kernel")
+
+        spec = importlib.util.spec_from_loader("scipy.optimize._broken_kernel", Broken())
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(
+            importlib.machinery.PathFinder,
+            "find_spec",
+            lambda name, path=None, target=None: spec if name == "_broken_kernel" else find_spec(name, path, target),
+        )
+        with pytest.raises(ImportError, match="broken kernel"):
+            dynamics._scipy_extension("optimize._broken_kernel")
+        assert "scipy.optimize._broken_kernel" not in sys.modules
 
 
 class TestDensityScan:
