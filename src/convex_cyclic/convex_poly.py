@@ -126,9 +126,10 @@ def horner(coeffs: Sequence[complex], z: complex | float) -> complex | float:
 
     Horner's scheme in Python scalars: a float for real ``z``, a complex
     number for complex ``z`` (every step adds the coefficient as a complex
-    number).  The single Horner kernel of the package: the longdouble
-    interpolation gate applies jet rows instead, and the rational
-    reference ``acceptance._exact_jet`` stays apart on purpose.
+    number).  The single Horner kernel of the package, serving
+    ``evaluate`` and ``jordan_forms``: the interpolation residual gate
+    applies longdouble jet rows instead, and the rational reference
+    ``acceptance._exact_jet`` stays apart on purpose.
     """
     if isinstance(z, complex):
         acc: complex | float = 0.0 + 0.0j

@@ -4,26 +4,24 @@ Value and derivative targets at real and complex nodes become equality rows
 in the monomial coefficients; together with nonnegativity and the unit-sum
 row this is a linear feasibility problem, posed per degree.  Each degree has
 one route to a certificate.  HiGHS solves the LP with a mass-minimizing
-objective that keeps coefficient weight at low degrees; the support of an
-optimal point is polished by nonnegative least squares and mixed-precision
-refinement; and the polished coefficients make a Feasible certificate only
-after they clear the residual tolerance under two independent
-measurements, the double-precision polynomial algebra that is reported and
-an extended-precision jet evaluation that rounding in the first cannot
-fool.  One row kernel builds every jet constraint: the LP's scaled float
-rows, and the raw longdouble rows that refinement and the extended
+objective that keeps coefficient weight at low degrees; mixed-precision
+refinement polishes the optimal point on its support, starting from the
+point itself; and the polished coefficients make a Feasible certificate
+only after their residual, measured once by an extended-precision jet
+evaluation, clears the tolerance.  That same measurement is the reported
+``max_residual``.  One row kernel builds every jet constraint: the LP's
+scaled float rows, and the raw longdouble rows that refinement and the
 measurement apply to the coefficients.  Any other outcome (an infeasible
-LP, an LP that ends without an optimum, a candidate that fails a
-measurement) moves on to the next degree; degrees escalate geometrically up
-to the cap.  HiGHS is driven directly through scipy's bindings, with
-exactly the options and status reading of
-``scipy.optimize.linprog(method="highs")``: the answers are the same bit
-for bit, without the wrapper's per-call option validation, sparse
-conversion and result assembly, which cost about twice the solve itself on
-these small LPs.  The compiled HiGHS bindings and NNLS are loaded alone at
-the first LP, and ``scipy.optimize`` itself never is, so a cold solve pays
-only for them.  Node sets with distinct real nodes below -1 and
-distinct non-real complex nodes outside the closed unit disk with no
+LP, an LP that ends without an optimum, a candidate that fails the gate)
+moves on to the next degree; degrees escalate geometrically up to the cap.
+HiGHS is driven directly through scipy's bindings, with exactly the options
+and status reading of ``scipy.optimize.linprog(method="highs")``: the
+answers are the same bit for bit, without the wrapper's per-call option
+validation, sparse conversion and result assembly, which cost about twice
+the solve itself on these small LPs.  The compiled HiGHS bindings are
+loaded alone at the first LP, and ``scipy.optimize`` itself never is, so a
+cold solve pays only for them.  Node sets with distinct real nodes below -1
+and distinct non-real complex nodes outside the closed unit disk with no
 conjugate pairs are admissible: for those, every target assignment is
 feasible at some degree.
 """
@@ -39,8 +37,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
-from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, derivative, horner, node_pairs
-from .dynamics import _scipy_extension, nnls
+from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs
+from .dynamics import _scipy_extension
 from .errors import ParseError, PreconditionViolated
 
 __all__ = [
@@ -417,22 +415,20 @@ def _jet_rows(
     return np.array(rows, dtype=real), np.array(rhs, dtype=real)
 
 
-def _verify(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
-    """Largest constraint residual, measured through the polynomial algebra."""
-    return max([0.0] + [abs(horner(derivative(p, j), u) - w) for u, j, w, _ in _targets(problem)])
+def _residual(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
+    """Largest constraint residual of ``p``: the single measurement that
+    gates a candidate and is reported with its certificate.
 
-
-def _verify_extended(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
-    """Largest constraint residual, with the jet rows built and applied in
-    longdouble.
-
+    The jet rows are built and applied in longdouble over the nonzero
+    coefficients only; exact-zero terms contribute nothing to the sum.
     Plain float64 evaluation carries rounding of order eps times the
     coefficient mass, which near residual_tol can mask a true violation as
-    easily as manufacture one; the extended measurement pins the gate to
-    the polynomial itself.
+    easily as manufacture one.  The measurement is extended only where
+    ``np.longdouble`` is wider than float64 (x87 extended on x86-64).
     """
-    rows, rhs = _jet_rows(problem, np.arange(len(p.coeffs)), np.clongdouble, 1.0)
-    r = np.asarray(rows[:-1] @ np.asarray(p.coeffs, dtype=np.longdouble) - rhs[:-1], dtype=float)
+    support = np.flatnonzero(p.coeffs)
+    rows, rhs = _jet_rows(problem, support, np.clongdouble, 1.0)
+    r = np.asarray(rows[:-1] @ np.asarray(p.coeffs[support], dtype=np.longdouble) - rhs[:-1], dtype=float)
     worst, k = 0.0, 0
     for *_, is_real in _targets(problem):
         worst = max(worst, abs(r[k]) if is_real else math.hypot(r[k], r[k + 1]))
@@ -443,40 +439,35 @@ def _verify_extended(problem: InterpolationProblem, p: ConvexPolynomial) -> floa
 def _polish(
     problem: InterpolationProblem,
     eq_rows: np.ndarray,
-    eq_rhs: np.ndarray,
     row_norm: np.ndarray,
     col_scale: np.ndarray,
-    support: np.ndarray,
+    b: np.ndarray,
 ) -> ConvexPolynomial | None:
-    """Drive the stored float64 coefficients to their smallest true residual.
+    """Drive the stored float64 coefficients of the LP's optimal point ``b``
+    to their smallest true residual.
 
-    NNLS on the support gives a nonnegative start; mixed-precision
-    refinement then iterates on the float64-rounded monomial coefficients
-    themselves, with residuals measured against the longdouble jet rows, so
-    the fixed point is limited only by the rounding of the delivered
-    vector.  A refined weight that turns negative gives no candidate.
+    The start is the LP point itself on its support; mixed-precision
+    refinement then iterates on the float64-rounded monomial coefficients,
+    with residuals measured against the longdouble jet rows, so the fixed
+    point is limited only by the rounding of the delivered vector.  A
+    refined weight that turns negative gives no candidate.
     """
-    try:
-        y, _ = nnls(eq_rows[:, support], eq_rhs)
-    except RuntimeError:  # scipy's NNLS iteration cap
-        return None
-    active = support[y > 0.0]
-    if len(active) == 0:
-        return None
-    sub_eq = eq_rows[:, active]
-    raw_ld, rhs_ld = _jet_rows(problem, active, np.clongdouble, 1.0)
+    # an optimal point meets the simplex row, so its largest weight is positive
+    support = np.flatnonzero(b > b.max() * 1e-14)
+    sub_eq = eq_rows[:, support]
+    raw_ld, rhs_ld = _jet_rows(problem, support, np.clongdouble, 1.0)
     norm_ld = np.asarray(row_norm, dtype=np.longdouble)
-    a_sup = np.asarray(y[y > 0.0] * col_scale[active], dtype=np.longdouble)
+    a_sup = np.asarray(b[support] * col_scale[support], dtype=np.longdouble)
     for _ in range(4):
         a64 = np.where(np.asarray(a_sup, dtype=float) > 0.0, np.asarray(a_sup, dtype=float), 0.0)
         r_eq = np.asarray((rhs_ld - raw_ld @ a64.astype(np.longdouble)) / norm_ld, dtype=float)
         delta, *_ = np.linalg.lstsq(sub_eq, r_eq, rcond=None)
-        a_sup = a64.astype(np.longdouble) + (delta * col_scale[active]).astype(np.longdouble)
+        a_sup = a64.astype(np.longdouble) + (delta * col_scale[support]).astype(np.longdouble)
     final = np.asarray(a_sup, dtype=float)
     if not np.all(final >= 0.0):
         return None
     a = np.zeros(len(col_scale))
-    a[active] = np.where(final > 0.0, final, 0.0)  # -0.0 becomes 0.0
+    a[support] = np.where(final > 0.0, final, 0.0)  # -0.0 becomes 0.0
     total = a.sum()
     if not np.isfinite(total) or total <= 0.0:
         return None
@@ -549,9 +540,9 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
 
     One route: the LP either proves the degree infeasible, ends with any
     other non-optimal status (both give None, and ``solve`` escalates), or
-    returns an optimal point whose support ``_polish`` refines.  The refined
-    candidate counts as feasible only if its residuals stay within
-    ``residual_tol`` under both ``_verify`` and ``_verify_extended``.
+    returns an optimal point that ``_polish`` refines on its support.  The
+    refined candidate counts as feasible only if ``_residual`` stays within
+    ``residual_tol``.
     """
     scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
     rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
@@ -577,15 +568,8 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
             logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
         return None
 
-    # an optimal point meets the simplex row, so its largest weight is positive
-    support = np.nonzero(b > b.max() * 1e-14)[0]
-    p = _polish(problem, eq_rows, eq_rhs, row_norm, col_scale, support)
-    # both measurements must clear the tolerance: the float64 algebra is
-    # the reported figure, the extended one cannot be fooled by evaluation
-    # rounding
-    if p is not None and _verify(problem, p) <= problem.residual_tol and (
-        _verify_extended(problem, p) <= problem.residual_tol
-    ):
+    p = _polish(problem, eq_rows, row_norm, col_scale, b)
+    if p is not None and _residual(problem, p) <= problem.residual_tol:
         return p
     return None
 
@@ -630,7 +614,7 @@ def solve(problem: InterpolationProblem) -> InterpolationCertificate:
                 status=STATUS_FEASIBLE,
                 polynomial=p,
                 degree_used=degree,
-                max_residual=_verify(problem, p),
+                max_residual=_residual(problem, p),
             )
         logger.debug("degree %d infeasible or unverified, escalating", degree)
     if check_admissibility(problem).admissible:

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 
 from convex_cyclic import dynamics
 from convex_cyclic import interpolation as itp
+from convex_cyclic.acceptance import _exact_jet
 from convex_cyclic.convex_poly import ConvexPolynomial
 from convex_cyclic.errors import ParseError, PreconditionViolated
 from convex_cyclic.jordan_forms import JordanBlockSpec, build, matrix_polynomial
@@ -221,8 +222,9 @@ class TestSolve:
     @pytest.mark.xfail(
         strict=True,
         reason="float64 coefficients cannot carry the LP's cancellation: HiGHS is optimal at "
-        "degrees 64, 128 and 200 with scaled values up to 1e10, but neither its rounded point "
-        "nor the NNLS fallback (3.5e-6 at best) meets the 1e-8 gate, so solve ends InfeasibleAtCap",
+        "degrees 64, 128 and 200 with scaled values up to 1e10 on one 7-column support, but that "
+        "point stored in float64 misses the targets by 1.9 and refining it drives a weight to "
+        "-6.0e-3, so no candidate reaches the 1e-8 gate and solve ends InfeasibleAtCap",
     )
     def test_narrow_admissible_problem_is_certified(self):
         # a narrow bench problem (interpolate_round seed 91): two real nodes
@@ -394,51 +396,12 @@ class TestHighsLp:
 class TestSingleRoute:
     """One route from the LP to a certificate: an LP that ends neither
     optimal nor infeasible yields no candidate, and the polished point of an
-    optimal LP must clear both verifications."""
+    optimal LP must clear the residual gate."""
 
     PROBLEM = itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),))
 
-    def test_unknown_lp_status_escalates_without_nnls(self, monkeypatch, caplog):
-        calls = []
-        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
-        monkeypatch.setattr(itp, "nnls", lambda *args, **kwargs: calls.append(args))
-        monkeypatch.setattr(dynamics, "nnls", lambda *args, **kwargs: calls.append(args))
-        with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
-            assert itp.solve_at_degree(self.PROBLEM, 4) is None
-            capped = itp.solve(itp.InterpolationProblem(self.PROBLEM.real_nodes, max_degree=16))
-        assert calls == []
-        assert capped.status == itp.STATUS_INFEASIBLE_AT_CAP
-        messages = [r.getMessage() for r in caplog.records]
-        assert "degree 4: LP status Unknown, no candidate at this degree" in messages
-        assert not any("fallback" in m for m in messages)
-        # solve moved through every escalation degree up to the cap
-        assert [m for m in messages if m.endswith("escalating")] == [
-            f"degree {d} infeasible or unverified, escalating" for d in (4, 8, 16)
-        ]
-
-    @pytest.mark.parametrize("gate", ["_verify", "_verify_extended"])
-    def test_each_verification_gates_the_polish(self, monkeypatch, gate):
-        polished = []
-        polish = itp._polish
-
-        def recording(*args):
-            polished.append(polish(*args))
-            return polished[-1]
-
-        monkeypatch.setattr(itp, "_polish", recording)
-        assert itp.solve_at_degree(self.PROBLEM, 4) is not None
-        monkeypatch.setattr(itp, gate, lambda problem, p: math.inf)
-        assert itp.solve_at_degree(self.PROBLEM, 4) is None
-        assert len(polished) == 2 and all(a is not None for a in polished)
-
-
-class TestPolishNNLS:
-    """NNLS hitting scipy's iteration cap leaves the degree without a
-    candidate; any other error from NNLS is a fault and propagates."""
-
     # rows22 case of the benchmark's fixed wide slice (bench/inputs.py,
-    # interpolate_round(0), wide case 29): NNLS on its 23-column optimal
-    # support at degree 48 reaches the iteration cap
+    # interpolate_round(0), wide case 29)
     WIDE = itp.InterpolationProblem(
         real_nodes=(
             itp.RealNode(-3.5316042673422885, (-2.412341926023222, -5.866336645075552)),
@@ -463,29 +426,124 @@ class TestPolishNNLS:
         ),
     )
 
-    def test_iteration_cap_gives_no_candidate(self, monkeypatch):
-        raised = []
-        solve = itp.nnls
+    def test_unknown_lp_status_escalates_without_nnls(self, monkeypatch, caplog):
+        calls = []
+        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
+        monkeypatch.setattr(dynamics, "nnls", lambda *args, **kwargs: calls.append(args))
+        with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
+            assert itp.solve_at_degree(self.PROBLEM, 4) is None
+            capped = itp.solve(itp.InterpolationProblem(self.PROBLEM.real_nodes, max_degree=16))
+        assert calls == []
+        assert capped.status == itp.STATUS_INFEASIBLE_AT_CAP
+        messages = [r.getMessage() for r in caplog.records]
+        assert "degree 4: LP status Unknown, no candidate at this degree" in messages
+        assert not any("fallback" in m for m in messages)
+        # solve moved through every escalation degree up to the cap
+        assert [m for m in messages if m.endswith("escalating")] == [
+            f"degree {d} infeasible or unverified, escalating" for d in (4, 8, 16)
+        ]
 
-        def recording(*args, **kwargs):
-            try:
-                return solve(*args, **kwargs)
-            except RuntimeError as exc:
-                raised.append((args[0].shape, exc))
-                raise
+    def test_the_residual_gates_the_polish(self, monkeypatch):
+        polished = []
+        polish = itp._polish
 
-        monkeypatch.setattr(itp, "nnls", recording)
+        def recording(*args):
+            polished.append(polish(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(itp, "_polish", recording)
+        assert itp.solve_at_degree(self.PROBLEM, 4) is not None
+        monkeypatch.setattr(itp, "_residual", lambda problem, p: math.inf)
+        assert itp.solve_at_degree(self.PROBLEM, 4) is None
+        assert len(polished) == 2 and all(a is not None for a in polished)
+
+    def test_lp_point_start_certifies_wide_case_at_degree_96(self):
+        # the refinement needs the LP point as its start: from a nonnegative
+        # least-squares refit of the same support it certifies only at 200
         assert self.WIDE.constraint_count() == 22
-        assert itp.solve_at_degree(self.WIDE, 48) is None
-        assert [shape for shape, _ in raised] == [(23, 23)]
+        cert = itp.solve(self.WIDE)
+        assert cert.status == itp.STATUS_FEASIBLE
+        assert cert.degree_used == 96
+        # float64 re-evaluation of this polynomial reads 1.2e-8; the exact
+        # residual is within the tolerance
+        assert _exact_within_tol(self.WIDE, cert.polynomial)
 
-    def test_other_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("not an iteration cap")
 
-        monkeypatch.setattr(itp, "nnls", broken)
-        with pytest.raises(ValueError, match="not an iteration cap"):
-            itp.solve_at_degree(TestSingleRoute.PROBLEM, 4)
+def _exact_within_tol(problem: itp.InterpolationProblem, p: ConvexPolynomial) -> bool:
+    """Whether every target jet of the stored coefficients is within
+    ``residual_tol`` of its target, decided in rational arithmetic."""
+    tol2 = Fraction(problem.residual_tol) ** 2
+    jets = [(complex(n.x), n.targets) for n in problem.real_nodes]
+    jets += [(n.z, n.targets) for n in problem.complex_nodes]
+    for z, targets in jets:
+        for order, w in enumerate(targets):
+            vr, vi = _exact_jet(p.coeffs, order, z)
+            w = complex(w)
+            if (vr - Fraction(w.real)) ** 2 + (vi - Fraction(w.imag)) ** 2 > tol2:
+                return False
+    return True
+
+
+class TestSingleGate:
+    """On every polished candidate along the route of ``solve``, the gate
+    accepts exactly when the exact rational residual is within tolerance."""
+
+    # rows22 case of the benchmark's fixed wide slice (bench/inputs.py,
+    # interpolate_round(0), wide case 28)
+    ROWS22 = itp.InterpolationProblem(
+        real_nodes=(
+            itp.RealNode(-3.5576563492368884, (9.724426313204539, -4.642729874002612)),
+            itp.RealNode(-3.1609560063969306, (-1.5862547897097823, -3.134989961977941)),
+            itp.RealNode(-2.803549528355524, (9.269025985857354, -5.333258155141422)),
+            itp.RealNode(-2.4935907759645852, (7.165092083135583, -0.173425663811706)),
+            itp.RealNode(-2.159851612517686, (-8.319853490696797, 6.527394546538417)),
+        ),
+        complex_nodes=(
+            itp.ComplexNode(
+                0.29643849092888985 + 3.2909032061495007j,
+                (-1.4323461458350693 - 3.9556833525585025j, -0.029783801177495055 + 0.022206478729379267j),
+            ),
+            itp.ComplexNode(
+                1.4739123156166178 + 2.430415351002094j,
+                (-1.4919462164653812 + 0.31757871691239786j, 6.825791290757677 - 0.931255176614317j),
+            ),
+            itp.ComplexNode(
+                2.8861087358935613 - 1.5619358072056033j,
+                (2.5361948284801588 - 4.8081247682929344j, 1.0576290803753372 + 4.725098145904646j),
+            ),
+        ),
+    )
+
+    def test_gate_matches_exact_decision(self, monkeypatch):
+        polish, at_degree = itp._polish, itp.solve_at_degree
+        polished, decisions = [], []
+
+        def recording_polish(*args):
+            polished.append(polish(*args))
+            return polished[-1]
+
+        def recording_at_degree(problem, degree):
+            polished.clear()
+            p = at_degree(problem, degree)
+            decisions.extend(
+                (degree, q is p, _exact_within_tol(problem, q)) for q in polished if q is not None
+            )
+            return p
+
+        monkeypatch.setattr(itp, "_polish", recording_polish)
+        monkeypatch.setattr(itp, "solve_at_degree", recording_at_degree)
+        rng = np.random.default_rng(0)
+        for problem in [itp.sample_admissible_problem(rng) for _ in range(40)]:
+            assert itp.solve(problem).status == itp.STATUS_FEASIBLE
+        # TestHighsLp.ROWS14 is wide case 23: a float64 Horner gate rejected
+        # its candidates at degrees 128 and 200, exact residuals 5.5e-9 and
+        # 1.6e-9, and the solve ended InfeasibleAtCap
+        for problem in (TestHighsLp.ROWS14, self.ROWS22):
+            decisions.clear()
+            cert = itp.solve(problem)
+            assert [d for d in decisions if d[1] != d[2]] == []
+            assert (cert.status, cert.degree_used) == (itp.STATUS_FEASIBLE, 200)
+        assert len(decisions) > 0
 
 
 class TestOverflowingRows:
