@@ -245,6 +245,11 @@ def _verdict_signature(verdict) -> tuple:
     )
 
 
+def _expected_signature(entry) -> tuple:
+    """The ``_verdict_signature`` a golden-suite entry expects."""
+    return (entry.expect_cyclic, entry.expect_convex_cyclic, entry.expect_invariant, entry.expect_reasons)
+
+
 def criterion_4(seed: int = 0) -> CriterionResult:
     """Golden verdicts hold and survive well-conditioned similarity."""
     start = time.monotonic()
@@ -254,12 +259,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     for entry in entries:
         matrix = build(entry.spec)
         verdict = classify(matrix)
-        expected = (
-            entry.expect_cyclic,
-            entry.expect_convex_cyclic,
-            entry.expect_invariant,
-            entry.expect_reasons,
-        )
+        expected = _expected_signature(entry)
         got = _verdict_signature(verdict)
         fails.check(got == expected, f"{entry.name}: verdict {got} != expected {expected}")
         fails.check(not verdict.borderline, f"{entry.name}: unexpectedly borderline")
@@ -272,12 +272,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         P = _random_conjugator(rng, matrix.dimension, is_complex)
         conjugated = P @ matrix.entries @ np.linalg.inv(P)
         verdict = classify(MatrixSpec(matrix.field, conjugated))
-        expected = (
-            entry.expect_cyclic,
-            entry.expect_convex_cyclic,
-            entry.expect_invariant,
-            entry.expect_reasons,
-        )
+        expected = _expected_signature(entry)
         got = _verdict_signature(verdict)
         fails.check(
             got == expected,
@@ -366,10 +361,6 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     return _finish(6, "complexification intertwining", fails, start)
 
 
-def _admissible_problem(rng: np.random.Generator) -> interpolation.InterpolationProblem:
-    return interpolation.sample_admissible_problem(rng)
-
-
 def _violating_problem(rng: np.random.Generator, kind: str) -> interpolation.InterpolationProblem:
     if kind == interpolation.NECESSARY_DISK_BOUND:
         angle = float(rng.uniform(0.3, math.pi - 0.3))
@@ -441,7 +432,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     for trial in range(200):
         if fails.saturated:
             break
-        problem = _admissible_problem(rng)
+        problem = interpolation.sample_admissible_problem(rng)
         if not interpolation.check_admissibility(problem).admissible:
             fails.add(f"trial {trial}: sampler produced an inadmissible node set")
             continue

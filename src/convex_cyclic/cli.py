@@ -47,12 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="inline JSON (starts with '{') or a path to a JSON file")
     common.add_argument("--output", help="write the result here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--max-degree", type=int, default=None, help="interpolation degree cap")
-    common.add_argument("--horizon", type=int, default=None, help="orbit length")
-    common.add_argument("--threshold", type=float, default=None, help="margin or threshold override")
-    common.add_argument("--budget", type=int, default=None, help="longest orbit prefix (hull generators) for density scans")
 
     parser = argparse.ArgumentParser(
         prog="convex-cyclic",
@@ -60,12 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common], help="classify a matrix or canonical direct sum")
-    sub.add_parser("interpolate", parents=[common], help="solve a convex-polynomial interpolation problem")
-    sub.add_parser("peak", parents=[common], help="construct a peaking polynomial for a node set")
-    sub.add_parser("orbit", parents=[common], help="emit an orbit trace as CSV")
-    sub.add_parser("density", parents=[common], help="empirical hull-density scan")
-    sub.add_parser("selftest", parents=[common], help="run the acceptance battery")
+    commands = {}
+    for name, text in (
+        ("analyze", "classify a matrix or canonical direct sum"),
+        ("interpolate", "solve a convex-polynomial interpolation problem"),
+        ("peak", "construct a peaking polynomial for a node set"),
+        ("orbit", "emit an orbit trace as CSV"),
+        ("density", "empirical hull-density scan"),
+        ("selftest", "run the acceptance battery"),
+    ):
+        commands[name] = sub.add_parser(name, parents=[common], help=text)
+    # every other flag goes only to the subcommands that read it
+    for name in ("analyze", "interpolate", "density"):
+        commands[name].add_argument("--tol", type=float, help="tolerance override")
+    commands["interpolate"].add_argument("--max-degree", type=int, help="interpolation degree cap")
+    commands["peak"].add_argument("--threshold", type=float, help="margin goal override")
+    commands["orbit"].add_argument("--horizon", type=int, help="orbit length")
+    commands["density"].add_argument("--budget", type=int, help="longest orbit prefix (hull generators)")
+    commands["selftest"].add_argument("--seed", type=int, default=0, help="seed of the acceptance battery")
     return parser
 
 

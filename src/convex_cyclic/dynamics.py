@@ -349,28 +349,28 @@ def empirical_density_scan(
     T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
     v = _vector(x, T.shape[0], is_complex)
-    target_list = [
-        _vector(t, T.shape[0], is_complex or np.iscomplexobj(np.asarray(t))) for t in targets
+    embedded = [
+        _embed(_vector(t, T.shape[0], is_complex or np.iscomplexobj(np.asarray(t)))) for t in targets
     ]
-    if not target_list:
+    if not embedded:
         return DensityReport(total=0, captured=0, fraction=1.0, miss_indices=(), generators_used=0)
 
     # overflow shows as a non-finite orbit point or an infinite norm cap
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(_embed(t))) for t in target_list])
+        scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(t)) for t in embedded])
         generators, stop_reason = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
     basis = _hull_basis(np.column_stack([_embed(p) for p in generators]))
     misses = []
-    for i, t in enumerate(target_list):
-        result = _hull_solve(basis, _embed(t), tolerance)
+    for i, t in enumerate(embedded):
+        result = _hull_solve(basis, t, tolerance)
         if not result.contained:
             misses.append(i)
             logger.debug("target %d missed, residual %.3e", i, result.residual)
-    captured = len(target_list) - len(misses)
+    captured = len(embedded) - len(misses)
     return DensityReport(
-        total=len(target_list),
+        total=len(embedded),
         captured=captured,
-        fraction=captured / len(target_list),
+        fraction=captured / len(embedded),
         miss_indices=tuple(misses),
         generators_used=len(generators),
         stop_reason=stop_reason,

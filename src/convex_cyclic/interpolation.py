@@ -7,13 +7,14 @@ one route to a certificate.  HiGHS solves the LP with a mass-minimizing
 objective that keeps coefficient weight at low degrees; mixed-precision
 refinement polishes the optimal point on its support, starting from the
 point itself; and the polished coefficients make a Feasible certificate
-only after their residual, measured once by an extended-precision jet
-evaluation, clears the tolerance.  That same measurement is the reported
-``max_residual``.  One row kernel builds every jet constraint: the LP's
-scaled float rows, and the raw longdouble rows that refinement and the
-measurement apply to the coefficients.  Any other outcome (an infeasible
-LP, an LP that ends without an optimum, a candidate that fails the gate)
-moves on to the next degree; degrees escalate geometrically up to the cap.
+only after their residual clears the tolerance.  The residual is measured
+once, in extended precision, on the refinement's own jet rows, and that
+same measurement is the reported ``max_residual``.  One row kernel builds
+every jet constraint: the LP's scaled float rows, and the raw longdouble
+rows, built once per candidate, that refinement and the measurement apply
+to the coefficients.  Any other outcome (an infeasible LP, an LP that ends
+without an optimum, a candidate that fails the gate) moves on to the next
+degree; degrees escalate geometrically up to the cap.
 HiGHS is driven directly through scipy's bindings, with exactly the options
 and status reading of ``scipy.optimize.linprog(method="highs")``: the
 answers are the same bit for bit, without the wrapper's per-call option
@@ -415,42 +416,27 @@ def _jet_rows(
     return np.array(rows, dtype=real), np.array(rhs, dtype=real)
 
 
-def _residual(problem: InterpolationProblem, p: ConvexPolynomial) -> float:
-    """Largest constraint residual of ``p``: the single measurement that
-    gates a candidate and is reported with its certificate.
-
-    The jet rows are built and applied in longdouble over the nonzero
-    coefficients only; exact-zero terms contribute nothing to the sum.
-    Plain float64 evaluation carries rounding of order eps times the
-    coefficient mass, which near residual_tol can mask a true violation as
-    easily as manufacture one.  The measurement is extended only where
-    ``np.longdouble`` is wider than float64 (x87 extended on x86-64).
-    """
-    support = np.flatnonzero(p.coeffs)
-    rows, rhs = _jet_rows(problem, support, np.clongdouble, 1.0)
-    r = np.asarray(rows[:-1] @ np.asarray(p.coeffs[support], dtype=np.longdouble) - rhs[:-1], dtype=float)
-    worst, k = 0.0, 0
-    for *_, is_real in _targets(problem):
-        worst = max(worst, abs(r[k]) if is_real else math.hypot(r[k], r[k + 1]))
-        k += 1 if is_real else 2
-    return worst
-
-
 def _polish(
     problem: InterpolationProblem,
     eq_rows: np.ndarray,
     row_norm: np.ndarray,
     col_scale: np.ndarray,
     b: np.ndarray,
-) -> ConvexPolynomial | None:
+) -> tuple[ConvexPolynomial, float] | None:
     """Drive the stored float64 coefficients of the LP's optimal point ``b``
-    to their smallest true residual.
+    to their smallest true residual, and measure it.
 
     The start is the LP point itself on its support; mixed-precision
     refinement then iterates on the float64-rounded monomial coefficients,
     with residuals measured against the longdouble jet rows, so the fixed
     point is limited only by the rounding of the delivered vector.  A
-    refined weight that turns negative gives no candidate.
+    refined weight that turns negative gives no candidate.  Otherwise the
+    result is the polynomial and its largest per-target residual: the same
+    longdouble rows applied to its stored coefficients.  Plain float64
+    evaluation carries rounding of order eps times the coefficient mass,
+    which near residual_tol can mask a true violation as easily as
+    manufacture one; the measurement is extended only where
+    ``np.longdouble`` is wider than float64 (x87 extended on x86-64).
     """
     # an optimal point meets the simplex row, so its largest weight is positive
     support = np.flatnonzero(b > b.max() * 1e-14)
@@ -471,7 +457,17 @@ def _polish(
     total = a.sum()
     if not np.isfinite(total) or total <= 0.0:
         return None
-    return ConvexPolynomial(a / total)
+    p = ConvexPolynomial(a / total)
+    # construction renormalizes and strips trailing zeros: measure the
+    # stored vector, zero-padded back to the support (zeros add exact zeros)
+    stored = np.zeros(len(col_scale), dtype=np.longdouble)
+    stored[: len(p.coeffs)] = p.coeffs
+    r = np.asarray(raw_ld[:-1] @ stored[support] - rhs_ld[:-1], dtype=float)
+    worst, k = 0.0, 0
+    for *_, is_real in _targets(problem):
+        worst = max(worst, abs(r[k]) if is_real else math.hypot(r[k], r[k + 1]))
+        k += 1 if is_real else 2
+    return p, worst
 
 
 LP_OPTIMAL = "optimal"
@@ -536,13 +532,19 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndar
 
 
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
-    """Feasibility at one fixed degree; verified polynomial or None.
+    """Feasibility at one fixed degree; verified polynomial or None."""
+    found = _certify(problem, degree)
+    return None if found is None else found[0]
+
+
+def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomial, float] | None:
+    """Verified polynomial at one fixed degree with its residual, or None.
 
     One route: the LP either proves the degree infeasible, ends with any
     other non-optimal status (both give None, and ``solve`` escalates), or
-    returns an optimal point that ``_polish`` refines on its support.  The
-    refined candidate counts as feasible only if ``_residual`` stays within
-    ``residual_tol``.
+    returns an optimal point that ``_polish`` refines on its support and
+    measures.  The candidate counts as feasible only if that residual stays
+    within ``residual_tol``.
     """
     scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
     rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
@@ -568,9 +570,9 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
             logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
         return None
 
-    p = _polish(problem, eq_rows, row_norm, col_scale, b)
-    if p is not None and _residual(problem, p) <= problem.residual_tol:
-        return p
+    candidate = _polish(problem, eq_rows, row_norm, col_scale, b)
+    if candidate is not None and candidate[1] <= problem.residual_tol:
+        return candidate
     return None
 
 
@@ -608,13 +610,11 @@ def solve(problem: InterpolationProblem) -> InterpolationCertificate:
             max_residual=0.0,
         )
     for degree in _escalation_degrees(problem):
-        p = solve_at_degree(problem, degree)
-        if p is not None:
+        found = _certify(problem, degree)
+        if found is not None:
+            p, residual = found
             return InterpolationCertificate(
-                status=STATUS_FEASIBLE,
-                polynomial=p,
-                degree_used=degree,
-                max_residual=_residual(problem, p),
+                status=STATUS_FEASIBLE, polynomial=p, degree_used=degree, max_residual=residual
             )
         logger.debug("degree %d infeasible or unverified, escalating", degree)
     if check_admissibility(problem).admissible:

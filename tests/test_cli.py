@@ -224,6 +224,29 @@ class TestInputOutputPlumbing:
             run_cli(["--version"])
         assert info.value.code == 0
 
+    # every subcommand takes --input and --output; each other flag only
+    # where it is read, so a flag the subcommand would ignore is refused
+    READ_FLAGS = {
+        "analyze": {"--tol"},
+        "interpolate": {"--tol", "--max-degree"},
+        "peak": {"--threshold"},
+        "orbit": {"--horizon"},
+        "density": {"--tol", "--budget"},
+        "selftest": {"--seed"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_flags_a_subcommand_ignores_are_usage_errors(self, capsys, command):
+        parser = convex_cyclic.cli._build_parser()
+        for flag in self.READ_FLAGS[command]:
+            args = parser.parse_args([command, flag, "1", "--input", "{}", "--output", "out"])
+            assert getattr(args, flag[2:].replace("-", "_")) == 1
+        for flag in set().union(*self.READ_FLAGS.values()) - self.READ_FLAGS[command]:
+            with pytest.raises(SystemExit) as info:
+                convex_cyclic.cli.main([command, flag, "1", "--input", "{}"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 # The examples above, run in a fresh interpreter: the pytest process has
 # already imported scipy.optimize, so only a new process can show that no

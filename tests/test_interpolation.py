@@ -18,25 +18,19 @@ from convex_cyclic.errors import ParseError, PreconditionViolated
 from convex_cyclic.jordan_forms import JordanBlockSpec, build, matrix_polynomial
 
 
-def _jet(p: ConvexPolynomial, order: int, z: complex) -> complex:
-    """Independent jet evaluation through numpy's polynomial helpers."""
-    desc = np.asarray(p.coeffs, dtype=complex)[::-1]
-    if order:
-        desc = np.polyder(desc, order)
-        if desc.size == 0:
-            return 0.0 + 0.0j
-    return complex(np.polyval(desc, z))
-
-
-def _max_residual(problem: itp.InterpolationProblem, p: ConvexPolynomial) -> float:
-    worst = 0.0
-    for node in problem.real_nodes:
-        for j, target in enumerate(node.targets):
-            worst = max(worst, abs(_jet(p, j, node.x) - target))
-    for node in problem.complex_nodes:
-        for j, target in enumerate(node.targets):
-            worst = max(worst, abs(_jet(p, j, node.z) - target))
-    return worst
+def _exact_within_tol(problem: itp.InterpolationProblem, p: ConvexPolynomial) -> bool:
+    """Whether every target jet of the stored coefficients is within
+    ``residual_tol`` of its target, decided in rational arithmetic."""
+    tol2 = Fraction(problem.residual_tol) ** 2
+    jets = [(complex(n.x), n.targets) for n in problem.real_nodes]
+    jets += [(n.z, n.targets) for n in problem.complex_nodes]
+    for z, targets in jets:
+        for order, w in enumerate(targets):
+            vr, vi = _exact_jet(p.coeffs, order, z)
+            w = complex(w)
+            if (vr - Fraction(w.real)) ** 2 + (vi - Fraction(w.imag)) ** 2 > tol2:
+                return False
+    return True
 
 
 class TestProblem:
@@ -172,7 +166,7 @@ class TestNecessaryChecks:
         assert itp.necessary_target_check(problem) == []
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
-        assert _max_residual(problem, cert.polynomial) <= problem.residual_tol
+        assert _exact_within_tol(problem, cert.polynomial)
 
 
 class TestSolve:
@@ -183,15 +177,14 @@ class TestSolve:
         assert cert.is_feasible
         assert cert.degree_used <= problem.max_degree
         assert cert.max_residual <= problem.residual_tol
-        assert abs(_jet(cert.polynomial, 0, -2.0) - 7.0) <= problem.residual_tol
+        assert _exact_within_tol(problem, cert.polynomial)
 
     def test_frozen_hermite_pair(self):
         problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),))
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
         assert cert.degree_used == 4
-        assert abs(_jet(cert.polynomial, 0, -2.0)) <= 1e-8
-        assert abs(_jet(cert.polynomial, 1, -2.0) - 1.0) <= 1e-8
+        assert _exact_within_tol(problem, cert.polynomial)
 
     def test_hermite_infeasible_at_degree_two(self):
         # the simplex constraint leaves no room below degree three
@@ -243,7 +236,7 @@ class TestSolve:
         )
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
-        assert _max_residual(problem, cert.polynomial) <= problem.residual_tol
+        assert _exact_within_tol(problem, cert.polynomial)
 
     def test_solver_is_deterministic(self):
         rng = np.random.default_rng(71)
@@ -261,7 +254,7 @@ class TestSolve:
             assert cert.status == itp.STATUS_FEASIBLE
             assert cert.degree_used <= problem.max_degree
             assert cert.max_residual <= problem.residual_tol
-            assert _max_residual(problem, cert.polynomial) <= problem.residual_tol
+            assert _exact_within_tol(problem, cert.polynomial)
             assert np.all(cert.polynomial.coeffs >= 0.0)
             assert float(cert.polynomial.coeffs.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -274,7 +267,7 @@ class TestSolve:
             assert cert.status == itp.STATUS_FEASIBLE
             doubled = itp.solve_at_degree(problem, 2 * cert.degree_used)
             assert doubled is not None
-            assert _max_residual(problem, doubled) <= problem.residual_tol
+            assert _exact_within_tol(problem, doubled)
             checked += 1
 
     def test_certificate_jsonable_shapes(self):
@@ -452,10 +445,34 @@ class TestSingleRoute:
             return polished[-1]
 
         monkeypatch.setattr(itp, "_polish", recording)
-        assert itp.solve_at_degree(self.PROBLEM, 4) is not None
-        monkeypatch.setattr(itp, "_residual", lambda problem, p: math.inf)
+        assert itp.solve_at_degree(self.PROBLEM, 4) is polished[0][0]
+        assert polished[0][1] <= self.PROBLEM.residual_tol
+        # the same polished candidate, measured just above the tolerance
+        above = math.nextafter(self.PROBLEM.residual_tol, math.inf)
+        monkeypatch.setattr(itp, "_polish", lambda *args: (recording(*args)[0], above))
         assert itp.solve_at_degree(self.PROBLEM, 4) is None
-        assert len(polished) == 2 and all(a is not None for a in polished)
+        assert len(polished) == 2 and all(c is not None for c in polished)
+
+    def test_an_optimal_lp_builds_the_longdouble_rows_once(self, monkeypatch):
+        # the refinement's rows also gate the candidate and give max_residual
+        dtypes, polished = [], []
+        jet_rows, polish = itp._jet_rows, itp._polish
+
+        def counting(problem, columns, dtype, scale):
+            dtypes.append(dtype)
+            return jet_rows(problem, columns, dtype, scale)
+
+        def recording(*args):
+            polished.append(polish(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(itp, "_jet_rows", counting)
+        monkeypatch.setattr(itp, "_polish", recording)
+        cert = itp.solve(self.PROBLEM)
+        # degree 4 is the first escalation degree, and its LP is optimal
+        assert cert.degree_used == 4
+        assert dtypes.count(np.clongdouble) == 1
+        assert polished == [(cert.polynomial, cert.max_residual)]
 
     def test_lp_point_start_certifies_wide_case_at_degree_96(self):
         # the refinement needs the LP point as its start: from a nonnegative
@@ -467,21 +484,6 @@ class TestSingleRoute:
         # float64 re-evaluation of this polynomial reads 1.2e-8; the exact
         # residual is within the tolerance
         assert _exact_within_tol(self.WIDE, cert.polynomial)
-
-
-def _exact_within_tol(problem: itp.InterpolationProblem, p: ConvexPolynomial) -> bool:
-    """Whether every target jet of the stored coefficients is within
-    ``residual_tol`` of its target, decided in rational arithmetic."""
-    tol2 = Fraction(problem.residual_tol) ** 2
-    jets = [(complex(n.x), n.targets) for n in problem.real_nodes]
-    jets += [(n.z, n.targets) for n in problem.complex_nodes]
-    for z, targets in jets:
-        for order, w in enumerate(targets):
-            vr, vi = _exact_jet(p.coeffs, order, z)
-            w = complex(w)
-            if (vr - Fraction(w.real)) ** 2 + (vi - Fraction(w.imag)) ** 2 > tol2:
-                return False
-    return True
 
 
 class TestSingleGate:
@@ -515,23 +517,23 @@ class TestSingleGate:
     )
 
     def test_gate_matches_exact_decision(self, monkeypatch):
-        polish, at_degree = itp._polish, itp.solve_at_degree
+        polish, certify = itp._polish, itp._certify
         polished, decisions = [], []
 
         def recording_polish(*args):
             polished.append(polish(*args))
             return polished[-1]
 
-        def recording_at_degree(problem, degree):
+        def recording_certify(problem, degree):
             polished.clear()
-            p = at_degree(problem, degree)
+            found = certify(problem, degree)
             decisions.extend(
-                (degree, q is p, _exact_within_tol(problem, q)) for q in polished if q is not None
+                (degree, c is found, _exact_within_tol(problem, c[0])) for c in polished if c is not None
             )
-            return p
+            return found
 
         monkeypatch.setattr(itp, "_polish", recording_polish)
-        monkeypatch.setattr(itp, "solve_at_degree", recording_at_degree)
+        monkeypatch.setattr(itp, "_certify", recording_certify)
         rng = np.random.default_rng(0)
         for problem in [itp.sample_admissible_problem(rng) for _ in range(40)]:
             assert itp.solve(problem).status == itp.STATUS_FEASIBLE
@@ -665,10 +667,8 @@ class TestAnnihilator:
     def test_vanishing_with_value_node(self):
         cert = itp.vanishing_annihilator([(-2.0, 2)], value_nodes=[(-3.0, 4.0)])
         assert cert.status == itp.STATUS_FEASIBLE
-        p = cert.polynomial
-        assert abs(_jet(p, 0, -2.0)) <= 1e-8
-        assert abs(_jet(p, 1, -2.0)) <= 1e-8
-        assert abs(_jet(p, 0, -3.0) - 4.0) <= 1e-8
+        targets = (itp.RealNode(-2.0, (0.0, 0.0)), itp.RealNode(-3.0, (4.0,)))
+        assert _exact_within_tol(itp.InterpolationProblem(real_nodes=targets), cert.polynomial)
 
     def test_annihilates_the_matching_jordan_block(self):
         cert = itp.vanishing_annihilator([(-2.0, 2)], value_nodes=[(-3.0, 4.0)])
@@ -678,7 +678,8 @@ class TestAnnihilator:
     def test_complex_vanishing_node(self):
         cert = itp.vanishing_annihilator([(2.0 + 2.0j, 1)])
         assert cert.status == itp.STATUS_FEASIBLE
-        assert abs(_jet(cert.polynomial, 0, 2.0 + 2.0j)) <= 1e-8
+        targets = (itp.ComplexNode(2.0 + 2.0j, (0.0,)),)
+        assert _exact_within_tol(itp.InterpolationProblem(complex_nodes=targets), cert.polynomial)
 
     def test_inadmissible_node_reports_reason(self):
         cert = itp.vanishing_annihilator([(-0.5, 1)])

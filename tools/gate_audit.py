@@ -5,12 +5,13 @@
 Solves every non-violator problem of the given ``interpolate_round`` seeds
 and N draws of ``sample_admissible_problem(np.random.default_rng(0))``, as
 ``solve`` does, degree by degree.  Every candidate that the refinement
-delivers is judged twice: by the gate (``solve_at_degree`` returns it or
-not) and by its exact residual, the rational value of every target jet of
-the stored float64 coefficients, within ``residual_tol`` or not.  Prints
-four counts over the candidates: all of them, gate accepts, false accepts
-(accepted, exact residual above the tolerance) and false rejects (rejected,
-exact residual within it), then one line per disagreement.
+delivers, with the residual it measured on its own longdouble rows, is
+judged twice: by the gate (``_certify`` returns it or not) and by its exact
+residual, the rational value of every target jet of the stored float64
+coefficients, within ``residual_tol`` or not.  Prints four counts over
+the candidates: all of them, gate accepts, false accepts (accepted, exact
+residual above the tolerance) and false rejects (rejected, exact residual
+within it), then one line per disagreement.
 
 Run it on two checkouts to compare their gates.  It uses the library in
 the ``src/`` next to it and reads ``bench/inputs.py`` without changing
@@ -55,26 +56,26 @@ def candidates(problem: itp.InterpolationProblem) -> list[tuple[int, bool, np.nd
     """``(degree, accepted, coeffs)`` of every polished candidate on the
     route of ``solve(problem)``."""
     out = []
-    polish, at_degree = itp._polish, itp.solve_at_degree
+    polish, certify = itp._polish, itp._certify
     polished = []
 
     def recording_polish(*args):
         polished.append(polish(*args))
         return polished[-1]
 
-    def recording_at_degree(problem, degree):
+    def recording_certify(problem, degree):
         polished.clear()
-        p = at_degree(problem, degree)
-        for q in polished:
-            if q is not None:
-                out.append((degree, q is p, q.coeffs))
-        return p
+        found = certify(problem, degree)
+        for c in polished:
+            if c is not None:
+                out.append((degree, c is found, c[0].coeffs))
+        return found
 
-    itp._polish, itp.solve_at_degree = recording_polish, recording_at_degree
+    itp._polish, itp._certify = recording_polish, recording_certify
     try:
         itp.solve(problem)
     finally:
-        itp._polish, itp.solve_at_degree = polish, at_degree
+        itp._polish, itp._certify = polish, certify
     return out
 
 
