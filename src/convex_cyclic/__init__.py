@@ -5,179 +5,33 @@ admits a vector whose images under polynomials with nonnegative,
 unit-sum coefficients are dense, constructs the peaking and interpolating
 polynomials behind that theory, and certifies orbit-hull density
 empirically through growth witnesses and hull-membership scans.
+
+Modules import only from modules before them in the layer order
+``errors``, ``_jsonutil``, ``convex_poly``, ``spectral``, ``jordan_forms``,
+``suite``, ``interpolation``, ``dynamics``, ``cli``, ``acceptance``.  Each
+library module's ``__all__`` is its one list of public names; the package
+re-exports all of them.  The command line (``cli``) and the acceptance
+battery (``acceptance``) are not imported here.
 """
 
-from .convex_poly import (
-    ConvexPolynomial,
-    GrowthQuery,
-    PeakingCertificate,
-    compose,
-    derivative,
-    evaluate,
-    find_growth_index,
-    growth_indices,
-    multiply,
-    multivariable_growth_index,
-    peaking_polynomial,
-    validate,
-)
-from .dynamics import (
-    Bounded,
-    DensityReport,
-    GrowthWitness,
-    HullQuery,
-    HullResult,
-    OrbitTrace,
-    direct_sum_vector,
-    empirical_density_scan,
-    growth_witness,
-    hull_contains,
-    orbit,
-)
-from .errors import (
-    AlphaGridExhausted,
-    ConvexCyclicError,
-    DimensionMismatch,
-    NegativeCoefficient,
-    NonSquare,
-    NoPeakWithinCap,
-    NotCanonicalForm,
-    NotFoundWithinCap,
-    OddLength,
-    OverflowReached,
-    ParseError,
-    PreconditionViolated,
-    PremiseViolated,
-    SumNotOne,
-    ThetaMultipleOfPi,
-    ZeroCoefficient,
-    ZeroFunctional,
-)
-from .interpolation import (
-    AdmissibilityReport,
-    AdmissibilityViolation,
-    ComplexNode,
-    InterpolationCertificate,
-    InterpolationProblem,
-    NecessaryViolation,
-    RealNode,
-    check_admissibility,
-    necessary_target_check,
-    solve,
-    solve_at_degree,
-    vanishing_annihilator,
-)
-from .jordan_forms import (
-    DiagonalEntrySpec,
-    DirectSumSpec,
-    JordanBlockSpec,
-    RealJordanBlockSpec,
-    build,
-    complexify,
-    matrix_polynomial,
-    poly_on_jordan_block,
-    real_block_power,
-    rotation,
-)
-from .spectral import (
-    ConvexCyclicVerdict,
-    Eigenstructure,
-    EigenvalueInfo,
-    FailedCondition,
-    MatrixSpec,
-    classify,
-    convex_cyclic_vector_test,
-    default_tolerance,
-    eigenstructure,
-    is_cyclic,
-)
-from .suite import SuiteEntry, convex_cyclic_entries, failure_entries, golden_suite
+from . import convex_poly, dynamics, errors, interpolation, jordan_forms, spectral, suite
+from .convex_poly import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .interpolation import *  # noqa: F401,F403
+from .jordan_forms import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .suite import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # polynomial algebra
-    "ConvexPolynomial",
-    "PeakingCertificate",
-    "GrowthQuery",
-    "validate",
-    "evaluate",
-    "derivative",
-    "multiply",
-    "compose",
-    "peaking_polynomial",
-    "find_growth_index",
-    "growth_indices",
-    "multivariable_growth_index",
-    # spectral classification
-    "MatrixSpec",
-    "EigenvalueInfo",
-    "Eigenstructure",
-    "FailedCondition",
-    "ConvexCyclicVerdict",
-    "default_tolerance",
-    "eigenstructure",
-    "is_cyclic",
-    "classify",
-    "convex_cyclic_vector_test",
-    # canonical forms
-    "JordanBlockSpec",
-    "RealJordanBlockSpec",
-    "DiagonalEntrySpec",
-    "DirectSumSpec",
-    "build",
-    "poly_on_jordan_block",
-    "matrix_polynomial",
-    "complexify",
-    "real_block_power",
-    "rotation",
-    # interpolation
-    "RealNode",
-    "ComplexNode",
-    "InterpolationProblem",
-    "AdmissibilityViolation",
-    "AdmissibilityReport",
-    "NecessaryViolation",
-    "InterpolationCertificate",
-    "check_admissibility",
-    "necessary_target_check",
-    "solve",
-    "solve_at_degree",
-    "vanishing_annihilator",
-    # dynamics
-    "OrbitTrace",
-    "GrowthWitness",
-    "Bounded",
-    "HullQuery",
-    "HullResult",
-    "DensityReport",
-    "orbit",
-    "growth_witness",
-    "hull_contains",
-    "empirical_density_scan",
-    "direct_sum_vector",
-    # golden suite
-    "SuiteEntry",
-    "golden_suite",
-    "convex_cyclic_entries",
-    "failure_entries",
-    # errors
-    "ConvexCyclicError",
-    "ParseError",
-    "PreconditionViolated",
-    "NegativeCoefficient",
-    "SumNotOne",
-    "NoPeakWithinCap",
-    "AlphaGridExhausted",
-    "ThetaMultipleOfPi",
-    "ZeroCoefficient",
-    "NotFoundWithinCap",
-    "NonSquare",
-    "DimensionMismatch",
-    "OddLength",
-    "NotCanonicalForm",
-    "ZeroFunctional",
-    "OverflowReached",
-    "PremiseViolated",
+    *errors.__all__,
+    *convex_poly.__all__,
+    *spectral.__all__,
+    *jordan_forms.__all__,
+    *suite.__all__,
+    *interpolation.__all__,
+    *dynamics.__all__,
 ]

@@ -14,15 +14,14 @@ import contextlib
 import io
 import json
 import math
-import sys
 import time
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import convex_poly, interpolation
+from . import cli, convex_poly, interpolation
 from .convex_poly import ConvexPolynomial, GrowthQuery, evaluate, find_growth_index
 from .dynamics import GrowthWitness, empirical_density_scan, growth_witness
 from .jordan_forms import JordanBlockSpec, RealJordanBlockSpec, build, complexify, matrix_polynomial, poly_on_jordan_block
@@ -41,10 +40,9 @@ class CriterionResult:
     elapsed: float
 
 
-def format_line(result: CriterionResult, show_elapsed: bool = True) -> str:
+def format_line(result: CriterionResult) -> str:
     status = "PASS" if result.passed else "FAIL"
-    timing = f" ({result.elapsed:.2f}s)" if show_elapsed else ""
-    line = f"criterion {result.number} {status}{timing} {result.name}"
+    line = f"criterion {result.number} {status} {result.name}"
     if not result.passed and result.detail:
         line += f": {result.detail}"
     return line
@@ -509,8 +507,6 @@ def criterion_8(seed: int = 0) -> CriterionResult:
 
 
 def _run_cli(argv: list[str]) -> tuple[int, str]:
-    from . import cli
-
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = cli.main(argv)
@@ -553,23 +549,14 @@ CRITERIA: tuple[Callable[[int], CriterionResult], ...] = (
 )
 
 
-def run_all(
-    seed: int = 0,
-    out: TextIO | None = None,
-    numbers: Iterable[int] | None = None,
-    show_elapsed: bool = True,
-) -> list[CriterionResult]:
-    """Run the battery (or a subset), printing one line per criterion."""
-    stream = sys.stdout if out is None else out
-    wanted = set(numbers) if numbers is not None else None
+def run_all(seed: int = 0) -> list[CriterionResult]:
+    """Run the battery, printing one line per criterion to stdout."""
     results = []
     for index, criterion in enumerate(CRITERIA, start=1):
-        if wanted is not None and index not in wanted:
-            continue
         try:
             result = criterion(seed)
         except Exception as exc:  # a crashed criterion is a failed criterion
             result = CriterionResult(index, criterion.__name__, False, f"raised {type(exc).__name__}: {exc}", 0.0)
         results.append(result)
-        print(format_line(result, show_elapsed=show_elapsed), file=stream, flush=True)
+        print(format_line(result), flush=True)
     return results

@@ -227,8 +227,8 @@ def _peaking_coeffs(power: int, alpha: float) -> np.ndarray:
     return coeffs
 
 
-def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[complex]]:
-    """Validate the peaking preconditions; return (R, maximum-modulus nodes)."""
+def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[complex]]:
+    """Validate the peaking preconditions; return (R, maximum-modulus mask, those nodes)."""
     if not nodes:
         raise PreconditionViolated("node set must be nonempty")
     if node_pairs(nodes):
@@ -237,10 +237,11 @@ def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[complex]]:
     max_modulus = max(moduli)
     if not max_modulus > 1.0:
         raise PreconditionViolated("maximum node modulus must exceed 1")
-    top = [z for z, m in zip(nodes, moduli) if max_modulus - m <= NODE_TOLERANCE * max(1.0, max_modulus)]
+    is_top = [max_modulus - m <= NODE_TOLERANCE * max(1.0, max_modulus) for m in moduli]
+    top = [z for z, t in zip(nodes, is_top) if t]
     if node_pairs(top, conjugate=True):
         raise PreconditionViolated("conjugate pair among maximum-modulus nodes")
-    return max_modulus, top
+    return max_modulus, is_top, top
 
 
 def _scan_for_peak(
@@ -248,17 +249,17 @@ def _scan_for_peak(
     alpha: float,
     margin_goal: float,
     power_cap: int,
-    max_modulus: float,
-) -> tuple[int, int, float] | None:
+    is_top: list[bool],
+) -> tuple[int, int, float, ConvexPolynomial, list[complex]] | None:
     """Find the smallest power whose peak lies at a maximum-modulus node.
 
     Comparisons run in log space so large powers cannot overflow; the scan
     additionally stops once the would-be peak value leaves double range.
-    Returns ``(power, peak_index, margin)`` or None at the cap.
+    Returns ``(power, peak_index, margin, polynomial, node_values)`` or None
+    at the cap.
     """
     log_base = [math.log(abs(a)) if (a := alpha * z + (1.0 - alpha)) != 0 else -math.inf for z in nodes]
     log_mod = [math.log(abs(z)) if z != 0 else -math.inf for z in nodes]
-    is_top = [max_modulus - abs(z) <= NODE_TOLERANCE * max(1.0, max_modulus) for z in nodes]
 
     def node_log(power: int, lm: float, lb: float) -> float:
         # z**0 is 1 even for the node 0, so keep 0 * (-inf) out of the arithmetic.
@@ -276,11 +277,12 @@ def _scan_for_peak(
         # Confirm with direct linear-scale evaluation; these are the numbers
         # a caller can reproduce through evaluate().
         poly = ConvexPolynomial(_peaking_coeffs(power, alpha))
-        values = [abs(evaluate(poly, complex(z))) for z in nodes]
+        node_values = [evaluate(poly, z) for z in nodes]
+        values = [abs(v) for v in node_values]
         others = [v for k, v in enumerate(values) if k != best]
         margin = values[best] - max(others) if others else values[best]
         if values[best] >= max(values) and margin > margin_goal:
-            return power, best, margin
+            return power, best, margin, poly, node_values
     return None
 
 
@@ -311,7 +313,7 @@ def peaking_polynomial(
         The scan (or the realness-avoidance grid) was exhausted.
     """
     node_list = [complex(z) for z in nodes]
-    max_modulus, top = _check_peaking_nodes(node_list)
+    max_modulus, is_top, top = _check_peaking_nodes(node_list)
 
     auto = isinstance(alpha, str)
     if auto:
@@ -340,28 +342,22 @@ def peaking_polynomial(
         if any(abs(z.imag) <= NODE_TOLERANCE for z in node_list):
             raise PreconditionViolated("avoid_real_values requires a node set disjoint from the real axis")
         candidates = _alpha_grid(alpha_value)
-        last_cap = power_cap
         for a in candidates:
-            if excluded(a):
-                continue
             try:
-                found = _scan_for_peak(node_list, a, margin_goal, power_cap, max_modulus)
+                found = _scan_for_peak(node_list, a, margin_goal, power_cap, is_top)
             except NoPeakWithinCap:
                 continue
             if found is None:
                 continue
-            power, best, margin = found
-            poly = ConvexPolynomial(_peaking_coeffs(power, a))
-            values = [evaluate(poly, complex(z)) for z in node_list]
+            power, best, margin, poly, values = found
             if all(abs(v.imag) > NODE_TOLERANCE * max(1.0, abs(v)) for v in values):
                 return _certificate(poly, a, power, node_list[best], max_modulus, top, margin)
-        raise AlphaGridExhausted(last_cap, len(candidates))
+        raise AlphaGridExhausted(power_cap, len(candidates))
 
-    found = _scan_for_peak(node_list, alpha_value, margin_goal, power_cap, max_modulus)
+    found = _scan_for_peak(node_list, alpha_value, margin_goal, power_cap, is_top)
     if found is None:
         raise NoPeakWithinCap(power_cap)
-    power, best, margin = found
-    poly = ConvexPolynomial(_peaking_coeffs(power, alpha_value))
+    power, best, margin, poly, _ = found
     return _certificate(poly, alpha_value, power, node_list[best], max_modulus, top, margin)
 
 

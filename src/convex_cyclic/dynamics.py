@@ -12,12 +12,8 @@ obstruction to such capture ever failing on admissible matrices.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import logging
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, Union
 
@@ -31,8 +27,9 @@ from .errors import (
     PremiseViolated,
     ZeroFunctional,
 )
-from .jordan_forms import DirectSumSpec, build, matrix_polynomial
-from .spectral import MatrixSpec, _coerce_matrix, classify, convex_cyclic_vector_test
+from .interpolation import _scipy_extension
+from .jordan_forms import DirectSumSpec, build, convex_cyclic_vector_test, matrix_polynomial
+from .spectral import MatrixSpec, _coerce_matrix, classify
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -194,28 +191,6 @@ def _hull_basis(G: np.ndarray) -> _HullBasis:
     points = G / scale
     norms = np.linalg.norm(points, axis=0)
     return _HullBasis(points, scale, peak, norms, points / np.where(norms > 0, norms, 1.0))
-
-
-def _scipy_extension(name: str) -> Any:
-    """The compiled module ``scipy.<name>``, loaded without running the package
-    ``__init__`` above it (``scipy.optimize``'s takes 0.28 s) and registered in
-    ``sys.modules``, so a later ``import scipy.optimize`` reuses it."""
-    full = "scipy." + name
-    if full in sys.modules:
-        return sys.modules[full]
-    root = importlib.util.find_spec("scipy")
-    *package, leaf = name.split(".")
-    directory = root and os.path.join(root.submodule_search_locations[0], *package)
-    spec = directory and importlib.machinery.PathFinder.find_spec(leaf, [directory])
-    if spec is None:
-        raise ImportError(f"No module named {full!r}", name=full)
-    sys.modules[full] = module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[full]
-        raise
-    return module
 
 
 def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.ndarray, float]:

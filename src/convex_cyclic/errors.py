@@ -6,6 +6,26 @@ produce a stable reason code without parsing the message text.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConvexCyclicError",
+    "ParseError",
+    "PreconditionViolated",
+    "NegativeCoefficient",
+    "SumNotOne",
+    "NoPeakWithinCap",
+    "AlphaGridExhausted",
+    "ThetaMultipleOfPi",
+    "ZeroCoefficient",
+    "NotFoundWithinCap",
+    "NonSquare",
+    "DimensionMismatch",
+    "OddLength",
+    "NotCanonicalForm",
+    "ZeroFunctional",
+    "OverflowReached",
+    "PremiseViolated",
+]
+
 
 class ConvexCyclicError(Exception):
     """Base class for all package errors."""

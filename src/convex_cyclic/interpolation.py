@@ -30,8 +30,12 @@ feasible at some degree.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -39,7 +43,6 @@ import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
 from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs
-from .dynamics import _scipy_extension
 from .errors import ParseError, PreconditionViolated
 
 __all__ = [
@@ -468,6 +471,28 @@ def _polish(
         worst = max(worst, abs(r[k]) if is_real else math.hypot(r[k], r[k + 1]))
         k += 1 if is_real else 2
     return p, worst
+
+
+def _scipy_extension(name: str) -> Any:
+    """The compiled module ``scipy.<name>``, loaded without running the package
+    ``__init__`` above it (``scipy.optimize``'s takes 0.28 s) and registered in
+    ``sys.modules``, so a later ``import scipy.optimize`` reuses it."""
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    root = importlib.util.find_spec("scipy")
+    *package, leaf = name.split(".")
+    directory = root and os.path.join(root.submodule_search_locations[0], *package)
+    spec = directory and importlib.machinery.PathFinder.find_spec(leaf, [directory])
+    if spec is None:
+        raise ImportError(f"No module named {full!r}", name=full)
+    sys.modules[full] = module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[full]
+        raise
+    return module
 
 
 LP_OPTIMAL = "optimal"

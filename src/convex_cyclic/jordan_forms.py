@@ -19,8 +19,8 @@ import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
 from .convex_poly import derivative, horner
-from .errors import OddLength, ParseError, PreconditionViolated
-from .spectral import MatrixSpec
+from .errors import DimensionMismatch, NotCanonicalForm, OddLength, ParseError, PreconditionViolated
+from .spectral import MatrixSpec, _coerce_matrix
 
 __all__ = [
     "JordanBlockSpec",
@@ -29,6 +29,7 @@ __all__ = [
     "DirectSumSpec",
     "BlockSpec",
     "build",
+    "convex_cyclic_vector_test",
     "poly_on_jordan_block",
     "matrix_polynomial",
     "complexify",
@@ -224,6 +225,33 @@ def build(spec: BlockSpec | DirectSumSpec) -> MatrixSpec:
     return MatrixSpec(field, out)
 
 
+def convex_cyclic_vector_test(canonical: Any, vector: Sequence[complex]) -> bool:
+    """Blockwise test for convex-cyclic vectors of a canonical direct sum.
+
+    For a convex-cyclic canonical matrix the convex-cyclic vectors are
+    exactly those with a nonzero coordinate for every diagonal entry, a
+    nonzero first coordinate for every Jordan block, and a nonzero first
+    coordinate pair for every 2x2-cell real block.  Zero tests are exact;
+    the answer is only meaningful when the built matrix is convex-cyclic.
+    """
+    if isinstance(canonical, (JordanBlockSpec, RealJordanBlockSpec, DiagonalEntrySpec)):
+        canonical = DirectSumSpec((canonical,))
+    if not isinstance(canonical, DirectSumSpec):
+        raise NotCanonicalForm(
+            f"expected a canonical direct-sum descriptor, got {type(canonical).__name__}"
+        )
+    arr = np.asarray(vector, dtype=complex).ravel()
+    if arr.size != canonical.dimension:
+        raise DimensionMismatch(canonical.dimension, arr.size)
+    pos = 0
+    for block in canonical.blocks:
+        lead = 2 if isinstance(block, RealJordanBlockSpec) else 1
+        if not np.any(arr[pos : pos + lead]):
+            return False
+        pos += block.dimension
+    return True
+
+
 def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> np.ndarray:
     """Closed form for ``p(J)`` on a lower-triangular Jordan block.
 
@@ -245,9 +273,7 @@ def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> 
 
 def matrix_polynomial(p: Sequence[float], matrix: MatrixSpec | np.ndarray) -> np.ndarray:
     """Dense Horner evaluation of a polynomial at a matrix."""
-    entries = matrix.entries if isinstance(matrix, MatrixSpec) else np.asarray(matrix)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise PreconditionViolated("matrix polynomial needs a square matrix")
+    entries = _coerce_matrix(matrix).entries
     coeffs = np.asarray(getattr(p, "coeffs", p))
     n = entries.shape[0]
     dtype = np.result_type(entries.dtype, coeffs.dtype)

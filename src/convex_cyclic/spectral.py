@@ -20,13 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
-from .errors import (
-    DimensionMismatch,
-    NonSquare,
-    NotCanonicalForm,
-    ParseError,
-    PreconditionViolated,
-)
+from .errors import NonSquare, ParseError, PreconditionViolated
 
 __all__ = [
     "MatrixSpec",
@@ -44,7 +38,6 @@ __all__ = [
     "eigenstructure",
     "is_cyclic",
     "classify",
-    "convex_cyclic_vector_test",
 ]
 
 REASON_NOT_CYCLIC = "NotCyclic"
@@ -368,43 +361,3 @@ def classify(matrix: MatrixSpec | np.ndarray, tol: float | None = None) -> Conve
         },
         eigenstructure=structure,
     )
-
-
-def convex_cyclic_vector_test(canonical: Any, vector: Sequence[complex]) -> bool:
-    """Blockwise test for convex-cyclic vectors of a canonical direct sum.
-
-    For a convex-cyclic canonical matrix the convex-cyclic vectors are
-    exactly those with a nonzero coordinate for every diagonal entry, a
-    nonzero first coordinate for every Jordan block, and a nonzero first
-    coordinate pair for every 2x2-cell real block.  Zero tests are exact;
-    the answer is only meaningful when the built matrix is convex-cyclic.
-    """
-    from .jordan_forms import (
-        DiagonalEntrySpec,
-        DirectSumSpec,
-        JordanBlockSpec,
-        RealJordanBlockSpec,
-    )
-
-    if isinstance(canonical, (JordanBlockSpec, RealJordanBlockSpec, DiagonalEntrySpec)):
-        canonical = DirectSumSpec((canonical,))
-    if not isinstance(canonical, DirectSumSpec):
-        raise NotCanonicalForm(
-            f"expected a canonical direct-sum descriptor, got {type(canonical).__name__}"
-        )
-    arr = np.asarray(vector, dtype=complex).ravel()
-    if arr.size != canonical.dimension:
-        raise DimensionMismatch(canonical.dimension, arr.size)
-    pos = 0
-    for block in canonical.blocks:
-        if isinstance(block, DiagonalEntrySpec):
-            if arr[pos] == 0:
-                return False
-        elif isinstance(block, JordanBlockSpec):
-            if arr[pos] == 0:
-                return False
-        else:
-            if arr[pos] == 0 and arr[pos + 1] == 0:
-                return False
-        pos += block.dimension
-    return True

@@ -1,15 +1,20 @@
-"""Shared test fixtures: schema validation and in-process CLI runs."""
+"""Shared test fixtures: schema validation, in-process CLI runs and fresh interpreters."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import convex_cyclic
 from convex_cyclic import cli
 
 
@@ -36,5 +41,17 @@ def run_cli():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
         return code, out.getvalue(), err.getvalue()
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a script in a new interpreter that imports this checkout's package."""
+    src = str(Path(convex_cyclic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(script: str, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
 
     return run

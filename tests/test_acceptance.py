@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -32,10 +30,13 @@ def test_criterion(number):
     assert result.passed, result.detail
 
 
-def test_selftest_subprocess_is_deterministic(validate_schema):
-    command = [sys.executable, "-m", "convex_cyclic", "selftest", "--seed", "0"]
-    first = subprocess.run(command, capture_output=True, text=True, timeout=600)
-    second = subprocess.run(command, capture_output=True, text=True, timeout=600)
+# ``python -m convex_cyclic selftest --seed 0`` in fresh interpreters
+SELFTEST = "import runpy; runpy.run_module('convex_cyclic', run_name='__main__')"
+
+
+def test_selftest_subprocess_is_deterministic(validate_schema, fresh_python):
+    first = fresh_python(SELFTEST, "selftest", "--seed", "0")
+    second = fresh_python(SELFTEST, "selftest", "--seed", "0")
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

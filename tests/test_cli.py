@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -87,6 +83,15 @@ class TestInterpolate:
         assert payload["status"] == "InfeasibleNecessary"
         assert payload["reason"] == "DiskBound"
 
+    def test_tol_override_sets_the_residual_tolerance(self, run_cli, monkeypatch):
+        seen = []
+        solve = convex_cyclic.cli.solve
+        monkeypatch.setattr(convex_cyclic.cli, "solve", lambda problem: seen.append(problem) or solve(problem))
+        code, out, _ = run_cli(["interpolate", "--tol", "1e-6", "--input", INTERPOLATE_OK])
+        assert code == 0
+        assert json.loads(out)["status"] == "Feasible"
+        assert [problem.residual_tol for problem in seen] == [1e-6]
+
     def test_cap_exit_code_three(self, run_cli, validate_schema):
         problem = json.dumps({"real_nodes": [{"x": -1.5, "targets": [1e6]}]})
         code, out, _ = run_cli(["interpolate", "--max-degree", "4", "--input", problem])
@@ -107,10 +112,19 @@ class TestPeak:
         assert payload["max_modulus"] == 2.0
         assert payload["polynomial"]["coeffs_nonzero"]
 
-    def test_precondition_exit_code_two(self, run_cli):
+    def test_threshold_overrides_the_margin_goal(self, run_cli):
+        # at power 0 the margin is 0.618; the threshold asks for more
+        body = json.dumps({"nodes": [[0.0, 2.0], [-2.0, 0.0]], "margin_goal": 100.0})
+        code, out, _ = run_cli(["peak", "--threshold", "1", "--input", body])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["power"] == 1
+        assert 1.0 < payload["margin"] < 100.0
+
+    def test_precondition_exit_code_four(self, run_cli):
         small = json.dumps({"nodes": [[0.5, 0.0]]})
         code, out, err = run_cli(["peak", "--input", small])
-        assert code == 2
+        assert code == 4
         assert out == ""
         assert json.loads(err)["error"]["type"] == "PreconditionViolated"
 
@@ -270,18 +284,11 @@ print(json.dumps({"scipy.optimize loaded": seen, "stdout": stdout}))
 """
 
 
-def fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports this checkout's package."""
-    src = str(Path(convex_cyclic.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
-
-
 class TestColdStart:
     @pytest.mark.parametrize(
         "solver_call", [("interpolate", INTERPOLATE_OK), ("density", DENSITY_OK)], ids=["interpolate", "density"]
     )
-    def test_no_command_loads_scipy_optimize(self, solver_call, run_cli):
+    def test_no_command_loads_scipy_optimize(self, solver_call, run_cli, fresh_python):
         calls = [("analyze", ANALYZE_REAL), ("peak", PEAK_OK), ("orbit", ORBIT_REAL), solver_call]
         proc = fresh_python(COLD_START, json.dumps(calls))
         assert proc.returncode == 0, proc.stderr
@@ -299,6 +306,26 @@ class TestColdStart:
             code, out, _ = run_cli([command, "--input", payload])
             assert code == 0
             assert report["stdout"][command] == out
+
+
+# The log level comes from the environment; logging is configured once per
+# process, so each level runs in a fresh interpreter.
+LOGGED_CLI = """
+import os, sys
+os.environ["CONVEX_CYCLIC_LOG"] = sys.argv[1]
+from convex_cyclic.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_log_level_from_the_environment(fresh_python):
+    argv = ["interpolate", "--max-degree", "4", "--input", json.dumps({"real_nodes": [{"x": -1.5, "targets": [1e6]}]})]
+    debug = fresh_python(LOGGED_CLI, "debug", *argv)
+    unset = fresh_python(LOGGED_CLI, "", *argv)
+    assert debug.returncode == unset.returncode == 3
+    assert debug.stdout == unset.stdout
+    assert "convex_cyclic.interpolation DEBUG degree" in debug.stderr
+    assert "DEBUG" not in unset.stderr
 
 
 # Both orders of loading the solvers' compiled modules in one process.  A
@@ -326,7 +353,7 @@ KERNELS = ("scipy.optimize._highspy._core", "scipy.optimize._slsqplib")
 
 
 class TestScipyCoexistence:
-    def test_package_first(self):
+    def test_package_first(self, fresh_python):
         script = SOLVE_AND_SCAN + f"""
 import sys
 from convex_cyclic import interpolation
@@ -340,7 +367,7 @@ assert scipy.optimize._nnls._nnls is used["scipy.optimize._slsqplib"].nnls
         proc = fresh_python(script)
         assert proc.returncode == 0, proc.stderr
 
-    def test_scipy_first(self):
+    def test_scipy_first(self, fresh_python):
         script = SCIPY_OPTIMIZE_WORKS + f"""
 import importlib.util, sys
 before = {{name: sys.modules[name] for name in {KERNELS!r}}}

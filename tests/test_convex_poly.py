@@ -283,6 +283,21 @@ class TestPeaking:
         with pytest.raises(PreconditionViolated):
             convex_poly.peaking_polynomial([2j, -2.0], avoid_real_values=True)
 
+    def test_scan_stops_where_the_peak_value_leaves_float_range(self):
+        # the value at 3j reaches 1e300 before any margin of 1e300
+        with pytest.raises(NoPeakWithinCap, match="float range") as info:
+            convex_poly.peaking_polynomial([3j], margin_goal=1e300)
+        assert not isinstance(info.value, AlphaGridExhausted)
+
+    def test_avoid_real_values_moves_past_an_alpha_that_left_float_range(self):
+        # at alpha = 1/2 the value at 3j is 6.8e299 at power 628 and beyond
+        # 1e300 at power 629, so that scan raises; a later grid alpha peaks
+        with pytest.raises(NoPeakWithinCap, match="float range"):
+            convex_poly.peaking_polynomial([3j], margin_goal=7e299)
+        cert = convex_poly.peaking_polynomial([3j], margin_goal=7e299, avoid_real_values=True)
+        assert cert.alpha > 0.5
+        assert 7e299 < cert.margin <= 1e300
+
     def test_power_cap_exhaustion_raises(self):
         # equal-modulus nodes keep trading the lead, so tiny caps fail
         with pytest.raises(NoPeakWithinCap):

@@ -289,7 +289,7 @@ class TestNNLSParity:
 class TestScipyExtension:
     def test_missing_module_is_named(self):
         with pytest.raises(ImportError, match="scipy.optimize._no_such_kernel") as info:
-            dynamics._scipy_extension("optimize._no_such_kernel")
+            interpolation._scipy_extension("optimize._no_such_kernel")
         assert info.value.name == "scipy.optimize._no_such_kernel"
 
     def test_failed_load_is_unregistered(self, monkeypatch):
@@ -309,7 +309,7 @@ class TestScipyExtension:
             lambda name, path=None, target=None: spec if name == "_broken_kernel" else find_spec(name, path, target),
         )
         with pytest.raises(ImportError, match="broken kernel"):
-            dynamics._scipy_extension("optimize._broken_kernel")
+            interpolation._scipy_extension("optimize._broken_kernel")
         assert "scipy.optimize._broken_kernel" not in sys.modules
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from convex_cyclic import jordan_forms
 from convex_cyclic.convex_poly import ConvexPolynomial
-from convex_cyclic.errors import OddLength, ParseError, PreconditionViolated
+from convex_cyclic.errors import NonSquare, OddLength, ParseError, PreconditionViolated
 from convex_cyclic.jordan_forms import (
     DiagonalEntrySpec,
     DirectSumSpec,
@@ -152,10 +152,14 @@ class TestPolynomialAction:
         assert out[1, 0] == pytest.approx(0.5)
 
     def test_non_square_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(NonSquare):
             matrix_polynomial([1.0], np.ones((2, 3)))
         with pytest.raises(PreconditionViolated):
             poly_on_jordan_block([1.0], -2.0, 0)
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(PreconditionViolated, match="finite"):
+            matrix_polynomial([1.0], np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestComplexify:

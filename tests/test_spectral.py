@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from convex_cyclic import spectral, suite
+from convex_cyclic import jordan_forms, spectral, suite
 from convex_cyclic.errors import (
     DimensionMismatch,
     NonSquare,
@@ -308,6 +308,25 @@ class TestClassify:
         assert verdict.borderline
         assert {c.reason for c in verdict.failed_conditions} == {spectral.REASON_IN_CLOSED_DISK}
 
+    def test_borderline_near_the_origin_over_the_reals(self):
+        # -1.5e-9 is real and just misses the nonnegative-real clause
+        verdict = spectral.classify(MatrixSpec("real", np.diag([-1.5e-9, -3.0])), tol=1e-9)
+        assert verdict.borderline
+        assert {c.reason for c in verdict.failed_conditions} == {spectral.REASON_IN_CLOSED_DISK}
+
+    def test_borderline_near_a_conjugate_pair(self):
+        # the two eigenvalues miss being conjugate by 1.5 * tol
+        matrix = MatrixSpec("complex", np.diag([3.0 + 2.0j, 3.0 - 2.0j + 1.5e-9]))
+        verdict = spectral.classify(matrix, tol=1e-9)
+        assert verdict.borderline
+        assert verdict.is_convex_cyclic
+        assert not spectral.classify(matrix, tol=2e-9).is_convex_cyclic
+
+    def test_is_cyclic_takes_a_plain_matrix(self):
+        assert spectral.is_cyclic(build(JordanBlockSpec(2, -3.0)))
+        assert not spectral.is_cyclic(np.diag([-3.0, -3.0]))
+        assert not spectral.is_cyclic(np.diag([-3.0, -3.0 + 1e-7]), tol=1e-6)
+
     def test_not_cyclic_beats_eigenvalue_reasons_in_order(self):
         verdict = spectral.classify(np.diag([3.0, 3.0]))
         reasons = [c.reason for c in verdict.failed_conditions]
@@ -357,25 +376,25 @@ class TestVectorTest:
     )
 
     def test_all_leading_coordinates_nonzero(self):
-        assert spectral.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 1.0, 0.0])
+        assert jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 1.0, 0.0])
 
     def test_zero_diagonal_coordinate_fails(self):
-        assert not spectral.convex_cyclic_vector_test(self.SPEC, [0.0, 1.0, 1.0, 1.0, 1.0])
+        assert not jordan_forms.convex_cyclic_vector_test(self.SPEC, [0.0, 1.0, 1.0, 1.0, 1.0])
 
     def test_zero_jordan_lead_fails_even_with_tail(self):
-        assert not spectral.convex_cyclic_vector_test(self.SPEC, [1.0, 0.0, 5.0, 1.0, 1.0])
+        assert not jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 0.0, 5.0, 1.0, 1.0])
 
     def test_real_block_needs_one_of_two_lead_coordinates(self):
-        assert spectral.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 0.0, 2.0])
-        assert not spectral.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 0.0, 0.0])
+        assert jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 0.0, 2.0])
+        assert not jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_single_block_promoted(self):
-        assert spectral.convex_cyclic_vector_test(DiagonalEntrySpec(-2.0), [3.0])
+        assert jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(-2.0), [3.0])
 
     def test_non_canonical_rejected(self):
         with pytest.raises(NotCanonicalForm):
-            spectral.convex_cyclic_vector_test(np.diag([-2.0]), [1.0])
+            jordan_forms.convex_cyclic_vector_test(np.diag([-2.0]), [1.0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            spectral.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0])
+            jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0])

@@ -9,7 +9,10 @@ Prints one SHA-256 per layer:
 - ``classify``: ``classify(...).to_jsonable()`` on ``classify_round``
   seeds 0-2;
 - ``density``: the ``DensityReport`` of every scan of ``density_round``
-  seeds 0-3.
+  seeds 0-3;
+- ``peak``: the peaking certificates of the 200 node sets that acceptance
+  criterion 2 draws at seed 0, each with and without ``avoid_real_values``
+  (an exception counts by its type and message).
 
 Run it on two checkouts to show that a change leaves every output bit for
 bit as it was.  It uses the library in the ``src/`` next to it and reads
@@ -32,7 +35,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import inputs  # noqa: E402
-from convex_cyclic import MatrixSpec, classify, empirical_density_scan, solve  # noqa: E402
+from convex_cyclic import (  # noqa: E402
+    ConvexCyclicError,
+    MatrixSpec,
+    classify,
+    empirical_density_scan,
+    peaking_polynomial,
+    solve,
+)
+from convex_cyclic.acceptance import _peaking_nodes  # noqa: E402
 from convex_cyclic.interpolation import ComplexNode, InterpolationProblem, RealNode  # noqa: E402
 
 
@@ -70,10 +81,28 @@ def density_digest(seeds=(0, 1, 2, 3)) -> str:
     return h.hexdigest()
 
 
+def peak_digest(seed=0, trials=200) -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(seed + 1)  # criterion 2's generator
+    for _ in range(trials):
+        nodes = _peaking_nodes(rng)
+        for avoid in (False, True):
+            try:
+                cert = peaking_polynomial(nodes, avoid_real_values=avoid)
+            except ConvexCyclicError as exc:
+                h.update(repr((type(exc).__name__, str(exc))).encode())
+                continue
+            fields = (cert.alpha, cert.power, cert.peak_point, cert.peak_value, cert.max_modulus, cert.min_power, cert.margin)
+            h.update(repr(fields).encode())
+            h.update(np.asarray(cert.polynomial.coeffs, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     # the wide slice's known InfeasibleAtCap ends would log a warning each
     logging.getLogger("convex_cyclic").setLevel(logging.ERROR)
-    for name, digest in (("solve", solve_digest), ("classify", classify_digest), ("density", density_digest)):
+    digests = (("solve", solve_digest), ("classify", classify_digest), ("density", density_digest), ("peak", peak_digest))
+    for name, digest in digests:
         print(f"{name} {digest()}", flush=True)
 
 
