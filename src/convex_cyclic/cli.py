@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from typing import Any
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         commands[name] = sub.add_parser(name, parents=[common], help=text)
     # every other flag goes only to the subcommands that read it
-    for name in ("analyze", "interpolate", "density"):
+    for name in ("analyze", "interpolate"):
         commands[name].add_argument("--tol", type=float, help="tolerance override")
     commands["interpolate"].add_argument("--max-degree", type=int, help="interpolation degree cap")
     commands["peak"].add_argument("--threshold", type=float, help="margin goal override")
@@ -87,9 +88,20 @@ def _load_json(args: argparse.Namespace) -> Any:
         except OSError as exc:
             raise ParseError(f"cannot read input file {raw!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_finite(float), parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON input: {exc}") from exc
+
+
+def _finite(parse):
+    """A JSON number parser that refuses NaN, infinities and literals beyond the float range."""
+
+    def number(literal: str):
+        if not math.isfinite(float(literal)):
+            raise ParseError(f"invalid JSON input: {literal} is not a finite number")
+        return parse(literal)
+
+    return number
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -222,10 +234,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else obj.get("poly_budget", 400)
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise ParseError("'poly_budget' must be an integer")
-    tolerance = args.tol if args.tol is not None else obj.get("tolerance", 1e-6)
-    report = empirical_density_scan(
-        matrix, vector, targets, poly_budget=budget, tolerance=parse_real(tolerance, "tolerance")
-    )
+    report = empirical_density_scan(matrix, vector, targets, poly_budget=budget)
     _emit(args, dumps_canonical(report.to_jsonable()))
     return EXIT_OK
 

@@ -231,6 +231,8 @@ def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[
     """Validate the peaking preconditions; return (R, maximum-modulus mask, those nodes)."""
     if not nodes:
         raise PreconditionViolated("node set must be nonempty")
+    if not all(cmath.isfinite(z) for z in nodes):
+        raise PreconditionViolated("nodes must be finite")
     if node_pairs(nodes):
         raise PreconditionViolated("nodes must be distinct")
     moduli = [abs(z) for z in nodes]
@@ -372,8 +374,6 @@ def _alpha_grid(center: float) -> list[float]:
             if 0.02 <= a <= 0.98 and len(grid) < _ALPHA_GRID_SIZE:
                 grid.append(a)
         j += 1
-        if j > 60:
-            break
     return grid
 
 

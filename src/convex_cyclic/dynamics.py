@@ -4,8 +4,9 @@ The membership question "is a target in the closed convex hull of the
 convex-polynomial images of a vector" is settled empirically.  Those
 images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
-decides it; its kernel, scipy's compiled ``_slsqplib``, is loaded alone at
-the first hull test, never ``scipy.optimize``.  Growth witnesses certify
+decides it, up to ``HULL_RTOL * max(1, |t|)`` for a target t; its kernel,
+scipy's compiled ``_slsqplib``, is loaded alone at the first hull test,
+never ``scipy.optimize``.  Growth witnesses certify
 unboundedness of functionals along orbits, which is the separation-based
 obstruction to such capture ever failing on admissible matrices.
 """
@@ -33,6 +34,7 @@ from .spectral import MatrixSpec, _coerce_matrix, classify
 
 __all__ = [
     "OVERFLOW_LIMIT",
+    "HULL_RTOL",
     "OrbitTrace",
     "GrowthWitness",
     "Bounded",
@@ -49,20 +51,22 @@ __all__ = [
 logger = logging.getLogger("convex_cyclic.dynamics")
 
 OVERFLOW_LIMIT = 1e300
+HULL_RTOL = 1e-6
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
 
 
 def _vector(x: Any, dimension: int, is_complex: bool) -> np.ndarray:
-    arr = np.asarray(x, dtype=complex if is_complex or np.iscomplexobj(np.asarray(x)) else float)
-    arr = np.atleast_1d(arr)
+    """``x`` as a finite float or complex vector; a real field refuses complex entries."""
+    arr = np.atleast_1d(np.asarray(x))
     if arr.ndim != 1 or len(arr) != dimension:
         raise DimensionMismatch(dimension, arr.shape[0] if arr.ndim == 1 else -1)
-    if is_complex:
-        return arr.astype(complex)
-    if np.iscomplexobj(arr):
-        raise PreconditionViolated("real matrix requires a real vector")
-    return arr.astype(float)
+    if np.iscomplexobj(arr) and not is_complex:
+        raise PreconditionViolated("real field requires a real vector")
+    arr = arr.astype(complex if is_complex else float)
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionViolated("vector entries must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,7 @@ def growth_witness(
     # warnings would only duplicate the OverflowReached signal
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_n + 1):
-            if is_complex:
-                value = float(np.vdot(f, v).real)
-            else:
-                value = float(f @ v)
+            value = float(np.vdot(f, v).real)
             if math.isfinite(value) and value > threshold:
                 return GrowthWitness(index=n, value=value, threshold=float(threshold))
             if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > OVERFLOW_LIMIT:
@@ -151,20 +152,14 @@ def growth_witness(
 
 
 def _embed(v: np.ndarray) -> np.ndarray:
-    """Real coordinates of a vector; complex entries interleave as (re, im)."""
-    if np.iscomplexobj(v):
-        out = np.empty(2 * len(v))
-        out[0::2] = v.real
-        out[1::2] = v.imag
-        return out
-    return np.asarray(v, dtype=float)
+    """Real coordinates of a float or complex vector; complex entries interleave as (re, im)."""
+    return v.view(float) if np.iscomplexobj(v) else v
 
 
 @dataclass(frozen=True)
 class HullQuery:
     points: tuple
     target: Any
-    tolerance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -193,21 +188,9 @@ def _hull_basis(G: np.ndarray) -> _HullBasis:
     return _HullBasis(points, scale, peak, norms, points / np.where(norms > 0, norms, 1.0))
 
 
-def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.ndarray, float]:
-    """``scipy.optimize.nnls`` on a 1-D ``b``, checks and answers bit for bit, from the
-    compiled ``_slsqplib`` alone; ``RuntimeError`` when ``maxiter`` (3 per column) runs out."""
-    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-    b = np.asarray_chkfinite(b, dtype=np.float64)
-    if A.ndim != 2 or b.shape != A.shape[:1]:
-        raise ValueError(f"NNLS needs a 2-D A and a 1-D b of matching rows, got {A.shape} and {b.shape}")
-    x, rnorm, info = _scipy_extension("optimize._slsqplib").nnls(A, b, maxiter or 3 * A.shape[1])
-    if info == 3:
-        raise RuntimeError("Maximum number of iterations reached.")
-    return x, rnorm
-
-
-def _hull_solve(basis: _HullBasis, target: np.ndarray, tolerance: float) -> HullResult:
-    """Is the embedded target within ``tolerance`` of the hull of G's columns?
+def _hull_solve(basis: _HullBasis, target: np.ndarray) -> HullResult:
+    """Is the embedded target t within ``HULL_RTOL * max(1, |t|)`` of the hull
+    of G's columns?
 
     ``_hull_basis(G)`` does the work that depends on G alone (peak, column
     norms, unit-norm columns), once per generator matrix; this does the
@@ -223,42 +206,45 @@ def _hull_solve(basis: _HullBasis, target: np.ndarray, tolerance: float) -> Hull
     power of two too, and ``(G/s) / (norms·r) == G/norms``, ``norm(G/s) ==
     norms·r`` and ``(G/s) @ w == ((G/basis.scale) @ w)·r`` hold exactly, so
     sharing the basis changes no bit of the result while no scaled entry
-    (nor its square, inside the column norms) leaves the normal range.
+    (nor its square, inside the column norms) leaves the normal range.  The
+    verdict compares in units of ``s`` too, so it holds up to that range.
     """
     peak = max(basis.peak, np.max(np.abs(target), initial=1.0))
     s = math.ldexp(1.0, math.frexp(peak)[1])
     r = basis.scale / s
     target = target / s
+    # max(1, |t|) in units of s: the scale of the verdict and of the unit-sum row
+    size = max(1.0 / s, float(np.linalg.norm(target)))
     # NNLS runs on unit-norm columns (zero columns stay as they are): its
-    # residual otherwise grows with the generator magnitudes and swamps an
-    # absolute tolerance.  The weight must dominate the target scale but
-    # stay far below 1 / eps times the tolerance, or rounding in the
-    # weighted row alone would swamp the residual decision.
+    # residual otherwise grows with the generator magnitudes.  The weight
+    # dominates the target scale, and its rounding (eps times the weight)
+    # stays far below the HULL_RTOL * size the verdict allows.
     norms = np.where(basis.norms > 0, basis.norms * r, 1.0)
-    weight = 1e3 * max(1.0 / s, float(np.linalg.norm(target)))
+    weight = 1e3 * size
     A = np.vstack([basis.unit, weight / norms])
     b = np.append(target, weight)
     # scipy's default cap of 3 iterations per column is too small for long,
     # nearly collinear orbit prefixes and raises instead of answering
-    u, _ = nnls(A, b, maxiter=10 * A.shape[1])
+    u, _, info = _scipy_extension("optimize._slsqplib").nnls(A, b, 10 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("NNLS reached its iteration cap")
     w = u / norms
     total = w.sum()
     if total > 0:
         w = w / total
-    residual = s * float(np.linalg.norm((basis.points @ w) * r - target))
-    return HullResult(contained=residual <= tolerance, residual=residual, weights=w)
+    distance = float(np.linalg.norm((basis.points @ w) * r - target))
+    return HullResult(contained=distance <= HULL_RTOL * size, residual=s * distance, weights=w)
 
 
 def hull_contains(query: HullQuery) -> HullResult:
-    """Convex-hull membership of the query target by nonnegative least squares."""
-    pts = [_embed(np.atleast_1d(np.asarray(p))) for p in query.points]
-    if not pts:
+    """Convex-hull membership of the query target by nonnegative least squares; points
+    and target are finite vectors of one length, complex if any point is."""
+    points = [np.atleast_1d(np.asarray(p)) for p in query.points]
+    if not points:
         raise PreconditionViolated("hull query needs at least one point")
-    target = _embed(np.atleast_1d(np.asarray(query.target)))
-    dims = {len(p) for p in pts} | {len(target)}
-    if len(dims) != 1:
-        raise DimensionMismatch(len(target), len(pts[0]))
-    return _hull_solve(_hull_basis(np.column_stack(pts)), target, query.tolerance)
+    n, is_complex = len(points[0]), any(np.iscomplexobj(p) for p in points)
+    G = np.column_stack([_embed(_vector(p, n, is_complex)) for p in points])
+    return _hull_solve(_hull_basis(G), _embed(_vector(query.target, n, is_complex)))
 
 
 @dataclass(frozen=True)
@@ -310,23 +296,22 @@ def empirical_density_scan(
     x: Any,
     targets: Iterable[Any],
     poly_budget: int = 400,
-    tolerance: float = 1e-6,
 ) -> DensityReport:
     """Fraction of targets in the hull of the orbit prefix of x (at most
     ``poly_budget`` points, cut at 1e7 times the largest input norm).
 
-    Targets live in the matrix's own space (complex coordinates allowed
-    for complex matrices); the hull test runs in interleaved real
-    coordinates.  An empty target list counts as fully captured.
+    Targets are finite vectors of the matrix's own space (complex entries only for
+    complex matrices); the hull test runs in interleaved real coordinates.
+    A target t counts as captured when its hull residual is at most
+    ``HULL_RTOL * max(1, |t|)``.  An empty target list counts as fully
+    captured.
     """
     if not (isinstance(poly_budget, int) and poly_budget >= 1):
         raise PreconditionViolated("poly_budget must be an integer >= 1")
     T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
     v = _vector(x, T.shape[0], is_complex)
-    embedded = [
-        _embed(_vector(t, T.shape[0], is_complex or np.iscomplexobj(np.asarray(t)))) for t in targets
-    ]
+    embedded = [_embed(_vector(t, T.shape[0], is_complex)) for t in targets]
     if not embedded:
         return DensityReport(total=0, captured=0, fraction=1.0, miss_indices=(), generators_used=0)
 
@@ -337,7 +322,7 @@ def empirical_density_scan(
     basis = _hull_basis(np.column_stack([_embed(p) for p in generators]))
     misses = []
     for i, t in enumerate(embedded):
-        result = _hull_solve(basis, t, tolerance)
+        result = _hull_solve(basis, t)
         if not result.contained:
             misses.append(i)
             logger.debug("target %d missed, residual %.3e", i, result.residual)

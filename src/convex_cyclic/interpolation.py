@@ -64,6 +64,9 @@ __all__ = [
     "NECESSARY_VALUE_AT_ONE",
     "NECESSARY_REAL_TARGET",
     "NECESSARY_CONJUGATE_SYMMETRY",
+    "STATUS_FEASIBLE",
+    "STATUS_INFEASIBLE_NECESSARY",
+    "STATUS_INFEASIBLE_AT_CAP",
     "check_admissibility",
     "necessary_target_check",
     "solve_at_degree",
@@ -141,8 +144,8 @@ class InterpolationProblem:
         object.__setattr__(self, "complex_nodes", tuple(self.complex_nodes))
         if not (isinstance(self.max_degree, int) and self.max_degree >= 1):
             raise PreconditionViolated("max_degree must be an integer >= 1")
-        if not self.residual_tol > 0:
-            raise PreconditionViolated("residual_tol must be positive")
+        if not 0 < self.residual_tol < math.inf:
+            raise PreconditionViolated("residual_tol must be positive and finite")
 
     def all_nodes(self) -> list[complex]:
         return [complex(n.x) for n in self.real_nodes] + [n.z for n in self.complex_nodes]

@@ -211,8 +211,8 @@ def eigenstructure(matrix: MatrixSpec | np.ndarray, tol: float | None = None) ->
     spec = _coerce_matrix(matrix)
     if tol is None:
         tol = default_tolerance(spec)
-    if not tol > 0.0:
-        raise PreconditionViolated("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise PreconditionViolated("tolerance must be positive and finite")
     n = spec.dimension
     raw = np.linalg.eigvals(spec.entries).astype(complex)
     infos = []

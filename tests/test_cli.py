@@ -64,6 +64,11 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["tolerances_used"]["tol"] == 1e-6
 
+    def test_infinite_tol_is_a_precondition_error(self, run_cli):
+        code, out, err = run_cli(["analyze", "--tol", "inf", "--input", ANALYZE_REAL])
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"]["type"] == "PreconditionViolated"
+
 
 class TestInterpolate:
     def test_feasible_schema(self, run_cli, validate_schema):
@@ -189,6 +194,25 @@ class TestErrorHandling:
         assert code == 1
         assert "cannot read input file" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("density", DENSITY_OK.replace("[3.0, -5.0]", "[3.0, Infinity]")),
+            ("density", DENSITY_OK.replace("[3.0, -5.0]", "[3.0, 1e999]")),
+            ("peak", json.dumps({"nodes": [[3, 0]]}).replace("0]", "Infinity]")),
+            ("orbit", ORBIT_REAL.replace("[1.0, 1.0]", "[NaN, 1.0]")),
+            ("analyze", ANALYZE_REAL.replace("-3.0", "-" + "9" * 400)),
+            ("interpolate", INTERPOLATE_OK.replace("7.0", "-Infinity")),
+        ],
+        ids=["density-Infinity", "density-overflow", "peak-Infinity", "orbit-NaN", "analyze-long-integer", "interpolate-minus-Infinity"],
+    )
+    def test_non_finite_numbers_are_parse_errors(self, run_cli, command, body):
+        # an uncaught exception (a traceback on the command line) would
+        # escape run_cli and fail the test
+        code, out, err = run_cli([command, "--input", body])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
     def test_malformed_matrix_is_a_parse_error(self, run_cli):
         bad = json.dumps({"field": "real", "rows": [[1.0, 2.0]]})
         code, _, err = run_cli(["analyze", "--input", bad])
@@ -245,7 +269,7 @@ class TestInputOutputPlumbing:
         "interpolate": {"--tol", "--max-degree"},
         "peak": {"--threshold"},
         "orbit": {"--horizon"},
-        "density": {"--tol", "--budget"},
+        "density": {"--budget"},
         "selftest": {"--seed"},
     }
 

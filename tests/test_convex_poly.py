@@ -244,6 +244,11 @@ class TestPeaking:
         with pytest.raises(PreconditionViolated):
             convex_poly.peaking_polynomial([])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1.0, -math.inf), complex(math.nan, 2.0)])
+    def test_non_finite_nodes_rejected(self, bad):
+        with pytest.raises(PreconditionViolated, match="finite"):
+            convex_poly.peaking_polynomial([2.0j, bad])
+
     def test_modulus_at_most_one_rejected(self):
         with pytest.raises(PreconditionViolated):
             convex_poly.peaking_polynomial([0.5, -0.25j])

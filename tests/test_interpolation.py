@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from convex_cyclic import dynamics
 from convex_cyclic import interpolation as itp
 from convex_cyclic.acceptance import _exact_jet
 from convex_cyclic.convex_poly import ConvexPolynomial
@@ -72,6 +71,21 @@ class TestProblem:
             itp.InterpolationProblem(max_degree=0)
         with pytest.raises(PreconditionViolated):
             itp.InterpolationProblem(residual_tol=0.0)
+
+    def test_residual_tol_must_be_finite(self):
+        # an infinite tolerance would let the gate accept any candidate
+        for tol in (math.inf, math.nan):
+            with pytest.raises(PreconditionViolated):
+                itp.InterpolationProblem(residual_tol=tol)
+
+    def test_status_codes_are_exported(self):
+        from convex_cyclic import STATUS_FEASIBLE, STATUS_INFEASIBLE_AT_CAP, STATUS_INFEASIBLE_NECESSARY
+
+        assert (STATUS_FEASIBLE, STATUS_INFEASIBLE_NECESSARY, STATUS_INFEASIBLE_AT_CAP) == (
+            "Feasible",
+            "InfeasibleNecessary",
+            "InfeasibleAtCap",
+        )
 
 
 class TestAdmissibility:
@@ -420,9 +434,10 @@ class TestSingleRoute:
     )
 
     def test_unknown_lp_status_escalates_without_nnls(self, monkeypatch, caplog):
+        # with the LP stubbed out, no compiled solver (NNLS included) may load
         calls = []
         monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
-        monkeypatch.setattr(dynamics, "nnls", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(itp, "_scipy_extension", calls.append)
         with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
             assert itp.solve_at_degree(self.PROBLEM, 4) is None
             capped = itp.solve(itp.InterpolationProblem(self.PROBLEM.real_nodes, max_degree=16))

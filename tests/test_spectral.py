@@ -119,6 +119,14 @@ class TestEigenstructure:
         with pytest.raises(PreconditionViolated):
             spectral.eigenstructure(np.diag([-2.0]), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite tolerance would merge every eigenvalue and fail every clause
+        with pytest.raises(PreconditionViolated):
+            spectral.eigenstructure(np.diag([-2.0]), tol=tol)
+        with pytest.raises(PreconditionViolated):
+            spectral.classify(np.diag([-2.0, -3.0]), tol=tol)
+
     @staticmethod
     def _conjugate_pairs(structure) -> tuple[tuple[int, int], ...]:
         """Index pairs i < j of non-real eigenvalues that are exact conjugates."""

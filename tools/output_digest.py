@@ -10,6 +10,10 @@ Prints one SHA-256 per layer:
   seeds 0-2;
 - ``density``: the ``DensityReport`` of every scan of ``density_round``
   seeds 0-3;
+- ``hull``: the residual and the weight bytes (not the verdict) of
+  ``hull_contains`` for every target of the budget-400 scans of
+  ``density_round`` seeds 0-1, on the orbit prefix the benchmark's trace
+  uses (cut where a point first exceeds 1e7 times the largest input norm);
 - ``peak``: the peaking certificates of the 200 node sets that acceptance
   criterion 2 draws at seed 0, each with and without ``avoid_real_values``
   (an exception counts by its type and message).
@@ -37,9 +41,12 @@ import numpy as np  # noqa: E402
 import inputs  # noqa: E402
 from convex_cyclic import (  # noqa: E402
     ConvexCyclicError,
+    HullQuery,
     MatrixSpec,
     classify,
     empirical_density_scan,
+    hull_contains,
+    orbit,
     peaking_polynomial,
     solve,
 )
@@ -81,6 +88,26 @@ def density_digest(seeds=(0, 1, 2, 3)) -> str:
     return h.hexdigest()
 
 
+def hull_digest(seeds=(0, 1)) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        for case in inputs.density_round(seed):
+            if case.budget != 400:
+                continue
+            scale = max([1.0, float(np.linalg.norm(case.x))] + [float(np.linalg.norm(t)) for t in case.targets])
+            with np.errstate(over="ignore", invalid="ignore"):
+                points = orbit(case.matrix, case.x, case.budget - 1).points
+            keep = 1
+            while keep < len(points) and np.max(np.abs(points[keep])) <= 1e7 * scale:
+                keep += 1
+            prefix = tuple(points[:keep])
+            for target in case.targets:
+                result = hull_contains(HullQuery(prefix, target))
+                h.update(repr(result.residual).encode())
+                h.update(result.weights.tobytes())
+    return h.hexdigest()
+
+
 def peak_digest(seed=0, trials=200) -> str:
     h = hashlib.sha256()
     rng = np.random.default_rng(seed + 1)  # criterion 2's generator
@@ -101,7 +128,13 @@ def peak_digest(seed=0, trials=200) -> str:
 def main() -> None:
     # the wide slice's known InfeasibleAtCap ends would log a warning each
     logging.getLogger("convex_cyclic").setLevel(logging.ERROR)
-    digests = (("solve", solve_digest), ("classify", classify_digest), ("density", density_digest), ("peak", peak_digest))
+    digests = (
+        ("solve", solve_digest),
+        ("classify", classify_digest),
+        ("density", density_digest),
+        ("hull", hull_digest),
+        ("peak", peak_digest),
+    )
     for name, digest in digests:
         print(f"{name} {digest()}", flush=True)
 
