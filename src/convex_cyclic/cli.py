@@ -55,24 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, text in (
         ("analyze", "classify a matrix or canonical direct sum"),
         ("interpolate", "solve a convex-polynomial interpolation problem"),
         ("peak", "construct a peaking polynomial for a node set"),
         ("orbit", "emit an orbit trace as CSV"),
         ("density", "empirical hull-density scan"),
-        ("selftest", "run the acceptance battery"),
     ):
-        commands[name] = sub.add_parser(name, parents=[common], help=text)
-    # every other flag goes only to the subcommands that read it
-    for name in ("analyze", "interpolate"):
-        commands[name].add_argument("--tol", type=float, help="tolerance override")
-    commands["interpolate"].add_argument("--max-degree", type=int, help="interpolation degree cap")
-    commands["peak"].add_argument("--threshold", type=float, help="margin goal override")
-    commands["orbit"].add_argument("--horizon", type=int, help="orbit length")
-    commands["density"].add_argument("--budget", type=int, help="longest orbit prefix (hull generators)")
-    commands["selftest"].add_argument("--seed", type=int, default=0, help="seed of the acceptance battery")
+        sub.add_parser(name, parents=[common], help=text)
+    # every other setting is a key of the request JSON; selftest takes no request
+    selftest = sub.add_parser("selftest", parents=[common], help="run the acceptance battery")
+    selftest.add_argument("--seed", type=int, default=0, help="seed of the acceptance battery")
     return parser
 
 
@@ -132,7 +125,7 @@ def _vector_from_obj(obj: Any, matrix: MatrixSpec, key: str = "vector") -> np.nd
 def _cmd_analyze(args: argparse.Namespace) -> int:
     obj = _load_json(args)
     matrix = _matrix_from_obj(obj)
-    verdict = classify(matrix, tol=args.tol)
+    verdict = classify(matrix)
     _emit(args, dumps_canonical(verdict.to_jsonable()))
     return EXIT_OK
 
@@ -141,10 +134,6 @@ def _cmd_interpolate(args: argparse.Namespace) -> int:
     obj = _load_json(args)
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object describing the problem")
-    if args.max_degree is not None:
-        obj = dict(obj, max_degree=args.max_degree)
-    if args.tol is not None:
-        obj = dict(obj, residual_tol=args.tol)
     problem = InterpolationProblem.from_jsonable(obj)
     certificate = solve(problem)
     _emit(args, dumps_canonical(certificate.to_jsonable()))
@@ -159,17 +148,16 @@ def _cmd_peak(args: argparse.Namespace) -> int:
     alpha = obj.get("alpha", "auto")
     if not isinstance(alpha, str):
         alpha = parse_real(alpha, "alpha")
-    margin_goal = obj.get("margin_goal", 0.0)
-    if args.threshold is not None:
-        margin_goal = args.threshold
     power_cap = obj.get("power_cap", DEFAULT_POWER_CAP)
     if isinstance(power_cap, bool) or not isinstance(power_cap, int):
         raise ParseError("'power_cap' must be an integer")
-    avoid = bool(obj.get("avoid_real_values", False))
+    avoid = obj.get("avoid_real_values", False)
+    if not isinstance(avoid, bool):
+        raise ParseError("'avoid_real_values' must be true or false")
     certificate = peaking_polynomial(
         nodes,
         alpha=alpha,
-        margin_goal=parse_real(margin_goal, "margin_goal"),
+        margin_goal=parse_real(obj.get("margin_goal", 0.0), "margin_goal"),
         power_cap=power_cap,
         avoid_real_values=avoid,
     )
@@ -197,7 +185,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         raise ParseError("expected an object with 'matrix' and 'vector'")
     matrix = _matrix_from_obj(obj["matrix"])
     vector = _vector_from_obj(obj, matrix)
-    horizon = args.horizon if args.horizon is not None else obj.get("horizon", 20)
+    horizon = obj.get("horizon", 20)
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise ParseError("'horizon' must be an integer")
     trace = orbit(matrix, vector, horizon)
@@ -231,7 +219,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if not isinstance(raw_targets, list) or not raw_targets:
         raise ParseError("'targets' must be a nonempty list of vectors")
     targets = [_vector_from_obj({"vector": item}, matrix) for item in raw_targets]
-    budget = args.budget if args.budget is not None else obj.get("poly_budget", 400)
+    budget = obj.get("poly_budget", 400)
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise ParseError("'poly_budget' must be an integer")
     report = empirical_density_scan(matrix, vector, targets, poly_budget=budget)

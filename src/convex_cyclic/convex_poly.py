@@ -309,11 +309,16 @@ def peaking_polynomial(
     ------
     PreconditionViolated
         Nodes not distinct, maximum modulus at most 1, a conjugate pair
-        among maximum-modulus nodes, alpha outside (0, 1), or an explicit
-        alpha equal to the excluded value for this node set.
+        among maximum-modulus nodes, alpha outside (0, 1), an explicit
+        alpha equal to the excluded value for this node set, a margin goal
+        that is not finite, or a power cap that is not an integer >= 0.
     NoPeakWithinCap
         The scan (or the realness-avoidance grid) was exhausted.
     """
+    if not math.isfinite(margin_goal):
+        raise PreconditionViolated("margin_goal must be finite")
+    if isinstance(power_cap, bool) or not isinstance(power_cap, int) or power_cap < 0:
+        raise PreconditionViolated("power_cap must be an integer >= 0")
     node_list = [complex(z) for z in nodes]
     max_modulus, is_top, top = _check_peaking_nodes(node_list)
 

@@ -52,6 +52,7 @@ logger = logging.getLogger("convex_cyclic.dynamics")
 
 OVERFLOW_LIMIT = 1e300
 HULL_RTOL = 1e-6
+_NILPOTENT_RTOL = 1e-6
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
 
@@ -340,14 +341,13 @@ def empirical_density_scan(
 def direct_sum_vector(
     summands: Sequence[tuple[DirectSumSpec | MatrixSpec, Any]],
     polynomial: ConvexPolynomial,
-    radius_tol: float = 1e-6,
 ) -> np.ndarray:
     """Assemble the candidate vector for a direct sum of one or two summands.
 
     With one summand the vector passes through after the coordinate test.
     With two, the polynomial must turn the first summand convex-cyclic and
-    annihilate the second (spectral radius of its image within
-    ``radius_tol`` of zero, relative to the image's scale); each block's
+    annihilate the second (spectral radius of its image at most
+    ``_NILPOTENT_RTOL * max(1, ||image||_2)``); each block's
     vector is checked coordinatewise, and the concatenation is returned.
     """
     summands = list(summands)
@@ -376,7 +376,7 @@ def direct_sum_vector(
         second_image = matrix_polynomial(polynomial, build(specs[1]))
         radius = float(np.max(np.abs(np.linalg.eigvals(second_image.astype(complex)))))
         scale = max(1.0, float(np.linalg.norm(second_image, 2)))
-        if radius > radius_tol * scale:
+        if radius > _NILPOTENT_RTOL * scale:
             raise PremiseViolated("second summand image is not nilpotent within tolerance")
     if len(vectors) == 1:
         return vectors[0]

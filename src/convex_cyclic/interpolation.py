@@ -197,13 +197,8 @@ class InterpolationProblem:
         max_degree = obj.get("max_degree", DEFAULT_MAX_DEGREE)
         if isinstance(max_degree, bool) or not isinstance(max_degree, int):
             raise ParseError("'max_degree' must be an integer")
-        residual_tol = obj.get("residual_tol", DEFAULT_RESIDUAL_TOL)
-        try:
-            return InterpolationProblem(
-                tuple(real_nodes), tuple(complex_nodes), max_degree, parse_real(residual_tol, "residual_tol")
-            )
-        except PreconditionViolated as exc:
-            raise ParseError(str(exc)) from exc
+        residual_tol = parse_real(obj.get("residual_tol", DEFAULT_RESIDUAL_TOL), "residual_tol")
+        return InterpolationProblem(tuple(real_nodes), tuple(complex_nodes), max_degree, residual_tol)
 
 
 @dataclass(frozen=True)
@@ -658,8 +653,6 @@ def solve(problem: InterpolationProblem) -> InterpolationCertificate:
 def vanishing_annihilator(
     vanish_nodes: Iterable[tuple[complex, int]],
     value_nodes: Iterable[tuple[complex, complex]] = (),
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> InterpolationCertificate:
     """Convex-polynomial vanishing to prescribed orders while hitting values.
 
@@ -667,7 +660,8 @@ def vanishing_annihilator(
     first ``order - 1`` derivatives vanish there.  ``value_nodes`` lists
     ``(node, value)`` pairs on a disjoint node set.  The combined node set
     must be admissible; violations surface as InfeasibleNecessary with the
-    admissibility reason code.
+    admissibility reason code.  The problem's degree cap and residual
+    tolerance are the defaults of ``InterpolationProblem``.
     """
     real_nodes: list[RealNode] = []
     complex_nodes: list[ComplexNode] = []
@@ -686,9 +680,7 @@ def vanishing_annihilator(
     for u, value in value_nodes:
         push(u, [complex(value)])
 
-    problem = InterpolationProblem(
-        tuple(real_nodes), tuple(complex_nodes), max_degree, residual_tol
-    )
+    problem = InterpolationProblem(tuple(real_nodes), tuple(complex_nodes))
     report = check_admissibility(problem)
     if not report.admissible:
         v = report.violations[0]

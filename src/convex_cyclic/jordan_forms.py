@@ -156,11 +156,13 @@ class DirectSumSpec:
             kind = item["type"]
             try:
                 if kind == "jordan":
-                    blocks.append(JordanBlockSpec(int(item["k"]), parse_complex(item["lambda"], where)))
+                    blocks.append(
+                        JordanBlockSpec(_block_size(item, where), parse_complex(item["lambda"], where))
+                    )
                 elif kind == "real_jordan":
                     blocks.append(
                         RealJordanBlockSpec(
-                            int(item["k"]),
+                            _block_size(item, where),
                             parse_real(item["r"], where),
                             parse_real(item["theta"], where),
                         )
@@ -171,9 +173,14 @@ class DirectSumSpec:
                     raise ParseError(f"{where}: unknown block type {kind!r}")
             except KeyError as exc:
                 raise ParseError(f"{where}: missing field {exc.args[0]!r}") from exc
-            except PreconditionViolated as exc:
-                raise ParseError(f"{where}: {exc}") from exc
         return DirectSumSpec(tuple(blocks))
+
+
+def _block_size(item: dict, where: str) -> int:
+    size = item["k"]
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ParseError(f"{where}: 'k' must be an integer, got {size!r}")
+    return size
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -123,11 +123,7 @@ class MatrixSpec:
         lengths = {len(r) for r in parsed}
         if lengths != {len(rows)}:
             raise ParseError("matrix rows must form a square array")
-        dtype = float if field == "real" else complex
-        try:
-            return MatrixSpec(field, np.array(parsed, dtype=dtype))
-        except NonSquare as exc:
-            raise ParseError(str(exc)) from exc
+        return MatrixSpec(field, np.array(parsed, dtype=float if field == "real" else complex))
 
 
 def _coerce_matrix(matrix: MatrixSpec | np.ndarray | Sequence) -> MatrixSpec:
@@ -139,7 +135,7 @@ def _coerce_matrix(matrix: MatrixSpec | np.ndarray | Sequence) -> MatrixSpec:
 
 
 def default_tolerance(matrix: MatrixSpec | np.ndarray) -> float:
-    """Default spectral tolerance: ``1e-9 * max(1, ||T||_2)``."""
+    """The spectral tolerance, ``1e-9 * max(1, ||T||_2)``: the eigensolver's rounding scale."""
     spec = _coerce_matrix(matrix)
     return 1e-9 * max(1.0, float(np.linalg.norm(spec.entries, 2)))
 
@@ -195,24 +191,25 @@ def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def eigenstructure(matrix: MatrixSpec | np.ndarray, tol: float | None = None) -> Eigenstructure:
+def eigenstructure(matrix: MatrixSpec | np.ndarray) -> Eigenstructure:
     """Cluster the spectrum and compute multiplicities.
 
-    Eigenvalues come from one eigenvalue-only solve: the real solver on the
-    entries of a real-field matrix, so that its real eigenvalues are exactly
-    real and its complex ones come in exactly conjugate pairs, and the
-    complex solver otherwise.  Eigenvalues within ``tol`` of each other are
-    merged (single linkage) and reported at their mean.  A single
-    eigenvalue has geometric multiplicity one; for a repeated cluster it is
-    the kernel dimension of ``T - lambda*I`` measured by singular values
-    against the threshold ``tol * max(1, sigma_max)``, capped by the
-    cluster size.
+    The tolerance ``tol`` is ``default_tolerance(T)``, the scale of the
+    eigensolver's rounding, and is reported as ``Eigenstructure.tol``; a
+    matrix whose 2-norm overflows has none and is refused.  Eigenvalues
+    come from one eigenvalue-only solve: the real solver on the entries of
+    a real-field matrix, so that its real eigenvalues are exactly real and
+    its complex ones come in exactly conjugate pairs, and the complex
+    solver otherwise.  Eigenvalues within ``tol`` of each other are merged
+    (single linkage) and reported at their mean.  A single eigenvalue has
+    geometric multiplicity one; for a repeated cluster it is the kernel
+    dimension of ``T - lambda*I`` measured by singular values against the
+    threshold ``tol * max(1, sigma_max)``, capped by the cluster size.
     """
     spec = _coerce_matrix(matrix)
-    if tol is None:
-        tol = default_tolerance(spec)
-    if not 0.0 < tol < np.inf:
-        raise PreconditionViolated("tolerance must be positive and finite")
+    tol = default_tolerance(spec)
+    if not tol < np.inf:
+        raise PreconditionViolated("matrix 2-norm is not finite, so no spectral tolerance scales with it")
     n = spec.dimension
     raw = np.linalg.eigvals(spec.entries).astype(complex)
     infos = []
@@ -225,13 +222,13 @@ def eigenstructure(matrix: MatrixSpec | np.ndarray, tol: float | None = None) ->
         rank = int(np.sum(sigma > tol * max(1.0, float(sigma[0]))))
         infos.append(EigenvalueInfo(value, len(group), min(max(1, n - rank), len(group))))
     infos.sort(key=lambda info: (info.value.real, info.value.imag))
-    return Eigenstructure(field=spec.field, eigenvalues=tuple(infos), tol=float(tol))
+    return Eigenstructure(field=spec.field, eigenvalues=tuple(infos), tol=tol)
 
 
-def is_cyclic(structure: Eigenstructure | MatrixSpec | np.ndarray, tol: float | None = None) -> bool:
+def is_cyclic(structure: Eigenstructure | MatrixSpec | np.ndarray) -> bool:
     """Cyclic exactly when every eigenvalue has geometric multiplicity one."""
     if not isinstance(structure, Eigenstructure):
-        structure = eigenstructure(structure, tol)
+        structure = eigenstructure(structure)
     return all(info.geometric_mult == 1 for info in structure.eigenvalues)
 
 
@@ -288,19 +285,19 @@ def _sort_failures(failures: list[FailedCondition]) -> tuple[FailedCondition, ..
     return tuple(sorted(failures, key=key))
 
 
-def classify(matrix: MatrixSpec | np.ndarray, tol: float | None = None) -> ConvexCyclicVerdict:
+def classify(matrix: MatrixSpec | np.ndarray) -> ConvexCyclicVerdict:
     """Decide convex-cyclicity and the invariant-convex-set property.
 
-    Strictness margins: an eigenvalue counts as inside the closed unit disk
-    when ``|lambda| <= 1 + tol``, as real when ``|Im lambda| <= tol``, as on
-    the nonnegative reals when additionally ``Re lambda >= -tol``, and two
+    Strictness margins, with ``tol`` the eigenstructure's tolerance: an
+    eigenvalue counts as inside the closed unit disk when
+    ``|lambda| <= 1 + tol``, as real when ``|Im lambda| <= tol``, as on the
+    nonnegative reals when additionally ``Re lambda >= -tol``, and two
     eigenvalues form a conjugate pair when ``|a - conj(b)| <= tol``.  Any
     decision within ``2 * tol`` of flipping sets ``borderline``.
     """
     spec = _coerce_matrix(matrix)
-    if tol is None:
-        tol = default_tolerance(spec)
-    structure = eigenstructure(spec, tol)
+    structure = eigenstructure(spec)
+    tol = structure.tol
     infos = structure.eigenvalues
 
     failures: list[FailedCondition] = []
@@ -353,11 +350,11 @@ def classify(matrix: MatrixSpec | np.ndarray, tol: float | None = None) -> Conve
         failed_conditions=_sort_failures(failures),
         borderline=borderline,
         tolerances_used={
-            "tol": float(tol),
-            "disk_threshold": 1.0 + float(tol),
-            "realness_threshold": float(tol),
-            "conjugate_threshold": float(tol),
-            "borderline_band": 2.0 * float(tol),
+            "tol": tol,
+            "disk_threshold": 1.0 + tol,
+            "realness_threshold": tol,
+            "conjugate_threshold": tol,
+            "borderline_band": 2.0 * tol,
         },
         eigenstructure=structure,
     )

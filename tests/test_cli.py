@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -59,16 +60,6 @@ class TestAnalyze:
         assert payload["is_convex_cyclic"] is False
         assert payload["failed_conditions"][0]["reason"] == "NonNegativeRealEigenvalue"
 
-    def test_tol_override_lands_in_payload(self, run_cli):
-        code, out, _ = run_cli(["analyze", "--tol", "1e-6", "--input", ANALYZE_REAL])
-        assert code == 0
-        assert json.loads(out)["tolerances_used"]["tol"] == 1e-6
-
-    def test_infinite_tol_is_a_precondition_error(self, run_cli):
-        code, out, err = run_cli(["analyze", "--tol", "inf", "--input", ANALYZE_REAL])
-        assert (code, out) == (4, "")
-        assert json.loads(err)["error"]["type"] == "PreconditionViolated"
-
 
 class TestInterpolate:
     def test_feasible_schema(self, run_cli, validate_schema):
@@ -92,14 +83,15 @@ class TestInterpolate:
         seen = []
         solve = convex_cyclic.cli.solve
         monkeypatch.setattr(convex_cyclic.cli, "solve", lambda problem: seen.append(problem) or solve(problem))
-        code, out, _ = run_cli(["interpolate", "--tol", "1e-6", "--input", INTERPOLATE_OK])
+        body = json.dumps(dict(json.loads(INTERPOLATE_OK), residual_tol=1e-6))
+        code, out, _ = run_cli(["interpolate", "--input", body])
         assert code == 0
         assert json.loads(out)["status"] == "Feasible"
         assert [problem.residual_tol for problem in seen] == [1e-6]
 
     def test_cap_exit_code_three(self, run_cli, validate_schema):
-        problem = json.dumps({"real_nodes": [{"x": -1.5, "targets": [1e6]}]})
-        code, out, _ = run_cli(["interpolate", "--max-degree", "4", "--input", problem])
+        problem = json.dumps({"real_nodes": [{"x": -1.5, "targets": [1e6]}], "max_degree": 4})
+        code, out, _ = run_cli(["interpolate", "--input", problem])
         assert code == 3
         payload = json.loads(out)
         validate_schema("interpolation_certificate", payload)
@@ -118,9 +110,9 @@ class TestPeak:
         assert payload["polynomial"]["coeffs_nonzero"]
 
     def test_threshold_overrides_the_margin_goal(self, run_cli):
-        # at power 0 the margin is 0.618; the threshold asks for more
-        body = json.dumps({"nodes": [[0.0, 2.0], [-2.0, 0.0]], "margin_goal": 100.0})
-        code, out, _ = run_cli(["peak", "--threshold", "1", "--input", body])
+        # at power 0 the margin is 0.618; a margin goal of 1 asks for more
+        body = json.dumps({"nodes": [[0.0, 2.0], [-2.0, 0.0]], "margin_goal": 1.0})
+        code, out, _ = run_cli(["peak", "--input", body])
         assert code == 0
         payload = json.loads(out)
         assert payload["power"] == 1
@@ -150,14 +142,15 @@ class TestOrbit:
 
     def test_complex_csv_columns(self, run_cli):
         payload = json.dumps(
-            {"matrix": {"field": "complex", "rows": [[[0.0, 2.0]]]}, "vector": [[1.0, 0.0]]}
+            {"matrix": {"field": "complex", "rows": [[[0.0, 2.0]]]}, "vector": [[1.0, 0.0]], "horizon": 1}
         )
-        code, out, _ = run_cli(["orbit", "--horizon", "1", "--input", payload])
+        code, out, _ = run_cli(["orbit", "--input", payload])
         assert code == 0
         assert out == "n,x0_re,x0_im\n0,1,0\n1,0,2\n"
 
     def test_horizon_flag_overrides_body(self, run_cli):
-        code, out, _ = run_cli(["orbit", "--horizon", "0", "--input", ORBIT_REAL])
+        body = json.dumps(dict(json.loads(ORBIT_REAL), horizon=0))
+        code, out, _ = run_cli(["orbit", "--input", body])
         assert code == 0
         assert out == "n,x0,x1\n0,1,1\n"
 
@@ -172,7 +165,8 @@ class TestDensity:
         assert payload["fraction"] == 1.0
 
     def test_budget_flag(self, run_cli):
-        code, out, _ = run_cli(["density", "--budget", "30", "--input", DENSITY_OK])
+        body = json.dumps(dict(json.loads(DENSITY_OK), poly_budget=30))
+        code, out, _ = run_cli(["density", "--input", body])
         assert code == 0
         assert json.loads(out)["generators_used"] <= 30
 
@@ -219,6 +213,62 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("analyze", {"blocks": [{"type": "jordan", "k": "x", "lambda": -2.0}]}),
+            ("analyze", {"blocks": [{"type": "jordan", "k": 2.7, "lambda": -2.0}]}),
+            ("analyze", {"blocks": [{"type": "real_jordan", "k": True, "r": 2.0, "theta": 1.0}]}),
+            ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "avoid_real_values": "no"}),
+        ],
+        ids=["block-size-string", "block-size-float", "block-size-bool", "avoid-real-values-string"],
+    )
+    def test_wrongly_typed_values_are_parse_errors(self, run_cli, command, body):
+        code, out, err = run_cli([command, "--input", json.dumps(body)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
+    # One rule in every subcommand that reads a request: a malformed request
+    # (JSON, shape or type) exits 1, a well-typed value that breaks a
+    # documented precondition exits 4, and an exhausted cap exits 3.
+    EXIT_CODES = [
+        ("analyze", {"field": "real", "rows": [[-2.0, "0"], [0.0, -3.0]]}, 1, "ParseError"),
+        ("analyze", {"blocks": [{"type": "jordan", "k": 0, "lambda": -2.0}]}, 4, "PreconditionViolated"),
+        ("analyze", {"blocks": [{"type": "real_jordan", "k": 1, "r": -2.0, "theta": 1.0}]}, 4, "PreconditionViolated"),
+        ("interpolate", {"real_nodes": [{"x": -2.0, "targets": [7.0]}], "max_degree": 4.0}, 1, "ParseError"),
+        ("interpolate", {"real_nodes": [{"x": -2.0, "targets": [7.0]}], "max_degree": 0}, 4, "PreconditionViolated"),
+        ("interpolate", {"real_nodes": [{"x": -2.0, "targets": [7.0]}], "residual_tol": 0}, 4, "PreconditionViolated"),
+        ("interpolate", {"real_nodes": [{"x": -1.5, "targets": [1e6]}], "max_degree": 4}, 3, None),
+        ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": 3.0}, 1, "ParseError"),
+        ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": -3}, 4, "PreconditionViolated"),
+        ("peak", {"nodes": [[0.0, 2.0], [2.0, 0.0]], "margin_goal": 1e12, "power_cap": 3}, 3, "NoPeakWithinCap"),
+        ("orbit", dict(json.loads(ORBIT_REAL), horizon="2"), 1, "ParseError"),
+        ("orbit", dict(json.loads(ORBIT_REAL), horizon=-1), 4, "PreconditionViolated"),
+        ("density", dict(json.loads(DENSITY_OK), poly_budget=200.0), 1, "ParseError"),
+        ("density", dict(json.loads(DENSITY_OK), poly_budget=0), 4, "PreconditionViolated"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, body, expected, error",
+        EXIT_CODES,
+        ids=[
+            "analyze-malformed", "analyze-block-size", "analyze-block-modulus",
+            "interpolate-malformed", "interpolate-max-degree", "interpolate-residual-tol", "interpolate-cap",
+            "peak-malformed", "peak-power-cap", "peak-cap",
+            "orbit-malformed", "orbit-horizon",
+            "density-malformed", "density-poly-budget",
+        ],
+    )
+    def test_one_exit_code_rule(self, run_cli, command, body, expected, error):
+        code, out, err = run_cli([command, "--input", json.dumps(body)])
+        assert code == expected
+        if error is None:
+            # an InfeasibleAtCap certificate is an answer, printed to stdout
+            assert (json.loads(out)["status"], err) == ("InfeasibleAtCap", "")
+        else:
+            assert out == ""
+            assert json.loads(err)["error"]["type"] == error
+
 
 class TestInputOutputPlumbing:
     def test_file_input_matches_inline(self, run_cli, tmp_path):
@@ -262,24 +312,19 @@ class TestInputOutputPlumbing:
             run_cli(["--version"])
         assert info.value.code == 0
 
-    # every subcommand takes --input and --output; each other flag only
-    # where it is read, so a flag the subcommand would ignore is refused
-    READ_FLAGS = {
-        "analyze": {"--tol"},
-        "interpolate": {"--tol", "--max-degree"},
-        "peak": {"--threshold"},
-        "orbit": {"--horizon"},
-        "density": {"--budget"},
-        "selftest": {"--seed"},
-    }
+    # every subcommand takes --input and --output, and selftest --seed;
+    # every other setting is a key of the request, so a flag for one of
+    # them is a usage error
+    REMOVED_FLAGS = ("--tol", "--max-degree", "--threshold", "--horizon", "--budget")
 
-    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    @pytest.mark.parametrize("command", ["analyze", "density", "interpolate", "orbit", "peak", "selftest"])
     def test_flags_a_subcommand_ignores_are_usage_errors(self, capsys, command):
         parser = convex_cyclic.cli._build_parser()
-        for flag in self.READ_FLAGS[command]:
-            args = parser.parse_args([command, flag, "1", "--input", "{}", "--output", "out"])
-            assert getattr(args, flag[2:].replace("-", "_")) == 1
-        for flag in set().union(*self.READ_FLAGS.values()) - self.READ_FLAGS[command]:
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {flag for action in subparsers.choices[command]._actions for flag in action.option_strings}
+        assert options == {"-h", "--help", "--input", "--output"} | ({"--seed"} if command == "selftest" else set())
+        refused = self.REMOVED_FLAGS + (() if command == "selftest" else ("--seed",))
+        for flag in refused:
             with pytest.raises(SystemExit) as info:
                 convex_cyclic.cli.main([command, flag, "1", "--input", "{}"])
             assert info.value.code == 2
@@ -343,7 +388,7 @@ sys.exit(main(sys.argv[2:]))
 
 
 def test_log_level_from_the_environment(fresh_python):
-    argv = ["interpolate", "--max-degree", "4", "--input", json.dumps({"real_nodes": [{"x": -1.5, "targets": [1e6]}]})]
+    argv = ["interpolate", "--input", json.dumps({"real_nodes": [{"x": -1.5, "targets": [1e6]}], "max_degree": 4})]
     debug = fresh_python(LOGGED_CLI, "debug", *argv)
     unset = fresh_python(LOGGED_CLI, "", *argv)
     assert debug.returncode == unset.returncode == 3

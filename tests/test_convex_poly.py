@@ -303,6 +303,16 @@ class TestPeaking:
         assert cert.alpha > 0.5
         assert 7e299 < cert.margin <= 1e300
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"margin_goal": math.nan}, {"margin_goal": math.inf}, {"power_cap": -3}, {"power_cap": 2.5}, {"power_cap": True}],
+        ids=["nan-goal", "infinite-goal", "negative-cap", "fractional-cap", "bool-cap"],
+    )
+    def test_goal_and_cap_preconditions(self, setting):
+        # a NaN goal fails every margin comparison, so the scan would run to its cap
+        with pytest.raises(PreconditionViolated):
+            convex_poly.peaking_polynomial([2j, -2.0], **setting)
+
     def test_power_cap_exhaustion_raises(self):
         # equal-modulus nodes keep trading the lead, so tiny caps fail
         with pytest.raises(NoPeakWithinCap):

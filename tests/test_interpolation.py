@@ -61,8 +61,11 @@ class TestProblem:
             itp.InterpolationProblem.from_jsonable({"complex_nodes": [{"z": [1.0], "targets": []}]})
         with pytest.raises(ParseError):
             itp.InterpolationProblem.from_jsonable({"max_degree": "many"})
-        with pytest.raises(ParseError):
+        # well-typed values that break a precondition are not parse errors
+        with pytest.raises(PreconditionViolated):
             itp.InterpolationProblem.from_jsonable({"max_degree": 0})
+        with pytest.raises(PreconditionViolated):
+            itp.InterpolationProblem.from_jsonable({"residual_tol": 0})
 
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):

@@ -103,8 +103,15 @@ class TestWireFormat:
             DirectSumSpec.from_jsonable({"blocks": [{"type": "mystery"}]})
         with pytest.raises(ParseError):
             DirectSumSpec.from_jsonable({"blocks": [{"type": "jordan", "k": 2}]})
-        with pytest.raises(ParseError):
+        # a well-typed size below 1 breaks a precondition, not the wire format
+        with pytest.raises(PreconditionViolated):
             DirectSumSpec.from_jsonable({"blocks": [{"type": "jordan", "k": 0, "lambda": 2.0}]})
+
+    @pytest.mark.parametrize("size", ["x", 2.7, True], ids=["string", "float", "bool"])
+    def test_block_size_must_be_a_json_integer(self, size):
+        for block in ({"type": "jordan", "k": size, "lambda": 2.0}, {"type": "real_jordan", "k": size, "r": 2.0, "theta": 1.0}):
+            with pytest.raises(ParseError, match="'k' must be an integer"):
+                DirectSumSpec.from_jsonable({"blocks": [block]})
 
 
 class TestPolynomialAction:

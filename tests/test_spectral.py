@@ -115,17 +115,14 @@ class TestEigenstructure:
         structure = spectral.eigenstructure(np.diag([-2.0, -2.0, -3.0]))
         assert structure.dimension == 3
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(PreconditionViolated):
-            spectral.eigenstructure(np.diag([-2.0]), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [np.inf, np.nan])
-    def test_tolerance_must_be_finite(self, tol):
-        # an infinite tolerance would merge every eigenvalue and fail every clause
-        with pytest.raises(PreconditionViolated):
-            spectral.eigenstructure(np.diag([-2.0]), tol=tol)
-        with pytest.raises(PreconditionViolated):
-            spectral.classify(np.diag([-2.0, -3.0]), tol=tol)
+    def test_overflowing_norm_is_refused(self):
+        # finite entries whose 2-norm overflows: the derived tolerance would
+        # be infinite, merge every eigenvalue and fail every clause
+        matrix = np.full((2, 2), 1e308)
+        with pytest.raises(PreconditionViolated, match="2-norm"):
+            spectral.eigenstructure(matrix)
+        with pytest.raises(PreconditionViolated, match="2-norm"):
+            spectral.classify(matrix)
 
     @staticmethod
     def _conjugate_pairs(structure) -> tuple[tuple[int, int], ...]:
@@ -251,16 +248,15 @@ class TestRankTests:
         values = -1.5 - np.arange(64) * 0.25
         q = _orthogonal(rng, 64)
         matrix = MatrixSpec("real", q @ np.diag(values) @ q.T)
-        tol = spectral.default_tolerance(matrix)
         calls = self._count_svd(monkeypatch)
-        verdict = spectral.classify(matrix, tol)
+        verdict = spectral.classify(matrix)
         assert verdict.is_convex_cyclic
         assert len(verdict.eigenstructure.eigenvalues) == 64
         assert calls == []
 
     def test_one_rank_test_per_repeated_cluster(self, monkeypatch):
         calls = self._count_svd(monkeypatch)
-        structure = spectral.eigenstructure(np.diag([-2.0, -2.0, -3.0, -4.0]), tol=1e-8)
+        structure = spectral.eigenstructure(np.diag([-2.0, -2.0, -3.0, -4.0]))
         assert calls == [(4, 4)]
         assert [info.geometric_mult for info in structure.eigenvalues] == [1, 1, 2]
 
@@ -311,29 +307,44 @@ class TestClassify:
             spectral.REASON_REAL_EIGENVALUE
         }
 
+    # The borderline tests place eigenvalues against the matrix's own
+    # tolerance, 1e-9 * ||T||_2 = 3e-9 for a largest eigenvalue modulus of 3.
+    TOL = spectral.default_tolerance(np.diag([-3.0]))
+
     def test_borderline_near_unit_circle(self):
-        verdict = spectral.classify(np.diag([-1.0000001, -3.0]), tol=1e-6)
-        assert verdict.borderline
-        assert {c.reason for c in verdict.failed_conditions} == {spectral.REASON_IN_CLOSED_DISK}
+        inside = spectral.classify(np.diag([-(1.0 + 0.5 * self.TOL), -3.0]))
+        outside = spectral.classify(np.diag([-(1.0 + 1.5 * self.TOL), -3.0]))
+        assert inside.tolerances_used["tol"] == outside.tolerances_used["tol"] == self.TOL
+        assert inside.borderline and outside.borderline
+        assert {c.reason for c in inside.failed_conditions} == {spectral.REASON_IN_CLOSED_DISK}
+        assert outside.is_convex_cyclic
 
     def test_borderline_near_the_origin_over_the_reals(self):
-        # -1.5e-9 is real and just misses the nonnegative-real clause
-        verdict = spectral.classify(MatrixSpec("real", np.diag([-1.5e-9, -3.0])), tol=1e-9)
+        # -1.5 * tol is real and just misses the nonnegative-real clause
+        verdict = spectral.classify(MatrixSpec("real", np.diag([-1.5 * self.TOL, -3.0])))
+        assert verdict.tolerances_used["tol"] == self.TOL
         assert verdict.borderline
         assert {c.reason for c in verdict.failed_conditions} == {spectral.REASON_IN_CLOSED_DISK}
 
     def test_borderline_near_a_conjugate_pair(self):
-        # the two eigenvalues miss being conjugate by 1.5 * tol
-        matrix = MatrixSpec("complex", np.diag([3.0 + 2.0j, 3.0 - 2.0j + 1.5e-9]))
-        verdict = spectral.classify(matrix, tol=1e-9)
-        assert verdict.borderline
-        assert verdict.is_convex_cyclic
-        assert not spectral.classify(matrix, tol=2e-9).is_convex_cyclic
+        # the two eigenvalues miss being conjugate by 1.5 * tol, or by 0.5 * tol
+        tol = spectral.default_tolerance(np.diag([3.0 + 2.0j]))
+
+        def verdict(gap):
+            return spectral.classify(MatrixSpec("complex", np.diag([3.0 + 2.0j, 3.0 - 2.0j + gap * tol])))
+
+        near = verdict(1.5)
+        assert near.tolerances_used["tol"] == pytest.approx(tol, rel=1e-6)
+        assert near.borderline
+        assert near.is_convex_cyclic
+        assert {c.reason for c in verdict(0.5).failed_conditions} == {spectral.REASON_CONJUGATE_PAIR}
 
     def test_is_cyclic_takes_a_plain_matrix(self):
         assert spectral.is_cyclic(build(JordanBlockSpec(2, -3.0)))
         assert not spectral.is_cyclic(np.diag([-3.0, -3.0]))
-        assert not spectral.is_cyclic(np.diag([-3.0, -3.0 + 1e-7]), tol=1e-6)
+        # eigenvalues within tol merge into one cluster of geometric multiplicity 2
+        assert not spectral.is_cyclic(np.diag([-3.0, -3.0 + 0.5 * self.TOL]))
+        assert spectral.is_cyclic(np.diag([-3.0, -3.0 + 1.5 * self.TOL]))
 
     def test_not_cyclic_beats_eigenvalue_reasons_in_order(self):
         verdict = spectral.classify(np.diag([3.0, 3.0]))

@@ -16,7 +16,10 @@ Prints one SHA-256 per layer:
   uses (cut where a point first exceeds 1e7 times the largest input norm);
 - ``peak``: the peaking certificates of the 200 node sets that acceptance
   criterion 2 draws at seed 0, each with and without ``avoid_real_values``
-  (an exception counts by its type and message).
+  (an exception counts by its type and message);
+- ``cli``: the exit code and stdout of every command line example in the
+  README (``analyze`` on dense rows and on block form, ``interpolate``,
+  ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``.
 
 Run it on two checkouts to show that a change leaves every output bit for
 bit as it was.  It uses the library in the ``src/`` next to it and reads
@@ -27,7 +30,9 @@ the linear algebra deterministic; set it in the environment before the run
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -50,6 +55,7 @@ from convex_cyclic import (  # noqa: E402
     peaking_polynomial,
     solve,
 )
+from convex_cyclic import cli  # noqa: E402
 from convex_cyclic.acceptance import _peaking_nodes  # noqa: E402
 from convex_cyclic.interpolation import ComplexNode, InterpolationProblem, RealNode  # noqa: E402
 
@@ -125,6 +131,34 @@ def peak_digest(seed=0, trials=200) -> str:
     return h.hexdigest()
 
 
+README_EXAMPLES = (
+    ("analyze", '{"field": "real", "rows": [[-2.0, 0.0], [0.0, -3.0]]}'),
+    (
+        "analyze",
+        '{"blocks": [{"type": "diag", "value": -2.0}, {"type": "jordan", "k": 2, "lambda": [0.0, 2.0]}, '
+        '{"type": "real_jordan", "k": 1, "r": 2.0, "theta": 1.0}]}',
+    ),
+    ("interpolate", '{"real_nodes": [{"x": -2.0, "targets": [7.0]}]}'),
+    ("peak", '{"nodes": [[0.0, 2.0], [-2.0, 0.0]]}'),
+    ("orbit", '{"matrix": {"field": "real", "rows": [[-2.0, 0.0], [0.0, -3.0]]}, "vector": [1.0, 1.0], "horizon": 3}'),
+    (
+        "density",
+        '{"matrix": {"field": "real", "rows": [[-2.0, 0.0], [0.0, -3.0]]}, "vector": [1.0, 1.0], '
+        '"targets": [[-4.0, 2.0], [3.0, -5.0]], "poly_budget": 200}',
+    ),
+)
+
+
+def cli_digest() -> str:
+    h = hashlib.sha256()
+    for command, payload in README_EXAMPLES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, "--input", payload])
+        h.update(repr((command, code, out.getvalue())).encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     # the wide slice's known InfeasibleAtCap ends would log a warning each
     logging.getLogger("convex_cyclic").setLevel(logging.ERROR)
@@ -134,6 +168,7 @@ def main() -> None:
         ("density", density_digest),
         ("hull", hull_digest),
         ("peak", peak_digest),
+        ("cli", cli_digest),
     )
     for name, digest in digests:
         print(f"{name} {digest()}", flush=True)
