@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cli, convex_poly, interpolation
-from .convex_poly import ConvexPolynomial, GrowthQuery, evaluate, find_growth_index
-from .dynamics import GrowthWitness, empirical_density_scan, growth_witness
+from .convex_poly import ConvexPolynomial, evaluate
+from .dynamics import Bounded, GrowthWitness, empirical_density_scan, growth_witness
 from .jordan_forms import JordanBlockSpec, RealJordanBlockSpec, build, complexify, matrix_polynomial, poly_on_jordan_block
 from .spectral import MatrixSpec, classify
 from .suite import convex_cyclic_entries, golden_suite
@@ -179,23 +179,21 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     return _finish(2, "peaking construction", fails, start, limit=30.0)
 
 
+def _scalar_scan(ratio: float, theta: float, coefficient: complex, threshold: float) -> GrowthWitness | Bounded:
+    """The growth scan of ``ratio**n * Re(exp(i*n*theta) * coefficient)``: the
+    functional ``conj(coefficient)`` along the orbit of 1 under ``ratio * exp(i*theta)``."""
+    matrix = np.diag([ratio * cmath.exp(1j * theta)])
+    return growth_witness(matrix, [1.0 + 0.0j], [coefficient.conjugate()], threshold, max_n=5000)
+
+
 def criterion_3(seed: int = 0) -> CriterionResult:
     """Growth scans: the worked query returns 8; random scans replay exactly."""
     start = time.monotonic()
     rng = np.random.default_rng(seed + 2)
     fails = _Failures()
-    worked = GrowthQuery(
-        theta=math.pi / 2.0,
-        coefficient=1.0 + 0.0j,
-        magnitude=lambda n: 2.0**n,
-        perturbation=None,
-        threshold=100.0,
-        max_n=5000,
-    )
-    index = find_growth_index(worked)
+    worked = _scalar_scan(2.0, math.pi / 2.0, 1.0 + 0.0j, 100.0)
+    index = worked.index if isinstance(worked, GrowthWitness) else None
     fails.check(index == 8, f"worked query returned {index}, expected 8")
-    multi = convex_poly.multivariable_growth_index(2.0, [math.pi / 2.0], [1.0 + 0.0j], 100.0, 5000)
-    fails.check(multi == 8, f"single-term multivariable scan returned {multi}, expected 8")
     for trial in range(100):
         if fails.saturated:
             break
@@ -205,14 +203,20 @@ def criterion_3(seed: int = 0) -> CriterionResult:
             theta += math.pi
         coefficient = float(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         threshold = float(rng.uniform(10.0, 1e4))
-        query = GrowthQuery(theta, coefficient, lambda n, r=ratio: r**n, None, threshold, 5000)
         try:
-            n = find_growth_index(query)
+            witness = _scalar_scan(ratio, theta, coefficient, threshold)
         except Exception as exc:
             fails.add(f"trial {trial}: scan raised {type(exc).__name__}")
             continue
+        if not fails.check(isinstance(witness, GrowthWitness), f"trial {trial}: no index crossed"):
+            continue
+        n = witness.index
         value = ratio**n * (cmath.exp(1j * n * theta) * coefficient).real
         fails.check(value > threshold, f"trial {trial}: replayed value {value!r} under threshold")
+        fails.check(
+            abs(witness.value - value) <= 1e-9 * abs(value),
+            f"trial {trial}: witness value {witness.value!r} differs from replay {value!r}",
+        )
         for k in range(1, n):
             if ratio**k * (cmath.exp(1j * k * theta) * coefficient).real > threshold:
                 fails.add(f"trial {trial}: index {k} < {n} already crosses")

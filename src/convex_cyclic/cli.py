@@ -28,7 +28,6 @@ from .dynamics import empirical_density_scan, orbit
 from .errors import (
     ConvexCyclicError,
     NoPeakWithinCap,
-    NotFoundWithinCap,
     OverflowReached,
     ParseError,
 )
@@ -41,7 +40,7 @@ EXIT_PARSE = 1
 EXIT_PRECONDITION = 4
 EXIT_CAP = 3
 
-_CAP_ERRORS = (NoPeakWithinCap, NotFoundWithinCap, OverflowReached)
+_CAP_ERRORS = (NoPeakWithinCap, OverflowReached)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,8 +114,8 @@ def _matrix_from_obj(obj: Any) -> MatrixSpec:
 
 def _vector_from_obj(obj: Any, matrix: MatrixSpec, key: str = "vector") -> np.ndarray:
     raw = obj.get(key)
-    if not isinstance(raw, list) or not raw:
-        raise ParseError(f"'{key}' must be a nonempty list")
+    if not isinstance(raw, list) or len(raw) != matrix.dimension:
+        raise ParseError(f"'{key}' must be a list of {matrix.dimension} entries")
     if matrix.field == "real":
         return np.array([parse_real(v, key) for v in raw], dtype=float)
     return np.array([parse_complex(v, key) for v in raw], dtype=complex)
@@ -146,7 +145,7 @@ def _cmd_peak(args: argparse.Namespace) -> int:
         raise ParseError("expected an object with a nonempty 'nodes' list")
     nodes = [parse_complex(z, "nodes") for z in obj["nodes"]]
     alpha = obj.get("alpha", "auto")
-    if not isinstance(alpha, str):
+    if alpha != "auto":
         alpha = parse_real(alpha, "alpha")
     power_cap = obj.get("power_cap", DEFAULT_POWER_CAP)
     if isinstance(power_cap, bool) or not isinstance(power_cap, int):
@@ -188,7 +187,12 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     horizon = obj.get("horizon", 20)
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise ParseError("'horizon' must be an integer")
-    trace = orbit(matrix, vector, horizon)
+    # a non-finite step is reported as OverflowReached, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = orbit(matrix, vector, horizon)
+    finite = np.all(np.isfinite(trace.points), axis=1)
+    if not finite.all():
+        raise OverflowReached(int(np.argmin(finite)))
     lines = []
     n = trace.points.shape[1]
     if matrix.field == "real":

@@ -4,8 +4,7 @@ A convex-polynomial has nonnegative coefficients that sum to one on the
 monomial basis.  The class is closed under multiplication and composition,
 fixes ``z = 1``, maps the closed unit disk into itself and commutes with
 complex conjugation.  On top of the algebra this module constructs peaking
-polynomials ``z^m (alpha*z + 1 - alpha)`` for admissible node sets and runs
-the threshold-crossing growth scans used by the density criterion.
+polynomials ``z^m (alpha*z + 1 - alpha)`` for admissible node sets.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +20,8 @@ from .errors import (
     AlphaGridExhausted,
     NegativeCoefficient,
     NoPeakWithinCap,
-    NotFoundWithinCap,
     PreconditionViolated,
     SumNotOne,
-    ThetaMultipleOfPi,
-    ZeroCoefficient,
 )
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "DEFAULT_POWER_CAP",
     "ConvexPolynomial",
     "PeakingCertificate",
-    "GrowthQuery",
     "validate",
     "horner",
     "evaluate",
@@ -43,9 +38,6 @@ __all__ = [
     "multiply",
     "compose",
     "peaking_polynomial",
-    "find_growth_index",
-    "growth_indices",
-    "multivariable_growth_index",
 ]
 
 # Construction tolerance on the coefficient sum; nonnegativity is exact.
@@ -402,91 +394,3 @@ def _certificate(
         min_power=power,
         margin=margin,
     )
-
-
-@dataclass(frozen=True)
-class GrowthQuery:
-    """Inputs for the scalar growth scan.
-
-    The scan looks for the first index ``n`` with
-    ``magnitude(n) * Re(perturbation(n) + exp(i*n*theta) * coefficient)``
-    above ``threshold``.  ``perturbation=None`` means identically zero.
-    """
-
-    theta: float
-    coefficient: complex
-    magnitude: Callable[[int], float]
-    perturbation: Callable[[int], complex] | None
-    threshold: float
-    max_n: int
-
-
-def _check_theta(theta: float) -> None:
-    nearest = round(theta / math.pi)
-    if abs(theta - nearest * math.pi) <= 1e-12 * max(1.0, abs(theta)):
-        raise ThetaMultipleOfPi(theta)
-
-
-def growth_indices(query: GrowthQuery) -> Iterator[int]:
-    """Yield every index up to ``max_n`` whose scan value crosses the threshold."""
-    _check_theta(query.theta)
-    if complex(query.coefficient) == 0:
-        raise ZeroCoefficient()
-    eps = query.perturbation
-    for n in range(1, query.max_n + 1):
-        rotated = cmath.exp(1j * n * query.theta) * query.coefficient
-        base = rotated if eps is None else eps(n) + rotated
-        value = query.magnitude(n) * base.real
-        if value > query.threshold:
-            yield n
-
-
-def find_growth_index(query: GrowthQuery) -> int:
-    """Smallest index whose scan value exceeds the threshold.
-
-    Raises ``ThetaMultipleOfPi`` / ``ZeroCoefficient`` for degenerate
-    queries and ``NotFoundWithinCap`` when no index up to ``max_n`` works.
-    """
-    for n in growth_indices(query):
-        return n
-    raise NotFoundWithinCap(query.max_n)
-
-
-def multivariable_growth_index(
-    ratio: float,
-    thetas: Sequence[float],
-    coefficients: Sequence[complex],
-    threshold: float,
-    max_n: int,
-) -> int:
-    """Smallest ``n`` with ``ratio**n * Re(sum_k exp(i*n*theta_k) * f_k)`` above threshold.
-
-    Requires ``ratio > 1``, every theta off the multiples of pi, no two
-    thetas congruent up to sign modulo 2*pi, and coefficients not all zero.
-    """
-    if not ratio > 1.0:
-        raise PreconditionViolated("ratio must exceed 1")
-    thetas = [float(t) for t in thetas]
-    coeffs = [complex(c) for c in coefficients]
-    if len(thetas) != len(coeffs):
-        raise PreconditionViolated("thetas and coefficients must have equal length")
-    two_pi = 2.0 * math.pi
-    for j, t in enumerate(thetas):
-        if abs(t - round(t / math.pi) * math.pi) <= NODE_TOLERANCE:
-            raise PreconditionViolated(f"theta[{j}] is an integer multiple of pi")
-    for i in range(len(thetas)):
-        for j in range(i + 1, len(thetas)):
-            for combo in (thetas[i] - thetas[j], thetas[i] + thetas[j]):
-                if abs(combo - round(combo / two_pi) * two_pi) <= NODE_TOLERANCE:
-                    raise PreconditionViolated(f"theta[{i}] and theta[{j}] coincide up to sign modulo 2*pi")
-    if all(c == 0 for c in coeffs):
-        raise PreconditionViolated("coefficients must not all be zero")
-
-    power = 1.0
-    for n in range(1, max_n + 1):
-        power *= ratio
-        total = sum(cmath.exp(1j * n * t) * c for t, c in zip(thetas, coeffs))
-        value = power * total.real
-        if value > threshold:
-            return n
-    raise NotFoundWithinCap(max_n)

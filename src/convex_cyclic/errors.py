@@ -14,9 +14,6 @@ __all__ = [
     "SumNotOne",
     "NoPeakWithinCap",
     "AlphaGridExhausted",
-    "ThetaMultipleOfPi",
-    "ZeroCoefficient",
-    "NotFoundWithinCap",
     "NonSquare",
     "DimensionMismatch",
     "OddLength",
@@ -80,29 +77,6 @@ class AlphaGridExhausted(NoPeakWithinCap):
         super().__init__(power_cap, f"{grid_size} alpha grid values exhausted")
 
 
-class ThetaMultipleOfPi(ConvexCyclicError):
-    """Growth scans require an angle that is not an integer multiple of pi."""
-
-    def __init__(self, theta: float):
-        self.theta = theta
-        super().__init__(f"theta={theta!r} is an integer multiple of pi")
-
-
-class ZeroCoefficient(ConvexCyclicError):
-    """Growth scans require a nonzero rotating coefficient."""
-
-    def __init__(self):
-        super().__init__("rotating coefficient must be nonzero")
-
-
-class NotFoundWithinCap(ConvexCyclicError):
-    """A threshold-crossing scan exhausted its index cap."""
-
-    def __init__(self, max_n: int):
-        self.max_n = max_n
-        super().__init__(f"no index up to {max_n} crossed the threshold")
-
-
 class NonSquare(ConvexCyclicError):
     """Matrix input is not square."""
 
@@ -143,7 +117,7 @@ class ZeroFunctional(ConvexCyclicError):
 
 
 class OverflowReached(ConvexCyclicError):
-    """An orbit scan left double range before reaching its threshold."""
+    """An orbit left double range at step ``index``."""
 
     def __init__(self, index: int):
         self.index = index

@@ -3,9 +3,8 @@
 Lower-triangular convention throughout: a Jordan block carries its
 eigenvalue on the diagonal and ones on the subdiagonal; a real block of
 half-dimension ``k`` carries ``r * R(theta)`` rotation cells on the diagonal
-and 2x2 identity cells on the block subdiagonal.  Closed forms are provided
-for polynomials of Jordan blocks (Toeplitz in the derivatives) and for
-powers of real blocks (binomial in the rotation angles), plus the
+and 2x2 identity cells on the block subdiagonal.  A closed form is provided
+for polynomials of Jordan blocks (Toeplitz in the derivatives), plus the
 complexification map pairing adjacent real coordinates.
 """
 
@@ -34,7 +33,6 @@ __all__ = [
     "matrix_polynomial",
     "complexify",
     "rotation",
-    "real_block_power",
 ]
 
 
@@ -307,25 +305,3 @@ def complexify(x: Sequence[float]) -> np.ndarray:
     if arr.size % 2 != 0:
         raise OddLength(arr.size)
     return arr[0::2] + 1j * arr[1::2]
-
-
-def real_block_power(modulus: float, angle: float, size: int, n: int) -> np.ndarray:
-    """Closed form for the ``n``-th power of a real block.
-
-    Cell ``(i, j)`` with ``d = i - j >= 0`` equals
-    ``C(n, d) * modulus**(n - d) * R((n - d) * angle)`` and zero above the
-    diagonal; ``n = 0`` gives the identity.
-    """
-    if size < 1:
-        raise PreconditionViolated("block size must be >= 1")
-    if n < 0:
-        raise PreconditionViolated("power must be nonnegative")
-    out = np.zeros((2 * size, 2 * size))
-    for d in range(size):
-        if d > n:
-            break
-        cell = math.comb(n, d) * modulus ** (n - d) * rotation((n - d) * angle)
-        for i in range(d, size):
-            j = i - d
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = cell
-    return out

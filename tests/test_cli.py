@@ -230,7 +230,8 @@ class TestErrorHandling:
 
     # One rule in every subcommand that reads a request: a malformed request
     # (JSON, shape or type) exits 1, a well-typed value that breaks a
-    # documented precondition exits 4, and an exhausted cap exits 3.
+    # documented precondition exits 4, and an exhausted cap or an orbit that
+    # leaves the float range exits 3.
     EXIT_CODES = [
         ("analyze", {"field": "real", "rows": [[-2.0, "0"], [0.0, -3.0]]}, 1, "ParseError"),
         ("analyze", {"blocks": [{"type": "jordan", "k": 0, "lambda": -2.0}]}, 4, "PreconditionViolated"),
@@ -242,10 +243,19 @@ class TestErrorHandling:
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": 3.0}, 1, "ParseError"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": -3}, 4, "PreconditionViolated"),
         ("peak", {"nodes": [[0.0, 2.0], [2.0, 0.0]], "margin_goal": 1e12, "power_cap": 3}, 3, "NoPeakWithinCap"),
+        ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "alpha": "half"}, 1, "ParseError"),
         ("orbit", dict(json.loads(ORBIT_REAL), horizon="2"), 1, "ParseError"),
         ("orbit", dict(json.loads(ORBIT_REAL), horizon=-1), 4, "PreconditionViolated"),
+        ("orbit", dict(json.loads(ORBIT_REAL), vector=[1.0, 1.0, 1.0]), 1, "ParseError"),
+        (
+            "orbit",
+            {"matrix": {"field": "real", "rows": [[1e200, 0.0], [0.0, 1.0]]}, "vector": [1e200, 1.0], "horizon": 3},
+            3,
+            "OverflowReached",
+        ),
         ("density", dict(json.loads(DENSITY_OK), poly_budget=200.0), 1, "ParseError"),
         ("density", dict(json.loads(DENSITY_OK), poly_budget=0), 4, "PreconditionViolated"),
+        ("density", dict(json.loads(DENSITY_OK), targets=[[-4.0, 2.0, 1.0]]), 1, "ParseError"),
     ]
 
     @pytest.mark.parametrize(
@@ -254,9 +264,9 @@ class TestErrorHandling:
         ids=[
             "analyze-malformed", "analyze-block-size", "analyze-block-modulus",
             "interpolate-malformed", "interpolate-max-degree", "interpolate-residual-tol", "interpolate-cap",
-            "peak-malformed", "peak-power-cap", "peak-cap",
-            "orbit-malformed", "orbit-horizon",
-            "density-malformed", "density-poly-budget",
+            "peak-malformed", "peak-power-cap", "peak-cap", "peak-alpha-string",
+            "orbit-malformed", "orbit-horizon", "orbit-vector-length", "orbit-overflow",
+            "density-malformed", "density-poly-budget", "density-target-length",
         ],
     )
     def test_one_exit_code_rule(self, run_cli, command, body, expected, error):

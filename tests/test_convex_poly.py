@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 from convex_cyclic import convex_poly
-from convex_cyclic.convex_poly import ConvexPolynomial, GrowthQuery
+from convex_cyclic.convex_poly import ConvexPolynomial
 from convex_cyclic.errors import (
     AlphaGridExhausted,
     NegativeCoefficient,
     NoPeakWithinCap,
-    NotFoundWithinCap,
     PreconditionViolated,
     SumNotOne,
-    ThetaMultipleOfPi,
-    ZeroCoefficient,
 )
 
 
@@ -326,93 +323,3 @@ class TestPeaking:
                 power_cap=3,
                 avoid_real_values=True,
             )
-
-
-class TestGrowthScans:
-    def test_worked_example_is_eight(self):
-        query = GrowthQuery(
-            theta=math.pi / 2.0,
-            coefficient=1.0,
-            magnitude=lambda n: 2.0**n,
-            perturbation=None,
-            threshold=100.0,
-            max_n=50,
-        )
-        assert convex_poly.find_growth_index(query) == 8
-
-    def test_indices_match_direct_scan(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            theta = float(rng.uniform(0.1, math.pi - 0.1))
-            coeff = complex(*rng.uniform(-2.0, 2.0, 2)) or 1.0
-            ratio = float(rng.uniform(1.05, 1.8))
-            threshold = float(rng.uniform(1.0, 50.0))
-            query = GrowthQuery(theta, coeff, lambda n, r=ratio: r**n, None, threshold, 200)
-            expected = [
-                n
-                for n in range(1, 201)
-                if ratio**n * (cmath.exp(1j * n * theta) * coeff).real > threshold
-            ]
-            assert list(convex_poly.growth_indices(query)) == expected
-
-    def test_perturbation_shifts_the_crossing(self):
-        base = GrowthQuery(math.pi / 2.0, 1.0, lambda n: 2.0**n, None, 100.0, 50)
-        boosted = GrowthQuery(
-            math.pi / 2.0, 1.0, lambda n: 2.0**n, lambda n: 10.0 + 0.0j, 100.0, 50
-        )
-        assert convex_poly.find_growth_index(base) == 8
-        assert convex_poly.find_growth_index(boosted) == 4
-
-    def test_theta_multiple_of_pi_rejected(self):
-        for theta in (0.0, math.pi, -3.0 * math.pi):
-            query = GrowthQuery(theta, 1.0, lambda n: 2.0**n, None, 10.0, 50)
-            with pytest.raises(ThetaMultipleOfPi):
-                convex_poly.find_growth_index(query)
-
-    def test_zero_coefficient_rejected(self):
-        query = GrowthQuery(1.0, 0.0, lambda n: 2.0**n, None, 10.0, 50)
-        with pytest.raises(ZeroCoefficient):
-            convex_poly.find_growth_index(query)
-
-    def test_cap_exhaustion_raises(self):
-        query = GrowthQuery(1.0, 1.0, lambda n: 0.5**n, None, 10.0, 100)
-        with pytest.raises(NotFoundWithinCap) as info:
-            convex_poly.find_growth_index(query)
-        assert info.value.max_n == 100
-
-    def test_multivariable_matches_direct_scan(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            thetas = [0.7, 2.1]
-            coeffs = [complex(*rng.uniform(-2.0, 2.0, 2)), complex(*rng.uniform(-2.0, 2.0, 2))]
-            if all(c == 0 for c in coeffs):
-                continue
-            ratio = float(rng.uniform(1.1, 1.6))
-            threshold = float(rng.uniform(0.5, 20.0))
-            try:
-                found = convex_poly.multivariable_growth_index(ratio, thetas, coeffs, threshold, 500)
-            except NotFoundWithinCap:
-                found = None
-            expected = next(
-                (
-                    n
-                    for n in range(1, 501)
-                    if ratio**n
-                    * sum(cmath.exp(1j * n * t) * c for t, c in zip(thetas, coeffs)).real
-                    > threshold
-                ),
-                None,
-            )
-            assert found == expected
-
-    def test_multivariable_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            convex_poly.multivariable_growth_index(1.0, [0.7], [1.0], 10.0, 100)
-        with pytest.raises(PreconditionViolated):
-            convex_poly.multivariable_growth_index(2.0, [math.pi], [1.0], 10.0, 100)
-        with pytest.raises(PreconditionViolated):
-            convex_poly.multivariable_growth_index(2.0, [0.7, -0.7], [1.0, 1.0], 10.0, 100)
-        with pytest.raises(PreconditionViolated):
-            convex_poly.multivariable_growth_index(2.0, [0.7, 2.1], [0.0, 0.0], 10.0, 100)
-        with pytest.raises(PreconditionViolated):
-            convex_poly.multivariable_growth_index(2.0, [0.7, 2.1], [1.0], 10.0, 100)

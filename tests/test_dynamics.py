@@ -124,6 +124,24 @@ class TestGrowthWitness:
         with pytest.raises(OverflowReached):
             dynamics.growth_witness(np.diag([1e200]), [1.0], [-1.0], 10.0, 10)
 
+    # over T = diag(r e^{i theta_k}), x = 1 and f = conj(c), Re<T^n x, f> is
+    # the scalar scan r^n Re(sum_k e^{i n theta_k} c_k)
+    @pytest.mark.parametrize("seed, terms", [(41, 1), (42, 2)])
+    def test_diagonal_scan_matches_closed_form(self, seed, terms):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            thetas = rng.uniform(0.1, math.pi - 0.1, terms)
+            coeffs = rng.uniform(-2.0, 2.0, terms) + 1j * rng.uniform(-2.0, 2.0, terms)
+            ratio = float(rng.uniform(1.05, 1.8))
+            threshold = float(rng.uniform(1.0, 50.0))
+            matrix = np.diag(ratio * np.exp(1j * thetas))
+            outcome = dynamics.growth_witness(matrix, np.ones(terms, dtype=complex), coeffs.conj(), threshold, 500)
+            expected = next(
+                (n for n in range(501) if ratio**n * np.sum(np.exp(1j * n * thetas) * coeffs).real > threshold),
+                None,
+            )
+            assert (outcome.index if isinstance(outcome, GrowthWitness) else None) == expected
+
 
 class TestHullContains:
     TRIANGLE = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))

@@ -20,7 +20,6 @@ from convex_cyclic.jordan_forms import (
     complexify,
     matrix_polynomial,
     poly_on_jordan_block,
-    real_block_power,
     rotation,
 )
 
@@ -202,31 +201,6 @@ class TestComplexify:
             left = complexify(real_block @ x)
             right = complex_block @ complexify(x)
             assert np.allclose(left, right, atol=1e-12)
-
-
-class TestRealBlockPower:
-    def test_matches_matrix_power(self):
-        rng = np.random.default_rng(65)
-        for _ in range(40):
-            size = int(rng.integers(1, 4))
-            modulus = float(rng.uniform(0.3, 2.0))
-            angle = float(rng.uniform(-math.pi, math.pi))
-            n = int(rng.integers(0, 9))
-            block = build(RealJordanBlockSpec(size, modulus, angle)).entries
-            assert np.allclose(
-                real_block_power(modulus, angle, size, n),
-                np.linalg.matrix_power(block, n),
-                atol=1e-9,
-            )
-
-    def test_power_zero_is_identity(self):
-        assert np.array_equal(real_block_power(2.0, 1.0, 2, 0), np.eye(4))
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            real_block_power(2.0, 1.0, 0, 1)
-        with pytest.raises(PreconditionViolated):
-            real_block_power(2.0, 1.0, 1, -1)
 
 
 def test_dimension_properties():
