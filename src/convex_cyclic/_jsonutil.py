@@ -17,6 +17,7 @@ __all__ = [
     "complex_pair",
     "parse_complex",
     "parse_real",
+    "parse_int",
     "dumps_canonical",
 ]
 
@@ -39,6 +40,12 @@ def parse_real(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def parse_int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def parse_complex(value: Any, where: str) -> complex:

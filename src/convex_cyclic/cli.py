@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from ._jsonutil import complex_pair, dumps_canonical, parse_complex, parse_real
+from ._jsonutil import complex_pair, dumps_canonical, parse_complex, parse_int, parse_real
 from .convex_poly import DEFAULT_POWER_CAP, peaking_polynomial
 from .dynamics import empirical_density_scan, orbit
 from .errors import (
@@ -147,9 +147,7 @@ def _cmd_peak(args: argparse.Namespace) -> int:
     alpha = obj.get("alpha", "auto")
     if alpha != "auto":
         alpha = parse_real(alpha, "alpha")
-    power_cap = obj.get("power_cap", DEFAULT_POWER_CAP)
-    if isinstance(power_cap, bool) or not isinstance(power_cap, int):
-        raise ParseError("'power_cap' must be an integer")
+    power_cap = parse_int(obj.get("power_cap", DEFAULT_POWER_CAP), "'power_cap'")
     avoid = obj.get("avoid_real_values", False)
     if not isinstance(avoid, bool):
         raise ParseError("'avoid_real_values' must be true or false")
@@ -184,9 +182,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         raise ParseError("expected an object with 'matrix' and 'vector'")
     matrix = _matrix_from_obj(obj["matrix"])
     vector = _vector_from_obj(obj, matrix)
-    horizon = obj.get("horizon", 20)
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ParseError("'horizon' must be an integer")
+    horizon = parse_int(obj.get("horizon", 20), "'horizon'")
     # a non-finite step is reported as OverflowReached, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         trace = orbit(matrix, vector, horizon)
@@ -223,9 +219,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if not isinstance(raw_targets, list) or not raw_targets:
         raise ParseError("'targets' must be a nonempty list of vectors")
     targets = [_vector_from_obj({"vector": item}, matrix) for item in raw_targets]
-    budget = obj.get("poly_budget", 400)
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise ParseError("'poly_budget' must be an integer")
+    budget = parse_int(obj.get("poly_budget", 400), "'poly_budget'")
     report = empirical_density_scan(matrix, vector, targets, poly_budget=budget)
     _emit(args, dumps_canonical(report.to_jsonable()))
     return EXIT_OK

@@ -22,6 +22,7 @@ from .errors import (
     NoPeakWithinCap,
     PreconditionViolated,
     SumNotOne,
+    _require_int,
 )
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "DEFAULT_POWER_CAP",
     "ConvexPolynomial",
     "PeakingCertificate",
-    "validate",
     "horner",
     "evaluate",
     "derivative",
@@ -100,19 +100,6 @@ class ConvexPolynomial:
         return f"ConvexPolynomial([{body}])"
 
 
-def validate(coeffs: Sequence[float]) -> ConvexPolynomial:
-    """Validate a raw coefficient vector and return the canonical polynomial.
-
-    Raises
-    ------
-    NegativeCoefficient
-        If any entry is negative (exact test, no tolerance).
-    SumNotOne
-        If the sum differs from one by more than ``SUM_TOLERANCE``.
-    """
-    return ConvexPolynomial(np.asarray(coeffs, dtype=float))
-
-
 def horner(coeffs: Sequence[complex], z: complex | float) -> complex | float:
     """Evaluate the ascending coefficient vector ``coeffs`` at ``z``.
 
@@ -152,8 +139,7 @@ def derivative(p: ConvexPolynomial | Sequence[complex], order: int = 1) -> np.nd
     generally not convex-polynomials).  An empty vector is returned when
     ``order`` exceeds the degree.
     """
-    if order < 0:
-        raise PreconditionViolated("derivative order must be nonnegative")
+    _require_int(order, "derivative order", 0)
     c = np.asarray(getattr(p, "coeffs", p))
     c = c.astype(np.result_type(c, float), copy=False)
     for _ in range(order):
@@ -309,8 +295,7 @@ def peaking_polynomial(
     """
     if not math.isfinite(margin_goal):
         raise PreconditionViolated("margin_goal must be finite")
-    if isinstance(power_cap, bool) or not isinstance(power_cap, int) or power_cap < 0:
-        raise PreconditionViolated("power_cap must be an integer >= 0")
+    _require_int(power_cap, "power_cap", 0)
     node_list = [complex(z) for z in nodes]
     max_modulus, is_top, top = _check_peaking_nodes(node_list)
 

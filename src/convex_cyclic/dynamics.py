@@ -20,17 +20,9 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
-from .convex_poly import ConvexPolynomial
-from .errors import (
-    DimensionMismatch,
-    OverflowReached,
-    PreconditionViolated,
-    PremiseViolated,
-    ZeroFunctional,
-)
+from .errors import DimensionMismatch, OverflowReached, PreconditionViolated, ZeroFunctional, _require_int
 from .interpolation import _scipy_extension
-from .jordan_forms import DirectSumSpec, build, convex_cyclic_vector_test, matrix_polynomial
-from .spectral import MatrixSpec, _coerce_matrix, classify
+from .spectral import MatrixSpec, _coerce_matrix
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -45,14 +37,12 @@ __all__ = [
     "growth_witness",
     "hull_contains",
     "empirical_density_scan",
-    "direct_sum_vector",
 ]
 
 logger = logging.getLogger("convex_cyclic.dynamics")
 
 OVERFLOW_LIMIT = 1e300
 HULL_RTOL = 1e-6
-_NILPOTENT_RTOL = 1e-6
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
 
@@ -83,8 +73,7 @@ class OrbitTrace:
 
 def orbit(matrix: MatrixLike, x: Any, horizon: int) -> OrbitTrace:
     """Forward orbit of ``x`` under the matrix, horizon + 1 points."""
-    if not (isinstance(horizon, int) and horizon >= 0):
-        raise PreconditionViolated("horizon must be an integer >= 0")
+    _require_int(horizon, "horizon", 0)
     T = _coerce_matrix(matrix).entries
     v = _vector(x, T.shape[0], np.iscomplexobj(T))
     points = np.empty((horizon + 1, len(v)), dtype=T.dtype)
@@ -123,8 +112,9 @@ def growth_witness(
     """Scan Re<T^n x, f> for n = 0 .. max_n against the threshold.
 
     The pairing conjugates the functional in the complex case.  Raises
-    ZeroFunctional for f = 0 and OverflowReached if the orbit leaves the
-    representable range before any witness appears.
+    ZeroFunctional for f = 0, PreconditionViolated for a threshold that is
+    not finite, and OverflowReached if the orbit leaves the representable
+    range before any witness appears.
     """
     T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
@@ -132,8 +122,9 @@ def growth_witness(
     f = _vector(functional, T.shape[0], is_complex)
     if not np.any(f != 0):
         raise ZeroFunctional()
-    if not (isinstance(max_n, int) and max_n >= 0):
-        raise PreconditionViolated("max_n must be an integer >= 0")
+    _require_int(max_n, "max_n", 0)
+    if not math.isfinite(threshold):
+        raise PreconditionViolated("threshold must be finite")
 
     best = -math.inf
     # overflow is detected through the isfinite checks below, so numpy's
@@ -307,8 +298,7 @@ def empirical_density_scan(
     ``HULL_RTOL * max(1, |t|)``.  An empty target list counts as fully
     captured.
     """
-    if not (isinstance(poly_budget, int) and poly_budget >= 1):
-        raise PreconditionViolated("poly_budget must be an integer >= 1")
+    _require_int(poly_budget, "poly_budget", 1)
     T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
     v = _vector(x, T.shape[0], is_complex)
@@ -336,50 +326,3 @@ def empirical_density_scan(
         generators_used=len(generators),
         stop_reason=stop_reason,
     )
-
-
-def direct_sum_vector(
-    summands: Sequence[tuple[DirectSumSpec | MatrixSpec, Any]],
-    polynomial: ConvexPolynomial,
-) -> np.ndarray:
-    """Assemble the candidate vector for a direct sum of one or two summands.
-
-    With one summand the vector passes through after the coordinate test.
-    With two, the polynomial must turn the first summand convex-cyclic and
-    annihilate the second (spectral radius of its image at most
-    ``_NILPOTENT_RTOL * max(1, ||image||_2)``); each block's
-    vector is checked coordinatewise, and the concatenation is returned.
-    """
-    summands = list(summands)
-    if not 1 <= len(summands) <= 2:
-        raise PreconditionViolated("expected one or two summands")
-
-    def canonical(desc) -> DirectSumSpec:
-        if isinstance(desc, DirectSumSpec):
-            return desc
-        raise PreconditionViolated("summand descriptors must be canonical direct sums")
-
-    specs = [canonical(d) for d, _ in summands]
-    vectors = []
-    for spec, vec in zip(specs, (v for _, v in summands)):
-        matrix = build(spec)
-        checked = _vector(vec, matrix.dimension, matrix.field == "complex")
-        if not convex_cyclic_vector_test(spec, checked):
-            raise PremiseViolated("vector has a zero coordinate in a leading block position")
-        vectors.append(checked)
-
-    if len(summands) == 2:
-        first_image = matrix_polynomial(polynomial, build(specs[0]))
-        verdict = classify(first_image)
-        if not verdict.is_convex_cyclic:
-            raise PremiseViolated("first summand is not convex-cyclic under the polynomial")
-        second_image = matrix_polynomial(polynomial, build(specs[1]))
-        radius = float(np.max(np.abs(np.linalg.eigvals(second_image.astype(complex)))))
-        scale = max(1.0, float(np.linalg.norm(second_image, 2)))
-        if radius > _NILPOTENT_RTOL * scale:
-            raise PremiseViolated("second summand image is not nilpotent within tolerance")
-    if len(vectors) == 1:
-        return vectors[0]
-    if np.iscomplexobj(vectors[0]) != np.iscomplexobj(vectors[1]):
-        vectors = [v.astype(complex) for v in vectors]
-    return np.concatenate(vectors)

@@ -1,10 +1,13 @@
 """Exception hierarchy shared by all modules.
 
 Every error carries enough structured state for a caller (or the CLI) to
-produce a stable reason code without parsing the message text.
+produce a stable reason code without parsing the message text.  Every
+integer count a library function takes is checked by ``_require_int``.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 __all__ = [
     "ConvexCyclicError",
@@ -17,10 +20,8 @@ __all__ = [
     "NonSquare",
     "DimensionMismatch",
     "OddLength",
-    "NotCanonicalForm",
     "ZeroFunctional",
     "OverflowReached",
-    "PremiseViolated",
 ]
 
 
@@ -41,6 +42,12 @@ class PreconditionViolated(ConvexCyclicError):
     def __init__(self, which: str):
         self.which = which
         super().__init__(which)
+
+
+def _require_int(value: Any, name: str, minimum: int) -> None:
+    """Refuse anything but an int (a bool is not one) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise PreconditionViolated(f"{name} must be an integer >= {minimum}")
 
 
 class NegativeCoefficient(ConvexCyclicError):
@@ -102,13 +109,6 @@ class OddLength(ConvexCyclicError):
         super().__init__(f"vector length {length} is odd")
 
 
-class NotCanonicalForm(ConvexCyclicError):
-    """Operation expects a canonical direct-sum descriptor."""
-
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
-
 class ZeroFunctional(ConvexCyclicError):
     """Growth witnesses are only defined for nonzero functionals."""
 
@@ -122,14 +122,3 @@ class OverflowReached(ConvexCyclicError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"orbit magnitude left float range at step {index}")
-
-
-class PremiseViolated(ConvexCyclicError):
-    """A direct-sum assembly premise failed.
-
-    ``which`` is a short stable description of the failed premise.
-    """
-
-    def __init__(self, which: str):
-        self.which = which
-        super().__init__(which)

@@ -41,9 +41,9 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ._jsonutil import complex_pair, parse_complex, parse_real
+from ._jsonutil import complex_pair, parse_complex, parse_int, parse_real
 from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs
-from .errors import ParseError, PreconditionViolated
+from .errors import ParseError, PreconditionViolated, _require_int
 
 __all__ = [
     "DEFAULT_MAX_DEGREE",
@@ -142,8 +142,7 @@ class InterpolationProblem:
     def __post_init__(self):
         object.__setattr__(self, "real_nodes", tuple(self.real_nodes))
         object.__setattr__(self, "complex_nodes", tuple(self.complex_nodes))
-        if not (isinstance(self.max_degree, int) and self.max_degree >= 1):
-            raise PreconditionViolated("max_degree must be an integer >= 1")
+        _require_int(self.max_degree, "max_degree", 1)
         if not 0 < self.residual_tol < math.inf:
             raise PreconditionViolated("residual_tol must be positive and finite")
 
@@ -194,9 +193,7 @@ class InterpolationProblem:
                     tuple(parse_complex(t, where) for t in targets),
                 )
             )
-        max_degree = obj.get("max_degree", DEFAULT_MAX_DEGREE)
-        if isinstance(max_degree, bool) or not isinstance(max_degree, int):
-            raise ParseError("'max_degree' must be an integer")
+        max_degree = parse_int(obj.get("max_degree", DEFAULT_MAX_DEGREE), "'max_degree'")
         residual_tol = parse_real(obj.get("residual_tol", DEFAULT_RESIDUAL_TOL), "residual_tol")
         return InterpolationProblem(tuple(real_nodes), tuple(complex_nodes), max_degree, residual_tol)
 
@@ -674,8 +671,7 @@ def vanishing_annihilator(
             complex_nodes.append(ComplexNode(u, tuple(targets)))
 
     for u, order in vanish_nodes:
-        if not (isinstance(order, int) and order >= 1):
-            raise PreconditionViolated("vanishing order must be an integer >= 1")
+        _require_int(order, "vanishing order", 1)
         push(u, [0.0 + 0.0j] * order)
     for u, value in value_nodes:
         push(u, [complex(value)])

@@ -16,9 +16,9 @@ from typing import Any, Sequence, Union
 
 import numpy as np
 
-from ._jsonutil import complex_pair, parse_complex, parse_real
+from ._jsonutil import complex_pair, parse_complex, parse_int, parse_real
 from .convex_poly import derivative, horner
-from .errors import DimensionMismatch, NotCanonicalForm, OddLength, ParseError, PreconditionViolated
+from .errors import DimensionMismatch, OddLength, ParseError, PreconditionViolated, _require_int
 from .spectral import MatrixSpec, _coerce_matrix
 
 __all__ = [
@@ -44,8 +44,7 @@ class JordanBlockSpec:
     eigenvalue: complex
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise PreconditionViolated("Jordan block size must be an integer >= 1")
+        _require_int(self.size, "Jordan block size", 1)
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     @property
@@ -66,10 +65,11 @@ class RealJordanBlockSpec:
     angle: float
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise PreconditionViolated("real block size must be an integer >= 1")
+        _require_int(self.size, "real block size", 1)
         if not self.modulus >= 0.0:
             raise PreconditionViolated("real block modulus must be nonnegative")
+        if not math.isfinite(self.angle):
+            raise PreconditionViolated("real block angle must be finite")
         object.__setattr__(self, "modulus", float(self.modulus))
         object.__setattr__(self, "angle", float(self.angle))
 
@@ -114,7 +114,7 @@ class DirectSumSpec:
         if not blocks:
             raise PreconditionViolated("direct sum needs at least one block")
         for b in blocks:
-            if not isinstance(b, (JordanBlockSpec, RealJordanBlockSpec, DiagonalEntrySpec)):
+            if not isinstance(b, BlockSpec):
                 raise PreconditionViolated(f"unsupported block type {type(b).__name__}")
         object.__setattr__(self, "blocks", blocks)
 
@@ -155,12 +155,12 @@ class DirectSumSpec:
             try:
                 if kind == "jordan":
                     blocks.append(
-                        JordanBlockSpec(_block_size(item, where), parse_complex(item["lambda"], where))
+                        JordanBlockSpec(parse_int(item["k"], f"{where}: 'k'"), parse_complex(item["lambda"], where))
                     )
                 elif kind == "real_jordan":
                     blocks.append(
                         RealJordanBlockSpec(
-                            _block_size(item, where),
+                            parse_int(item["k"], f"{where}: 'k'"),
                             parse_real(item["r"], where),
                             parse_real(item["theta"], where),
                         )
@@ -172,13 +172,6 @@ class DirectSumSpec:
             except KeyError as exc:
                 raise ParseError(f"{where}: missing field {exc.args[0]!r}") from exc
         return DirectSumSpec(tuple(blocks))
-
-
-def _block_size(item: dict, where: str) -> int:
-    size = item["k"]
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise ParseError(f"{where}: 'k' must be an integer, got {size!r}")
-    return size
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -208,16 +201,22 @@ def _build_block(block: BlockSpec, dtype) -> np.ndarray:
     return np.array([[value]], dtype=dtype)
 
 
+def _direct_sum(spec: Any) -> DirectSumSpec:
+    """A single block as a one-block direct sum; anything but a canonical descriptor is refused."""
+    if isinstance(spec, BlockSpec):
+        return DirectSumSpec((spec,))
+    if not isinstance(spec, DirectSumSpec):
+        raise PreconditionViolated(f"expected a canonical block or direct sum, got {type(spec).__name__}")
+    return spec
+
+
 def build(spec: BlockSpec | DirectSumSpec) -> MatrixSpec:
     """Materialize a canonical descriptor as a matrix.
 
     The field tag is real exactly when every block has real entries
     (real eigenvalues, real diagonal values, or rotation-scaling blocks).
     """
-    if isinstance(spec, (JordanBlockSpec, RealJordanBlockSpec, DiagonalEntrySpec)):
-        spec = DirectSumSpec((spec,))
-    if not isinstance(spec, DirectSumSpec):
-        raise PreconditionViolated(f"cannot build from {type(spec).__name__}")
+    spec = _direct_sum(spec)
     field = "real" if spec.is_real else "complex"
     dtype = float if field == "real" else complex
     n = spec.dimension
@@ -239,12 +238,7 @@ def convex_cyclic_vector_test(canonical: Any, vector: Sequence[complex]) -> bool
     coordinate pair for every 2x2-cell real block.  Zero tests are exact;
     the answer is only meaningful when the built matrix is convex-cyclic.
     """
-    if isinstance(canonical, (JordanBlockSpec, RealJordanBlockSpec, DiagonalEntrySpec)):
-        canonical = DirectSumSpec((canonical,))
-    if not isinstance(canonical, DirectSumSpec):
-        raise NotCanonicalForm(
-            f"expected a canonical direct-sum descriptor, got {type(canonical).__name__}"
-        )
+    canonical = _direct_sum(canonical)
     arr = np.asarray(vector, dtype=complex).ravel()
     if arr.size != canonical.dimension:
         raise DimensionMismatch(canonical.dimension, arr.size)
@@ -265,8 +259,7 @@ def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> 
     by ``(i - j)!``.  Derivative coefficients come from exact index shifts,
     so ``p(J) == 0`` exactly when ``p`` has a zero of order ``size`` there.
     """
-    if size < 1:
-        raise PreconditionViolated("block size must be >= 1")
+    _require_int(size, "block size", 1)
     lam = complex(eigenvalue)
     out = np.zeros((size, size), dtype=complex)
     for d in range(size):

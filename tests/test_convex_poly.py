@@ -26,38 +26,38 @@ def _random_poly(rng: np.random.Generator, max_degree: int = 8) -> ConvexPolynom
 
 class TestConstruction:
     def test_validate_round_trip(self):
-        p = convex_poly.validate([0.25, 0.25, 0.5])
+        p = ConvexPolynomial([0.25, 0.25, 0.5])
         assert p.degree == 2
         assert np.allclose(p.coeffs, [0.25, 0.25, 0.5])
 
     def test_negative_coefficient_rejected_with_index(self):
         with pytest.raises(NegativeCoefficient) as info:
-            convex_poly.validate([0.5, -0.1, 0.6])
+            ConvexPolynomial([0.5, -0.1, 0.6])
         assert info.value.index == 1
 
     def test_negative_rejected_even_when_tiny(self):
         with pytest.raises(NegativeCoefficient):
-            convex_poly.validate([1.0 + 1e-16, -1e-16])
+            ConvexPolynomial([1.0 + 1e-16, -1e-16])
 
     def test_sum_not_one_rejected(self):
         with pytest.raises(SumNotOne) as info:
-            convex_poly.validate([0.5, 0.6])
+            ConvexPolynomial([0.5, 0.6])
         assert info.value.actual_sum == pytest.approx(1.1)
 
     def test_sum_within_tolerance_renormalized(self):
-        p = convex_poly.validate([0.5, 0.5 + 1e-13])
+        p = ConvexPolynomial([0.5, 0.5 + 1e-13])
         assert float(p.coeffs.sum()) == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionViolated):
-            convex_poly.validate([])
+            ConvexPolynomial([])
 
     def test_trailing_zeros_stripped(self):
-        p = convex_poly.validate([0.5, 0.5, 0.0, 0.0])
+        p = ConvexPolynomial([0.5, 0.5, 0.0, 0.0])
         assert p.degree == 1
 
     def test_coeffs_are_immutable(self):
-        p = convex_poly.validate([1.0])
+        p = ConvexPolynomial([1.0])
         with pytest.raises(ValueError):
             p.coeffs[0] = 2.0
 

@@ -21,15 +21,9 @@ from convex_cyclic.errors import (
     NonSquare,
     OverflowReached,
     PreconditionViolated,
-    PremiseViolated,
     ZeroFunctional,
 )
-from convex_cyclic.jordan_forms import (
-    DiagonalEntrySpec,
-    DirectSumSpec,
-    JordanBlockSpec,
-    build,
-)
+from convex_cyclic.jordan_forms import build
 
 
 class TestOrbit:
@@ -115,6 +109,14 @@ class TestGrowthWitness:
             x = np.ones(matrix.dimension, dtype=complex if matrix.field == "complex" else float)
             outcome = dynamics.growth_witness(matrix, x, x, threshold=10.0, max_n=300)
             assert isinstance(outcome, Bounded), entry.name
+
+    def test_preconditions(self):
+        # a NaN threshold fails every comparison, so a growing orbit would read as bounded
+        for threshold in (math.nan, math.inf, -math.inf):
+            with pytest.raises(PreconditionViolated):
+                dynamics.growth_witness(np.diag([-2.0]), [1.0], [1.0], threshold, max_n=50)
+        with pytest.raises(PreconditionViolated):
+            dynamics.growth_witness(np.diag([-2.0]), [1.0], [1.0], 10.0, max_n=-1)
 
     def test_zero_functional_rejected(self):
         with pytest.raises(ZeroFunctional):
@@ -474,62 +476,3 @@ class TestOrbitHullCapture:
         report = dynamics.empirical_density_scan(T, x, targets, poly_budget=64)
         assert report.generators_used >= len(points)
         assert report.miss_indices == tuple(outside)
-
-
-class TestDirectSumVector:
-    FIRST = DirectSumSpec((DiagonalEntrySpec(-3.0), DiagonalEntrySpec(-4.0)))
-    SECOND = DirectSumSpec((JordanBlockSpec(2, -2.0),))
-
-    @staticmethod
-    def _annihilator():
-        cert = interpolation.vanishing_annihilator(
-            [(-2.0, 2)], value_nodes=[(-3.0, -2.5), (-4.0, -3.5)]
-        )
-        assert cert.status == interpolation.STATUS_FEASIBLE
-        return cert.polynomial
-
-    def test_single_summand_passes_through(self):
-        p = self._annihilator()
-        v = dynamics.direct_sum_vector([(self.FIRST, [1.0, 2.0])], p)
-        assert np.array_equal(v, [1.0, 2.0])
-
-    def test_two_summands_concatenate(self):
-        p = self._annihilator()
-        v = dynamics.direct_sum_vector([(self.FIRST, [1.0, 1.0]), (self.SECOND, [1.0, 0.0])], p)
-        assert np.array_equal(v, [1.0, 1.0, 1.0, 0.0])
-
-    def test_zero_lead_coordinate_rejected(self):
-        p = self._annihilator()
-        with pytest.raises(PremiseViolated):
-            dynamics.direct_sum_vector([(self.FIRST, [0.0, 1.0])], p)
-
-    def test_second_summand_must_be_annihilated(self):
-        # the identity polynomial leaves the second block invertible
-        from convex_cyclic.convex_poly import ConvexPolynomial
-
-        identity = ConvexPolynomial([0.0, 1.0])
-        with pytest.raises(PremiseViolated):
-            dynamics.direct_sum_vector(
-                [(self.FIRST, [1.0, 1.0]), (self.SECOND, [1.0, 0.0])], identity
-            )
-
-    def test_first_summand_must_stay_convex_cyclic(self):
-        # squaring sends the negative spectrum to positive reals
-        from convex_cyclic.convex_poly import ConvexPolynomial
-
-        square = ConvexPolynomial([0.0, 0.0, 1.0])
-        with pytest.raises(PremiseViolated):
-            dynamics.direct_sum_vector(
-                [(self.FIRST, [1.0, 1.0]), (self.SECOND, [1.0, 0.0])], square
-            )
-
-    def test_summand_count_and_descriptor_checks(self):
-        p = self._annihilator()
-        with pytest.raises(PreconditionViolated):
-            dynamics.direct_sum_vector([], p)
-        with pytest.raises(PreconditionViolated):
-            dynamics.direct_sum_vector(
-                [(self.FIRST, [1.0, 1.0])] * 3, p
-            )
-        with pytest.raises(PreconditionViolated):
-            dynamics.direct_sum_vector([(np.diag([-2.0]), [1.0])], p)

@@ -15,6 +15,7 @@ from convex_cyclic.acceptance import _exact_jet
 from convex_cyclic.convex_poly import ConvexPolynomial
 from convex_cyclic.errors import ParseError, PreconditionViolated
 from convex_cyclic.jordan_forms import JordanBlockSpec, build, matrix_polynomial
+from convex_cyclic.spectral import classify
 
 
 def _exact_within_tol(problem: itp.InterpolationProblem, p: ConvexPolynomial) -> bool:
@@ -690,6 +691,15 @@ class TestAnnihilator:
 
     def test_annihilates_the_matching_jordan_block(self):
         cert = itp.vanishing_annihilator([(-2.0, 2)], value_nodes=[(-3.0, 4.0)])
+        image = matrix_polynomial(cert.polynomial, build(JordanBlockSpec(2, -2.0)))
+        assert float(np.max(np.abs(image))) <= 1e-7
+
+    def test_one_polynomial_splits_a_direct_sum(self):
+        # the paper's direct-sum step: p keeps diag(-3, -4) convex-cyclic
+        # and annihilates J2(-2), so diag(-3, -4) + J2(-2) reduces to its first summand
+        cert = itp.vanishing_annihilator([(-2.0, 2)], value_nodes=[(-3.0, -2.5), (-4.0, -3.5)])
+        assert cert.status == itp.STATUS_FEASIBLE
+        assert classify(matrix_polynomial(cert.polynomial, np.diag([-3.0, -4.0]))).is_convex_cyclic
         image = matrix_polynomial(cert.polynomial, build(JordanBlockSpec(2, -2.0)))
         assert float(np.max(np.abs(image))) <= 1e-7
 

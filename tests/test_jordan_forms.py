@@ -71,6 +71,10 @@ class TestBuild:
             JordanBlockSpec(0, -2.0)
         with pytest.raises(PreconditionViolated):
             RealJordanBlockSpec(1, -1.0, 0.5)
+        # cos and sin of an infinite angle would escape as a math domain error
+        for angle in (math.inf, -math.inf, math.nan):
+            with pytest.raises(PreconditionViolated):
+                RealJordanBlockSpec(1, 2.0, angle)
         with pytest.raises(PreconditionViolated):
             DirectSumSpec(())
         with pytest.raises(PreconditionViolated):

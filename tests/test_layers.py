@@ -1,5 +1,6 @@
 """Package structure: every intra-package import points down one layer order,
-and the package's export list is exactly its modules' ``__all__`` lists."""
+the package's export list is exactly its modules' ``__all__`` lists, and
+every exported error class is still raised somewhere."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import ast
 from pathlib import Path
 
 import convex_cyclic
+from convex_cyclic import errors
 
 # each module may import only from the modules before it
 LAYERS = (
@@ -88,3 +90,19 @@ def test_package_exports_exactly_the_module_lists():
         for name in module.__all__:
             assert getattr(convex_cyclic, name) is getattr(module, name), f"{module.__name__}.{name}"
 
+
+def _raised_names() -> set[str]:
+    """Names of the exceptions the package's ``raise`` statements construct or re-raise."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_error_class_has_a_raise_site():
+    unraised = set(errors.__all__) - {"ConvexCyclicError"} - _raised_names()
+    assert unraised == set(), "error classes nothing raises"

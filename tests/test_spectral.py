@@ -9,7 +9,6 @@ from convex_cyclic import jordan_forms, spectral, suite
 from convex_cyclic.errors import (
     DimensionMismatch,
     NonSquare,
-    NotCanonicalForm,
     ParseError,
     PreconditionViolated,
 )
@@ -411,7 +410,7 @@ class TestVectorTest:
         assert jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(-2.0), [3.0])
 
     def test_non_canonical_rejected(self):
-        with pytest.raises(NotCanonicalForm):
+        with pytest.raises(PreconditionViolated):
             jordan_forms.convex_cyclic_vector_test(np.diag([-2.0]), [1.0])
 
     def test_dimension_mismatch_rejected(self):
