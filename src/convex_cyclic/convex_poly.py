@@ -139,7 +139,7 @@ def derivative(p: ConvexPolynomial | Sequence[complex], order: int = 1) -> np.nd
     generally not convex-polynomials).  An empty vector is returned when
     ``order`` exceeds the degree.
     """
-    _require_int(order, "derivative order", 0)
+    order = _require_int(order, "derivative order", 0)
     c = np.asarray(getattr(p, "coeffs", p))
     c = c.astype(np.result_type(c, float), copy=False)
     for _ in range(order):
@@ -295,7 +295,7 @@ def peaking_polynomial(
     """
     if not math.isfinite(margin_goal):
         raise PreconditionViolated("margin_goal must be finite")
-    _require_int(power_cap, "power_cap", 0)
+    power_cap = _require_int(power_cap, "power_cap", 0)
     node_list = [complex(z) for z in nodes]
     max_modulus, is_top, top = _check_peaking_nodes(node_list)
 

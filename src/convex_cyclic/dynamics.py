@@ -6,9 +6,9 @@ images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
 decides it, up to ``HULL_RTOL * max(1, |t|)`` for a target t; its kernel,
 scipy's compiled ``_slsqplib``, is loaded alone at the first hull test,
-never ``scipy.optimize``.  Growth witnesses certify
-unboundedness of functionals along orbits, which is the separation-based
-obstruction to such capture ever failing on admissible matrices.
+never ``scipy.optimize``.  Growth witnesses certify unboundedness of
+functionals along orbits, which is the separation-based obstruction to
+such capture ever failing on admissible matrices.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class OrbitTrace:
 
 def orbit(matrix: MatrixLike, x: Any, horizon: int) -> OrbitTrace:
     """Forward orbit of ``x`` under the matrix, horizon + 1 points."""
-    _require_int(horizon, "horizon", 0)
+    horizon = _require_int(horizon, "horizon", 0)
     T = _coerce_matrix(matrix).entries
     v = _vector(x, T.shape[0], np.iscomplexobj(T))
     points = np.empty((horizon + 1, len(v)), dtype=T.dtype)
@@ -122,7 +122,7 @@ def growth_witness(
     f = _vector(functional, T.shape[0], is_complex)
     if not np.any(f != 0):
         raise ZeroFunctional()
-    _require_int(max_n, "max_n", 0)
+    max_n = _require_int(max_n, "max_n", 0)
     if not math.isfinite(threshold):
         raise PreconditionViolated("threshold must be finite")
 
@@ -161,71 +161,62 @@ class HullResult:
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
-class _HullBasis:
-    """The target-independent half of a hull solve over G's columns."""
+def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
+    """Is each embedded target t, a row of ``targets``, within
+    ``HULL_RTOL * max(1, |t|)`` of the hull of G's columns?
 
-    points: np.ndarray  # G in units of ``scale``
-    scale: float  # the power of two just above ``peak``
-    peak: float  # largest entry magnitude of G, at least 1
-    norms: np.ndarray  # column 2-norms of ``points``, zero columns 0
-    unit: np.ndarray  # ``points`` on unit-norm columns, zero columns as they are
+    G's peak, column norms and unit-norm columns are computed once; per
+    target only the weighted unit-sum row and the right-hand side of one
+    preallocated NNLS system change.  The verdict uses the true Euclidean
+    distance after renormalizing the weights, so it never depends on the
+    penalty weight or on the column scaling.
 
-
-def _hull_basis(G: np.ndarray) -> _HullBasis:
+    Each solve runs in units of ``s``, a power of two above every entry of
+    G and of its target, so scaling rounds exactly and keeps norms and the
+    weighted row finite up to the float range.  ``s`` is G's own ``scale``
+    unless the target outgrows G; then ``r = scale / s`` is a power of two
+    too, and ``(G/s) / (norms·r) == G/norms``, ``norm(G/s) == norms·r`` and
+    ``(G/s) @ w == ((G/scale) @ w)·r`` hold exactly, so sharing the unit
+    columns changes no bit of the result while no scaled entry (nor its
+    square, inside the column norms) leaves the normal range.  The verdict
+    compares in units of ``s`` too, so it holds up to that range.
+    """
     peak = np.max(np.abs(G), initial=1.0)
     scale = math.ldexp(1.0, math.frexp(peak)[1])
     points = G / scale
     norms = np.linalg.norm(points, axis=0)
-    return _HullBasis(points, scale, peak, norms, points / np.where(norms > 0, norms, 1.0))
-
-
-def _hull_solve(basis: _HullBasis, target: np.ndarray) -> HullResult:
-    """Is the embedded target t within ``HULL_RTOL * max(1, |t|)`` of the hull
-    of G's columns?
-
-    ``_hull_basis(G)`` does the work that depends on G alone (peak, column
-    norms, unit-norm columns), once per generator matrix; this does the
-    rest, once per target.  The unit-sum constraint rides along as a
-    heavily weighted extra row; the decision uses the true Euclidean
-    distance after renormalizing the weights, so the verdict never depends
-    on the penalty weight or on the column scaling.
-
-    The solve runs in units of ``s``, a power of two above every entry of
-    G and of the target, so scaling rounds exactly and keeps norms and the
-    weighted row finite up to the float range.  ``s`` is the basis's own
-    scale unless the target outgrows G; then ``r = basis.scale / s`` is a
-    power of two too, and ``(G/s) / (norms·r) == G/norms``, ``norm(G/s) ==
-    norms·r`` and ``(G/s) @ w == ((G/basis.scale) @ w)·r`` hold exactly, so
-    sharing the basis changes no bit of the result while no scaled entry
-    (nor its square, inside the column norms) leaves the normal range.  The
-    verdict compares in units of ``s`` too, so it holds up to that range.
-    """
-    peak = max(basis.peak, np.max(np.abs(target), initial=1.0))
-    s = math.ldexp(1.0, math.frexp(peak)[1])
-    r = basis.scale / s
-    target = target / s
-    # max(1, |t|) in units of s: the scale of the verdict and of the unit-sum row
-    size = max(1.0 / s, float(np.linalg.norm(target)))
+    nonzero = norms > 0
     # NNLS runs on unit-norm columns (zero columns stay as they are): its
-    # residual otherwise grows with the generator magnitudes.  The weight
-    # dominates the target scale, and its rounding (eps times the weight)
-    # stays far below the HULL_RTOL * size the verdict allows.
-    norms = np.where(basis.norms > 0, basis.norms * r, 1.0)
-    weight = 1e3 * size
-    A = np.vstack([basis.unit, weight / norms])
-    b = np.append(target, weight)
+    # residual otherwise grows with the generator magnitudes
+    unit_norms = np.where(nonzero, norms, 1.0)
+    dim, count = G.shape
+    A, b = np.empty((dim + 1, count)), np.empty(dim + 1)
+    A[:dim] = points / unit_norms
     # scipy's default cap of 3 iterations per column is too small for long,
     # nearly collinear orbit prefixes and raises instead of answering
-    u, _, info = _scipy_extension("optimize._slsqplib").nnls(A, b, 10 * A.shape[1])
-    if info == 3:
-        raise RuntimeError("NNLS reached its iteration cap")
-    w = u / norms
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    distance = float(np.linalg.norm((basis.points @ w) * r - target))
-    return HullResult(contained=distance <= HULL_RTOL * size, residual=s * distance, weights=w)
+    nnls, cap = _scipy_extension("optimize._slsqplib").nnls, 10 * count
+    results = []
+    for t, t_peak in zip(targets, np.max(np.abs(targets), axis=1, initial=1.0).tolist()):
+        s = math.ldexp(1.0, math.frexp(max(peak, t_peak))[1])
+        r = scale / s
+        t = t / s
+        # max(1, |t|) in units of s scales the verdict and the unit-sum row's
+        # weight, whose rounding (eps times it) stays far below HULL_RTOL * size
+        size = max(1.0 / s, math.sqrt(t @ t))
+        col = unit_norms if r == 1.0 else np.where(nonzero, norms * r, 1.0)
+        np.divide(1e3 * size, col, out=A[dim])
+        b[:dim], b[dim] = t, 1e3 * size
+        u, _, info = nnls(A, b, cap)
+        if info == 3:
+            raise RuntimeError("NNLS reached its iteration cap")
+        w = u / col
+        total = w.sum()
+        if total > 0:
+            w = w / total
+        gap = (points @ w) * r - t
+        distance = math.sqrt(gap @ gap)
+        results.append(HullResult(contained=distance <= HULL_RTOL * size, residual=s * distance, weights=w))
+    return results
 
 
 def hull_contains(query: HullQuery) -> HullResult:
@@ -236,7 +227,7 @@ def hull_contains(query: HullQuery) -> HullResult:
         raise PreconditionViolated("hull query needs at least one point")
     n, is_complex = len(points[0]), any(np.iscomplexobj(p) for p in points)
     G = np.column_stack([_embed(_vector(p, n, is_complex)) for p in points])
-    return _hull_solve(_hull_basis(G), _embed(_vector(query.target, n, is_complex)))
+    return _hull_solve(G, _embed(_vector(query.target, n, is_complex))[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -273,12 +264,15 @@ def _generator_points(
     an entry beyond ``norm_cap``.
     """
     points = [x.copy()]
+    limit = min(norm_cap, np.finfo(float).max)  # finite, so an infinite cap stops an infinite entry
     while len(points) < budget:
         nxt = T @ points[-1]
-        if not np.all(np.isfinite(nxt)):
-            return points, "overflow"
-        if np.max(np.abs(nxt)) > norm_cap:
-            return points, "norm_cap"
+        peak = np.max(np.abs(nxt))
+        if not peak <= limit:
+            if not np.all(np.isfinite(nxt)):
+                return points, "overflow"
+            if peak > norm_cap:
+                return points, "norm_cap"
         points.append(nxt)
     return points, "budget"
 
@@ -298,7 +292,7 @@ def empirical_density_scan(
     ``HULL_RTOL * max(1, |t|)``.  An empty target list counts as fully
     captured.
     """
-    _require_int(poly_budget, "poly_budget", 1)
+    poly_budget = _require_int(poly_budget, "poly_budget", 1)
     T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
     v = _vector(x, T.shape[0], is_complex)
@@ -310,10 +304,9 @@ def empirical_density_scan(
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(t)) for t in embedded])
         generators, stop_reason = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
-    basis = _hull_basis(np.column_stack([_embed(p) for p in generators]))
+    results = _hull_solve(np.column_stack([_embed(p) for p in generators]), np.array(embedded))
     misses = []
-    for i, t in enumerate(embedded):
-        result = _hull_solve(basis, t)
+    for i, result in enumerate(results):
         if not result.contained:
             misses.append(i)
             logger.debug("target %d missed, residual %.3e", i, result.residual)

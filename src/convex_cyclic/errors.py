@@ -7,6 +7,8 @@ integer count a library function takes is checked by ``_require_int``.
 
 from __future__ import annotations
 
+import contextlib
+import operator
 from typing import Any
 
 __all__ = [
@@ -44,10 +46,13 @@ class PreconditionViolated(ConvexCyclicError):
         super().__init__(which)
 
 
-def _require_int(value: Any, name: str, minimum: int) -> None:
-    """Refuse anything but an int (a bool is not one) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise PreconditionViolated(f"{name} must be an integer >= {minimum}")
+def _require_int(value: Any, name: str, minimum: int) -> int:
+    """``value`` as an int: any integer type (``operator.index``) but a bool, at least ``minimum``."""
+    if type(value).__name__ not in ("bool", "bool_"):  # Python's and numpy's booleans
+        with contextlib.suppress(TypeError):
+            if (count := operator.index(value)) >= minimum:
+                return count
+    raise PreconditionViolated(f"{name} must be an integer >= {minimum}")
 
 
 class NegativeCoefficient(ConvexCyclicError):

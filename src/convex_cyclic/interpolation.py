@@ -15,11 +15,11 @@ rows, built once per candidate, that refinement and the measurement apply
 to the coefficients.  Any other outcome (an infeasible LP, an LP that ends
 without an optimum, a candidate that fails the gate) moves on to the next
 degree; degrees escalate geometrically up to the cap.
-HiGHS is driven directly through scipy's bindings, with exactly the options
-and status reading of ``scipy.optimize.linprog(method="highs")``: the
-answers are the same bit for bit, without the wrapper's per-call option
-validation, sparse conversion and result assembly, which cost about twice
-the solve itself on these small LPs.  The compiled HiGHS bindings are
+One HiGHS instance, driven through scipy's bindings, serves every degree
+of a solve with the options and status reading of ``linprog(method="highs",
+options={"presolve": False})``, bit for bit, without the wrapper's per-call
+option validation, sparse conversion and result assembly; presolve removes
+nothing from these small dense LPs.  The compiled HiGHS bindings are
 loaded alone at the first LP, and ``scipy.optimize`` itself never is, so a
 cold solve pays only for them.  Node sets with distinct real nodes below -1
 and distinct non-real complex nodes outside the closed unit disk with no
@@ -142,7 +142,7 @@ class InterpolationProblem:
     def __post_init__(self):
         object.__setattr__(self, "real_nodes", tuple(self.real_nodes))
         object.__setattr__(self, "complex_nodes", tuple(self.complex_nodes))
-        _require_int(self.max_degree, "max_degree", 1)
+        object.__setattr__(self, "max_degree", _require_int(self.max_degree, "max_degree", 1))
         if not 0 < self.residual_tol < math.inf:
             raise PreconditionViolated("residual_tol must be positive and finite")
 
@@ -384,34 +384,30 @@ def _jet_rows(
     """
     columns = np.asarray(columns)
     col_scale = scale ** (-columns.astype(float))
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    targets = _targets(problem)
+    nodes = np.array([u for u, *_ in targets], dtype=dtype)
+    orders = np.array([order for _, order, *_ in targets], dtype=int)
+    exponent = columns - orders[:, None]
+    used = exponent >= 0
+    # row j of the table holds falling(i, j) = i (i - 1) ... (i - j + 1)
+    steps = np.ones((orders.max(initial=0) + 1, len(columns)))
+    steps[1:] = columns - np.arange(len(steps) - 1)[:, None]
+    falling = np.cumprod(steps, axis=0)[orders]
     with np.errstate(over="ignore", invalid="ignore"):
-        for u, order, target, is_real in _targets(problem):
-            z = dtype(u)
-            powers = np.zeros(len(columns), dtype=dtype)
-            used = columns >= order
-            i = columns[used]
-            falling = np.ones(len(i))
-            for t in range(order):
-                falling *= i - t
-            powers[used] = falling * np.power(z, i - order)
-            scaled = powers * col_scale
-            # u**(i - order) overflows long before its scaled entry does;
-            # rebuild exactly those entries from powers of u / scale
-            bad = ~np.isfinite(scaled)
-            if bad.any():
-                k = bad[used]
-                scaled[bad] = falling[k] * np.power(z / scale, (i - order)[k]) * scale ** (-order)
-            rows.append(scaled.real)
-            rhs.append(target.real)
-            if not is_real:
-                rows.append(scaled.imag)
-                rhs.append(target.imag)
-    rows.append(col_scale)
-    rhs.append(1.0)
+        powers = np.where(used, falling * np.power(nodes[:, None], np.where(used, exponent, 0)), 0)
+        scaled = powers * col_scale
+        # u**(i - order) overflows long before its scaled entry does;
+        # rebuild exactly those entries from powers of u / scale
+        bad = ~np.isfinite(scaled)
+        for k in np.flatnonzero(bad.any(axis=1)):
+            (u, order, *_), cols = targets[k], bad[k]
+            # dtype(u), not nodes[k]: for dtype=complex it divides in Python's complex arithmetic
+            scaled[k, cols] = falling[k, cols] * np.power(dtype(u) / scale, exponent[k, cols]) * scale ** (-order)
+    keep = np.array([(True, not is_real) for *_, is_real in targets], dtype=bool).reshape(-1)
     real = np.finfo(dtype).dtype
-    return np.array(rows, dtype=real), np.array(rhs, dtype=real)
+    parts = scaled.view(real).reshape(len(targets), len(columns), 2).transpose(0, 2, 1)
+    rhs = np.array([w for _, _, w, _ in targets], dtype=dtype).view(real)[keep]
+    return np.vstack([parts.reshape(-1, len(columns))[keep], col_scale]), np.append(rhs, 1.0)
 
 
 def _polish(
@@ -496,13 +492,13 @@ LP_INFEASIBLE = "infeasible"
 
 @functools.cache
 def _lp_options() -> tuple[Any, Any]:
-    """scipy's compiled HiGHS bindings and the options
-    ``linprog(method="highs")`` sets for this LP, both loaded at the first
-    LP, without ``scipy.optimize``."""
+    """scipy's compiled HiGHS bindings and linprog's options for this LP but
+    presolve (it removes nothing from these small dense LPs and cost a
+    quarter of each LP), loaded at the first LP without ``scipy.optimize``."""
     highs = _scipy_extension("optimize._highspy._core")
 
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.primal_feasibility_tolerance = 1e-10
     options.dual_feasibility_tolerance = 1e-7
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -512,15 +508,24 @@ def _lp_options() -> tuple[Any, Any]:
     return highs, options
 
 
-def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-    """Minimize ``c @ x`` subject to ``A x = b``, ``x >= 0``, with HiGHS.
+def _highs_solver() -> Any:
+    """A HiGHS instance holding the options of ``_lp_options``, for one solve's LPs."""
+    highs, options = _lp_options()
+    solver = highs._Highs()
+    solver.passOptions(options)
+    return solver
 
-    Same model, options and status reading as ``linprog(method="highs")``,
-    without its per-call option validation, sparse conversion and result
-    assembly.  Returns ``(LP_OPTIMAL, x)``, ``(LP_INFEASIBLE, None)``, or
-    HiGHS's text for any other status with ``None``.  linprog's own check of
-    an optimal point (bounds and rows within 3e-4) is left out: every
-    candidate faces the residual gate of ``solve_at_degree``, far tighter.
+
+def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, solver: Any) -> tuple[str, np.ndarray | None]:
+    """Minimize ``c @ x`` subject to ``A x = b``, ``x >= 0``, on ``solver``.
+
+    Same model, status reading and options as ``linprog(method="highs")``
+    with ``presolve=False``.  ``passModel`` clears the instance's previous
+    model and solver state, so a reused instance answers as a fresh one.
+    Returns ``(LP_OPTIMAL, x)``, ``(LP_INFEASIBLE, None)``, or HiGHS's text
+    for any other status with ``None``.  linprog's own check of an optimal
+    point (bounds and rows within 3e-4) is left out: every candidate faces
+    the residual gate of ``solve_at_degree``, far tighter.
     """
     m, n = A.shape
     # HiGHS reads n costs and m right-hand sides through raw pointers
@@ -534,9 +539,7 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndar
     np.cumsum(nonzero.sum(axis=1), out=start[1:])
     index = np.nonzero(nonzero)[1].astype(np.int32)
     value = A.T[nonzero]
-    highs, options = _lp_options()
-    solver = highs._Highs()
-    solver.passOptions(options)
+    highs, _ = _lp_options()
     solver.passModel(
         n, m, len(value), int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
         c, np.zeros(n), np.full(n, highs.kHighsInf), b, b, start, index, value,
@@ -553,18 +556,18 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndar
 
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
     """Feasibility at one fixed degree; verified polynomial or None."""
-    found = _certify(problem, degree)
+    found = _certify(problem, degree, _highs_solver())
     return None if found is None else found[0]
 
 
-def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomial, float] | None:
+def _certify(problem: InterpolationProblem, degree: int, solver: Any) -> tuple[ConvexPolynomial, float] | None:
     """Verified polynomial at one fixed degree with its residual, or None.
 
-    One route: the LP either proves the degree infeasible, ends with any
-    other non-optimal status (both give None, and ``solve`` escalates), or
-    returns an optimal point that ``_polish`` refines on its support and
-    measures.  The candidate counts as feasible only if that residual stays
-    within ``residual_tol``.
+    One route: the LP, posed on ``solver``, either proves the degree
+    infeasible, ends with any other non-optimal status (both give None, and
+    ``solve`` escalates), or returns an optimal point that ``_polish``
+    refines on its support and measures.  The candidate counts as feasible
+    only if that residual stays within ``residual_tol``.
     """
     scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
     rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
@@ -584,7 +587,7 @@ def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomi
         for t in range(order):
             ff *= np.maximum(idx - t, 0.0)
         weight = weight + ff / scale**order
-    status, b = _highs_lp(weight, eq_rows, eq_rhs)
+    status, b = _highs_lp(weight, eq_rows, eq_rhs, solver)
     if status != LP_OPTIMAL:
         if status != LP_INFEASIBLE:  # infeasible is a proof; anything else is not
             logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
@@ -624,13 +627,11 @@ def solve(problem: InterpolationProblem) -> InterpolationCertificate:
         )
     if problem.constraint_count() == 0:
         return InterpolationCertificate(
-            status=STATUS_FEASIBLE,
-            polynomial=ConvexPolynomial([1.0]),
-            degree_used=0,
-            max_residual=0.0,
+            status=STATUS_FEASIBLE, polynomial=ConvexPolynomial([1.0]), degree_used=0, max_residual=0.0
         )
+    solver = _highs_solver()  # one instance for every degree's LP
     for degree in _escalation_degrees(problem):
-        found = _certify(problem, degree)
+        found = _certify(problem, degree, solver)
         if found is not None:
             p, residual = found
             return InterpolationCertificate(
@@ -671,7 +672,7 @@ def vanishing_annihilator(
             complex_nodes.append(ComplexNode(u, tuple(targets)))
 
     for u, order in vanish_nodes:
-        _require_int(order, "vanishing order", 1)
+        order = _require_int(order, "vanishing order", 1)
         push(u, [0.0 + 0.0j] * order)
     for u, value in value_nodes:
         push(u, [complex(value)])

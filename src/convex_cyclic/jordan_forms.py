@@ -44,7 +44,7 @@ class JordanBlockSpec:
     eigenvalue: complex
 
     def __post_init__(self):
-        _require_int(self.size, "Jordan block size", 1)
+        object.__setattr__(self, "size", _require_int(self.size, "Jordan block size", 1))
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     @property
@@ -65,7 +65,7 @@ class RealJordanBlockSpec:
     angle: float
 
     def __post_init__(self):
-        _require_int(self.size, "real block size", 1)
+        object.__setattr__(self, "size", _require_int(self.size, "real block size", 1))
         if not self.modulus >= 0.0:
             raise PreconditionViolated("real block modulus must be nonnegative")
         if not math.isfinite(self.angle):
@@ -259,7 +259,7 @@ def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> 
     by ``(i - j)!``.  Derivative coefficients come from exact index shifts,
     so ``p(J) == 0`` exactly when ``p`` has a zero of order ``size`` there.
     """
-    _require_int(size, "block size", 1)
+    size = _require_int(size, "block size", 1)
     lam = complex(eigenvalue)
     out = np.zeros((size, size), dtype=complex)
     for d in range(size):

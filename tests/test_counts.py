@@ -1,5 +1,5 @@
-"""Every integer count the library takes passes one check: an int, not a
-bool, at least the count's minimum."""
+"""Every integer count the library takes passes one check: an integer of
+any type, not a bool, at least the count's minimum."""
 
 from __future__ import annotations
 
@@ -26,7 +26,25 @@ CALLS = {
 
 
 @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
-@pytest.mark.parametrize("count", [True, 2.5], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "count",
+    [True, np.True_, 2.5, 3.0, np.array([3])],
+    ids=["bool", "numpy-bool", "float", "integral-float", "numpy-array"],
+)
 def test_only_an_int_is_a_count(call, count):
     with pytest.raises(PreconditionViolated, match="must be an integer >= "):
         call(count)
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_any_integer_type_is_a_count(call):
+    # a count drawn by numpy (rng.integers, an array entry) needs no int()
+    assert repr(call(np.int64(3))) == repr(call(3))
+
+
+def test_a_numpy_count_is_kept_as_int():
+    assert dynamics.orbit(np.diag([-2.0]), [1.0], np.int64(3)).horizon == 3
+    problem = interpolation.InterpolationProblem(max_degree=np.int64(5))
+    assert type(problem.max_degree) is int and problem.to_jsonable()["max_degree"] == 5
+    assert type(jordan_forms.JordanBlockSpec(np.uint8(2), -2.0).size) is int
+    assert type(jordan_forms.RealJordanBlockSpec(np.int32(2), 2.0, 1.0).size) is int

@@ -234,10 +234,36 @@ class TestHullContains:
             w = w / w.sum()
         return s * float(np.linalg.norm(G @ w - target)), w
 
+    @staticmethod
+    def _per_target_hull(G, target):
+        """The per-target hull kernel as it was before one pass served every
+        target of a scan: the generator-only half (peak, column norms, unit
+        columns) is shared, the weighted system is rebuilt per target."""
+        peak = np.max(np.abs(G), initial=1.0)
+        scale = math.ldexp(1.0, math.frexp(peak)[1])
+        points = G / scale
+        norms = np.linalg.norm(points, axis=0)
+        unit = points / np.where(norms > 0, norms, 1.0)
+        s = math.ldexp(1.0, math.frexp(max(peak, np.max(np.abs(target), initial=1.0)))[1])
+        r = scale / s
+        target = target / s
+        size = max(1.0 / s, float(np.linalg.norm(target)))
+        col = np.where(norms > 0, norms * r, 1.0)
+        weight = 1e3 * size
+        A = np.vstack([unit, weight / col])
+        u, _ = scipy_nnls(A, np.append(target, weight), maxiter=10 * A.shape[1])
+        w = u / col
+        total = w.sum()
+        if total > 0:
+            w = w / total
+        distance = float(np.linalg.norm((points @ w) * r - target))
+        return dynamics.HullResult(contained=distance <= dynamics.HULL_RTOL * size, residual=s * distance, weights=w)
+
     def test_shared_basis_is_bit_identical_to_per_call_scaling(self):
         rng = np.random.default_rng(3)
         triangle = self.TRIANGLE + (np.zeros(2),)  # a zero column too
         orbit = tuple(dynamics.orbit(np.diag([-2.0, -3.0]), [1.0, 1.0], 14).points)  # norms 1e5 to 1e7
+        wide = tuple(dynamics.orbit(np.diag(np.linspace(-3.0, -1.1, 13)), rng.uniform(0.5, 1.5, 13), 30).points)
         cases = [
             (triangle, [rng.uniform(-1.0, 2.0, 2) for _ in range(10)]),
             (orbit, [rng.dirichlet(np.ones(len(orbit))) @ orbit for _ in range(10)]
@@ -246,13 +272,31 @@ class TestHullContains:
             # or more, not the generators' own
             (triangle, [np.array([1e154, 3e153]), np.array([-7e153, 0.5]), np.array([0.25, 3e155])]),
             (orbit, [np.array([1e154, -1e154])]),
+            # one pass over mixed magnitudes: r = 1 and r != 1 interleaved,
+            # tiny and exactly representable targets, a zero column
+            (triangle, [np.array([0.25, 0.25]), np.array([1e154, 3e153]), np.array([3e-9, -2e-9]),
+                        np.array([-4.0, 8.0]), np.array([0.25, 3e155]), np.zeros(2)]),
+            (orbit + (np.zeros(2),), [orbit[3], np.array([2e9, -1e12]), rng.uniform(-1.0, 1.0, 2),
+                                      np.array([1e154, -1e154]), 0.5 * (orbit[0] + orbit[7])]),
+            # 13 coordinates: a norm summed in another order rounds differently
+            (wide, [rng.dirichlet(np.ones(len(wide))) @ wide for _ in range(4)]
+             + [rng.uniform(-5.0, 5.0, 13) for _ in range(4)]),
         ]
         for points, targets in cases:
-            for target in targets:
+            G = np.column_stack(points)
+            scan = dynamics._hull_solve(G, np.array(targets))
+            assert len(scan) == len(targets)
+            for target, batched in zip(targets, scan):
                 residual, weights = self._per_call_hull(points, target)
-                result = dynamics.hull_contains(HullQuery(points, target))
-                assert result.residual == residual
-                assert np.array_equal(result.weights, weights)
+                kernel = self._per_target_hull(G, target)
+                for result in (dynamics.hull_contains(HullQuery(points, target)), batched):
+                    assert result.residual == residual == kernel.residual
+                    assert np.array_equal(result.weights, weights)
+                    assert result.weights.tobytes() == kernel.weights.tobytes()
+                    assert result.contained == kernel.contained
+                    # plain Python scalars: the repr of a result is part of the output
+                    assert type(result.contained) is bool and type(result.residual) is float
+                    assert repr(result) == repr(kernel)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):

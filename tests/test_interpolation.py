@@ -311,9 +311,9 @@ def _posed_lps(monkeypatch, problem, degrees):
     lps = []
     solve_lp = itp._highs_lp
 
-    def recording(c, A, b):
+    def recording(c, A, b, solver):
         lps.append((c.copy(), A.copy(), b.copy()))
-        return solve_lp(c, A, b)
+        return solve_lp(c, A, b, solver)
 
     with monkeypatch.context() as patch:
         patch.setattr(itp, "_highs_lp", recording)
@@ -360,7 +360,7 @@ class TestHighsLp:
     def _linprog(c, A, b):
         return linprog(
             c=c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-            options={"presolve": True, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-7},
+            options={"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-7},
         )
 
     def test_matches_linprog(self, monkeypatch):
@@ -376,7 +376,7 @@ class TestHighsLp:
         seen = set()
         for c, A, b in lps:
             expected = self._linprog(c, A, b)
-            status, x = itp._highs_lp(c, A, b)
+            status, x = itp._highs_lp(c, A, b, itp._highs_solver())
             if expected.status == 0:
                 assert status == itp.LP_OPTIMAL
                 assert np.array_equal(x, expected.x)
@@ -392,16 +392,60 @@ class TestHighsLp:
         # #rows + 2 coefficients
         for problem in (itp.sample_admissible_problem(np.random.default_rng(0)), _wide_22_rows()):
             ((c, A, b),) = _posed_lps(monkeypatch, problem, [problem.constraint_count() + 2])
-            assert itp._highs_lp(c, A, b) == (itp.LP_INFEASIBLE, None)
+            assert itp._highs_lp(c, A, b, itp._highs_solver()) == (itp.LP_INFEASIBLE, None)
             assert self._linprog(c, A, b).status == 2
+
+    def test_reused_instance_answers_as_a_fresh_one(self, monkeypatch):
+        # every escalation degree of the 22-row problem, in both orders, so
+        # each LP follows an infeasible and an optimal one on the instance
+        wide = _wide_22_rows()
+        lps = _posed_lps(monkeypatch, wide, itp._escalation_degrees(wide))
+        solver = itp._highs_solver()
+        statuses = set()
+        for c, A, b in lps + lps[::-1]:
+            status, x = itp._highs_lp(c, A, b, solver)
+            fresh_status, fresh_x = itp._highs_lp(c, A, b, itp._highs_solver())
+            assert status == fresh_status
+            assert (x is None and fresh_x is None) or x.tobytes() == fresh_x.tobytes()
+            statuses.add(status)
+        assert statuses == {itp.LP_OPTIMAL, itp.LP_INFEASIBLE}
+
+    def test_one_instance_per_solve(self, monkeypatch):
+        highs, _ = itp._lp_options()
+        make, made, posed = highs._Highs, [], []
+        solve_lp = itp._highs_lp
+
+        def counting():
+            made.append(1)
+            return make()
+
+        def recording(c, A, b, solver):
+            posed.append(solver)
+            return solve_lp(c, A, b, solver)
+
+        monkeypatch.setattr(highs, "_Highs", counting)
+        monkeypatch.setattr(itp, "_highs_lp", recording)
+        wide = _wide_22_rows()
+        sampled = itp.sample_admissible_problem(np.random.default_rng(0))
+        # both need more than one LP: the 22-row problem ends InfeasibleAtCap,
+        # the sampled one's first escalation degree is infeasible
+        for problem, status in ((wide, itp.STATUS_INFEASIBLE_AT_CAP), (sampled, itp.STATUS_FEASIBLE)):
+            made.clear()
+            posed.clear()
+            assert itp.solve(problem).status == status
+            assert len(made) == 1
+            assert len(posed) >= 2 and all(solver is posed[0] for solver in posed)
+        made.clear()
+        itp.solve_at_degree(wide, 48)
+        assert len(made) == 1
 
     def test_malformed_input_rejected(self):
         with pytest.raises(ValueError):
-            itp._highs_lp(np.ones(2), np.array([[1.0, np.nan]]), np.ones(1))
+            itp._highs_lp(np.ones(2), np.array([[1.0, np.nan]]), np.ones(1), itp._highs_solver())
         with pytest.raises(ValueError):
-            itp._highs_lp(np.ones(1), np.ones((1, 2)), np.ones(1))
+            itp._highs_lp(np.ones(1), np.ones((1, 2)), np.ones(1), itp._highs_solver())
         with pytest.raises(ValueError):
-            itp._highs_lp(np.ones(2), np.ones((1, 2)), np.ones(2))
+            itp._highs_lp(np.ones(2), np.ones((1, 2)), np.ones(2), itp._highs_solver())
 
 
 class TestSingleRoute:
@@ -440,7 +484,8 @@ class TestSingleRoute:
     def test_unknown_lp_status_escalates_without_nnls(self, monkeypatch, caplog):
         # with the LP stubbed out, no compiled solver (NNLS included) may load
         calls = []
-        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
+        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b, solver: ("Unknown", None))
+        monkeypatch.setattr(itp, "_highs_solver", lambda: None)
         monkeypatch.setattr(itp, "_scipy_extension", calls.append)
         with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
             assert itp.solve_at_degree(self.PROBLEM, 4) is None
@@ -543,9 +588,9 @@ class TestSingleGate:
             polished.append(polish(*args))
             return polished[-1]
 
-        def recording_certify(problem, degree):
+        def recording_certify(problem, degree, solver):
             polished.clear()
-            found = certify(problem, degree)
+            found = certify(problem, degree, solver)
             decisions.extend(
                 (degree, c is found, _exact_within_tol(problem, c[0])) for c in polished if c is not None
             )
@@ -652,6 +697,60 @@ class TestJetRows:
         assert problem.complex_nodes and np.all(np.isfinite(raw))
         assert np.array_equal(scaled, raw * scale ** (-columns.astype(float)))
         assert np.array_equal(rhs, raw_rhs)
+
+    @staticmethod
+    def _per_target_rows(problem, columns, dtype, scale):
+        """The row builder as it was before one vectorized pass served all
+        targets: one row (two for a complex target) at a time."""
+        col_scale = scale ** (-columns.astype(float))
+        rows, rhs = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u, order, target, is_real in itp._targets(problem):
+                z = dtype(u)
+                powers = np.zeros(len(columns), dtype=dtype)
+                used = columns >= order
+                i = columns[used]
+                falling = np.ones(len(i))
+                for t in range(order):
+                    falling *= i - t
+                powers[used] = falling * np.power(z, i - order)
+                scaled = powers * col_scale
+                bad = ~np.isfinite(scaled)
+                if bad.any():
+                    k = bad[used]
+                    scaled[bad] = falling[k] * np.power(z / scale, (i - order)[k]) * scale ** (-order)
+                rows += [scaled.real] if is_real else [scaled.real, scaled.imag]
+                rhs += [target.real] if is_real else [target.real, target.imag]
+        real = np.finfo(dtype).dtype
+        return np.array(rows + [col_scale], dtype=real), np.array(rhs + [1.0], dtype=real)
+
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble], ids=["complex", "clongdouble"])
+    def test_one_pass_matches_the_per_target_rows(self, dtype):
+        # nodes of modulus 250 and 1e30 overflow u**i, so their entries are
+        # rebuilt from u / scale; the node 0 and a support that skips
+        # columns give exact zeros; an empty problem gives the simplex row
+        problems = [
+            self.PROBLEM,
+            itp.sample_admissible_problem(np.random.default_rng(4)),
+            itp.InterpolationProblem(
+                (itp.RealNode(-300.0, (1.0, 2.0, 3.0)), itp.RealNode(0.0, (0.5, 1.0))),
+                (itp.ComplexNode(250 * cmath.exp(2j), (1 + 1j, 2 - 1j, 0.5j)),),
+            ),
+            itp.InterpolationProblem((), (itp.ComplexNode(1e30 + 1e30j, (1j, 2.0, 3.0, 4.0)),)),
+            itp.InterpolationProblem(),
+        ]
+        for problem in problems:
+            scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
+            for columns in (np.arange(1200), np.array([0, 3, 7, 150, 199, 640])):
+                for s in (1.0, scale):
+                    rows, rhs = itp._jet_rows(problem, columns, dtype, s)
+                    want_rows, want_rhs = self._per_target_rows(problem, columns, dtype, s)
+                    for got, want in ((rows, want_rows), (rhs, want_rhs)):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        # equal values, NaNs and signs of zero: longdouble
+                        # padding bytes make a byte comparison meaningless
+                        assert np.array_equal(got, want, equal_nan=True)
+                        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSampler:
