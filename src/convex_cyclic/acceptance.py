@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cli, convex_poly, interpolation
-from .convex_poly import ConvexPolynomial, evaluate
+from .convex_poly import ConvexPolynomial, evaluate, _pair_gaps
 from .dynamics import Bounded, GrowthWitness, empirical_density_scan, growth_witness
 from .jordan_forms import JordanBlockSpec, RealJordanBlockSpec, build, complexify, matrix_polynomial, poly_on_jordan_block
 from .spectral import MatrixSpec, classify
@@ -128,10 +128,7 @@ def _peaking_nodes(rng: np.random.Generator) -> list[complex]:
         for _ in range(size - 1):
             modulus = float(rng.uniform(1.2, top_modulus / 1.05))
             nodes.append(modulus * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-        distinct = all(
-            abs(nodes[i] - nodes[j]) > 1e-3 for i in range(len(nodes)) for j in range(i + 1, len(nodes))
-        )
-        if distinct:
+        if np.all(_pair_gaps(nodes)[2] > 1e-3):
             return nodes
 
 

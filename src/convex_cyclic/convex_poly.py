@@ -149,18 +149,22 @@ def derivative(p: ConvexPolynomial | Sequence[complex], order: int = 1) -> np.nd
     return c
 
 
-def node_pairs(nodes: Sequence[complex], conjugate: bool = False) -> list[tuple[int, int]]:
-    """Index pairs ``i < j``, in row order, of nodes closer than ``NODE_TOLERANCE``.
+def _pair_gaps(points: Sequence[complex], conjugate: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one pairwise-gap kernel: every index pair ``i < j``, in
+    row order, as ``(first, second, gaps)`` with ``gaps[k] = |a_i - a_j|``,
+    or ``|a_i - conj(a_j)|`` with ``conjugate`` (a real point is its own
+    conjugate, but ``i == j`` is never a pair)."""
+    a = np.asarray(points, dtype=complex)
+    first, second = np.triu_indices(len(a), 1)
+    other = a[second].conj() if conjugate else a[second]
+    return first, second, np.abs(a[first] - other)
 
-    Closeness is ``|a_i - a_j|``, or ``|a_i - conj(a_j)|`` with ``conjugate``
-    (a real node is its own conjugate, but ``i == j`` is never a pair).
-    """
-    return [
-        (i, j)
-        for i in range(len(nodes))
-        for j in range(i + 1, len(nodes))
-        if abs(nodes[i] - (nodes[j].conjugate() if conjugate else nodes[j])) <= NODE_TOLERANCE
-    ]
+
+def node_pairs(nodes: Sequence[complex], conjugate: bool = False) -> list[tuple[int, int]]:
+    """The pairs of ``_pair_gaps`` whose gap is at most ``NODE_TOLERANCE``."""
+    first, second, gaps = _pair_gaps(nodes, conjugate)
+    close = gaps <= NODE_TOLERANCE
+    return list(zip(first[close].tolist(), second[close].tolist()))
 
 
 def multiply(p: ConvexPolynomial, q: ConvexPolynomial) -> ConvexPolynomial:

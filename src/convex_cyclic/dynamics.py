@@ -43,15 +43,23 @@ logger = logging.getLogger("convex_cyclic.dynamics")
 
 OVERFLOW_LIMIT = 1e300
 HULL_RTOL = 1e-6
+_FLOAT_MAX = np.finfo(float).max / 2
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
 
 
-def _vector(x: Any, dimension: int, is_complex: bool) -> np.ndarray:
-    """``x`` as a finite float or complex vector; a real field refuses complex entries."""
-    arr = np.atleast_1d(np.asarray(x))
-    if arr.ndim != 1 or len(arr) != dimension:
-        raise DimensionMismatch(dimension, arr.shape[0] if arr.ndim == 1 else -1)
+def _vectors(rows: Any, dimension: int, is_complex: bool) -> np.ndarray:
+    """The one check of this module's vectors: ``rows`` stacked as finite
+    complex or float vectors of length ``dimension`` (a scalar row has
+    length one; a real field refuses complex entries).  Every row's length
+    is checked first, then the stacked rows' field, then their finiteness:
+    one bad row raises what it raises alone, and among several bad rows a
+    wrong length wins.  ``.view(float)`` gives real coordinates."""
+    shaped = [np.atleast_1d(np.asarray(row)) for row in rows]
+    for row in shaped:
+        if row.ndim != 1 or len(row) != dimension:
+            raise DimensionMismatch(dimension, len(row) if row.ndim == 1 else -1)
+    arr = np.array(shaped).reshape(len(shaped), dimension)
     if np.iscomplexobj(arr) and not is_complex:
         raise PreconditionViolated("real field requires a real vector")
     arr = arr.astype(complex if is_complex else float)
@@ -75,7 +83,7 @@ def orbit(matrix: MatrixLike, x: Any, horizon: int) -> OrbitTrace:
     """Forward orbit of ``x`` under the matrix, horizon + 1 points."""
     horizon = _require_int(horizon, "horizon", 0)
     T = _coerce_matrix(matrix).entries
-    v = _vector(x, T.shape[0], np.iscomplexobj(T))
+    v = _vectors([x], T.shape[0], np.iscomplexobj(T))[0]
     points = np.empty((horizon + 1, len(v)), dtype=T.dtype)
     points[0] = v
     for n in range(horizon):
@@ -91,9 +99,6 @@ class GrowthWitness:
     value: float
     threshold: float
 
-    def to_jsonable(self) -> dict:
-        return {"witnessed": True, "index": self.index, "value": self.value, "threshold": self.threshold}
-
 
 @dataclass(frozen=True)
 class Bounded:
@@ -101,9 +106,6 @@ class Bounded:
 
     max_observed: float
     max_n: int
-
-    def to_jsonable(self) -> dict:
-        return {"witnessed": False, "max_observed": self.max_observed, "max_n": self.max_n}
 
 
 def growth_witness(
@@ -117,9 +119,7 @@ def growth_witness(
     range before any witness appears.
     """
     T = _coerce_matrix(matrix).entries
-    is_complex = np.iscomplexobj(T)
-    v = _vector(x, T.shape[0], is_complex)
-    f = _vector(functional, T.shape[0], is_complex)
+    v, f = _vectors([x, functional], T.shape[0], np.iscomplexobj(T))
     if not np.any(f != 0):
         raise ZeroFunctional()
     max_n = _require_int(max_n, "max_n", 0)
@@ -141,11 +141,6 @@ def growth_witness(
             if n < max_n:
                 v = T @ v
     return Bounded(max_observed=best, max_n=max_n)
-
-
-def _embed(v: np.ndarray) -> np.ndarray:
-    """Real coordinates of a float or complex vector; complex entries interleave as (re, im)."""
-    return v.view(float) if np.iscomplexobj(v) else v
 
 
 @dataclass(frozen=True)
@@ -171,18 +166,18 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
     distance after renormalizing the weights, so it never depends on the
     penalty weight or on the column scaling.
 
-    Each solve runs in units of ``s``, a power of two above every entry of
-    G and of its target, so scaling rounds exactly and keeps norms and the
-    weighted row finite up to the float range.  ``s`` is G's own ``scale``
+    Each solve runs in units of ``s``, the least power of two above every
+    entry of G and of its target but at most 2**1023, so scaling rounds
+    exactly and keeps entries below 2 and norms finite.  ``s`` is G's own ``scale``
     unless the target outgrows G; then ``r = scale / s`` is a power of two
     too, and ``(G/s) / (norms·r) == G/norms``, ``norm(G/s) == norms·r`` and
     ``(G/s) @ w == ((G/scale) @ w)·r`` hold exactly, so sharing the unit
     columns changes no bit of the result while no scaled entry (nor its
     square, inside the column norms) leaves the normal range.  The verdict
-    compares in units of ``s`` too, so it holds up to that range.
+    compares in units of ``s`` too; only the residual may round to infinity.
     """
     peak = np.max(np.abs(G), initial=1.0)
-    scale = math.ldexp(1.0, math.frexp(peak)[1])
+    scale = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
     points = G / scale
     norms = np.linalg.norm(points, axis=0)
     nonzero = norms > 0
@@ -197,13 +192,16 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
     nnls, cap = _scipy_extension("optimize._slsqplib").nnls, 10 * count
     results = []
     for t, t_peak in zip(targets, np.max(np.abs(targets), axis=1, initial=1.0).tolist()):
-        s = math.ldexp(1.0, math.frexp(max(peak, t_peak))[1])
+        s = math.ldexp(1.0, min(math.frexp(max(peak, t_peak))[1], 1023))
         r = scale / s
         t = t / s
         # max(1, |t|) in units of s scales the verdict and the unit-sum row's
         # weight, whose rounding (eps times it) stays far below HULL_RTOL * size
         size = max(1.0 / s, math.sqrt(t @ t))
         col = unit_norms if r == 1.0 else np.where(nonzero, norms * r, 1.0)
+        # a column shorter than 1e-305 * size enters NNLS at that length, so
+        # its unit-sum weight stays finite; the verdict uses the true point
+        col = np.maximum(col, 1e3 * size / _FLOAT_MAX)
         np.divide(1e3 * size, col, out=A[dim])
         b[:dim], b[dim] = t, 1e3 * size
         u, _, info = nnls(A, b, cap)
@@ -222,12 +220,11 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
 def hull_contains(query: HullQuery) -> HullResult:
     """Convex-hull membership of the query target by nonnegative least squares; points
     and target are finite vectors of one length, complex if any point is."""
-    points = [np.atleast_1d(np.asarray(p)) for p in query.points]
-    if not points:
+    if len(query.points) == 0:
         raise PreconditionViolated("hull query needs at least one point")
-    n, is_complex = len(points[0]), any(np.iscomplexobj(p) for p in points)
-    G = np.column_stack([_embed(_vector(p, n, is_complex)) for p in points])
-    return _hull_solve(G, _embed(_vector(query.target, n, is_complex))[None, :])[0]
+    n, is_complex = len(np.atleast_1d(np.asarray(query.points[0]))), any(np.iscomplexobj(p) for p in query.points)
+    rows = _vectors([*query.points, query.target], n, is_complex).view(float)
+    return _hull_solve(rows[:-1].T.copy(), rows[-1:])[0]
 
 
 @dataclass(frozen=True)
@@ -295,16 +292,16 @@ def empirical_density_scan(
     poly_budget = _require_int(poly_budget, "poly_budget", 1)
     T = _coerce_matrix(matrix).entries
     is_complex = np.iscomplexobj(T)
-    v = _vector(x, T.shape[0], is_complex)
-    embedded = [_embed(_vector(t, T.shape[0], is_complex)) for t in targets]
-    if not embedded:
+    v = _vectors([x], T.shape[0], is_complex)[0]
+    embedded = _vectors(targets, T.shape[0], is_complex).view(float)
+    if not len(embedded):
         return DensityReport(total=0, captured=0, fraction=1.0, miss_indices=(), generators_used=0)
 
     # overflow shows as a non-finite orbit point or an infinite norm cap
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(t)) for t in embedded])
         generators, stop_reason = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
-    results = _hull_solve(np.column_stack([_embed(p) for p in generators]), np.array(embedded))
+    results = _hull_solve(np.column_stack([p.view(float) for p in generators]), embedded)
     misses = []
     for i, result in enumerate(results):
         if not result.contained:

@@ -41,8 +41,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ._jsonutil import complex_pair, parse_complex, parse_int, parse_real
-from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs
+from ._jsonutil import parse_complex, parse_int, parse_real
+from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _pair_gaps
 from .errors import ParseError, PreconditionViolated, _require_int
 
 __all__ = [
@@ -153,17 +153,6 @@ class InterpolationProblem:
         """Number of scalar equality rows (complex targets count twice)."""
         return sum(1 if is_real else 2 for *_, is_real in _targets(self))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "real_nodes": [{"x": n.x, "targets": list(n.targets)} for n in self.real_nodes],
-            "complex_nodes": [
-                {"z": complex_pair(n.z), "targets": [complex_pair(t) for t in n.targets]}
-                for n in self.complex_nodes
-            ],
-            "max_degree": self.max_degree,
-            "residual_tol": self.residual_tol,
-        }
-
     @staticmethod
     def from_jsonable(obj: Any) -> "InterpolationProblem":
         if not isinstance(obj, dict):
@@ -203,20 +192,11 @@ class AdmissibilityViolation:
     reason: str
     nodes: tuple[complex, ...]
 
-    def to_jsonable(self) -> dict:
-        return {"reason": self.reason, "nodes": [complex_pair(z) for z in self.nodes]}
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
     admissible: bool
     violations: tuple[AdmissibilityViolation, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "violations": [v.to_jsonable() for v in self.violations],
-        }
 
 
 def check_admissibility(problem: InterpolationProblem) -> AdmissibilityReport:
@@ -254,14 +234,6 @@ class NecessaryViolation:
     nodes: tuple[complex, ...]
     order: int
     detail: str
-
-    def to_jsonable(self) -> dict:
-        return {
-            "reason": self.reason,
-            "nodes": [complex_pair(z) for z in self.nodes],
-            "order": self.order,
-            "detail": self.detail,
-        }
 
 
 def necessary_target_check(problem: InterpolationProblem) -> list[NecessaryViolation]:
@@ -728,12 +700,7 @@ def sample_admissible_problem(rng: np.random.Generator) -> InterpolationProblem:
                 angle = -angle
             zs.append(modulus * complex(math.cos(angle), math.sin(angle)))
         nodes = [complex(x) for x in xs] + zs
-        ok = all(
-            abs(nodes[i] - nodes[j]) >= 0.5 and abs(nodes[i] - nodes[j].conjugate()) >= 0.5
-            for i in range(len(nodes))
-            for j in range(i + 1, len(nodes))
-        )
-        if ok:
+        if all(np.all(_pair_gaps(nodes, conjugate)[2] >= 0.5) for conjugate in (False, True)):
             break
     else:
         raise PreconditionViolated("sampler failed to place separated nodes")

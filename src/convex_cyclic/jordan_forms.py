@@ -16,7 +16,7 @@ from typing import Any, Sequence, Union
 
 import numpy as np
 
-from ._jsonutil import complex_pair, parse_complex, parse_int, parse_real
+from ._jsonutil import parse_complex, parse_int, parse_real
 from .convex_poly import derivative, horner
 from .errors import DimensionMismatch, OddLength, ParseError, PreconditionViolated, _require_int
 from .spectral import MatrixSpec, _coerce_matrix
@@ -125,19 +125,6 @@ class DirectSumSpec:
     @property
     def is_real(self) -> bool:
         return all(b.is_real for b in self.blocks)
-
-    def to_jsonable(self) -> dict:
-        out = []
-        for b in self.blocks:
-            if isinstance(b, JordanBlockSpec):
-                out.append({"type": "jordan", "k": b.size, "lambda": complex_pair(b.eigenvalue)})
-            elif isinstance(b, RealJordanBlockSpec):
-                out.append({"type": "real_jordan", "k": b.size, "r": b.modulus, "theta": b.angle})
-            else:
-                value = b.value
-                entry = value.real if value.imag == 0.0 else complex_pair(value)
-                out.append({"type": "diag", "value": entry})
-        return {"blocks": out}
 
     @staticmethod
     def from_jsonable(obj: Any) -> "DirectSumSpec":

@@ -20,6 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
+from .convex_poly import _pair_gaps
 from .errors import NonSquare, ParseError, PreconditionViolated
 
 __all__ = [
@@ -94,13 +95,6 @@ class MatrixSpec:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
-
-    def to_jsonable(self) -> dict:
-        if self.field == "real":
-            rows = [[float(x) for x in row] for row in self.entries]
-        else:
-            rows = [[complex_pair(x) for x in row] for row in self.entries]
-        return {"field": self.field, "rows": rows}
 
     @staticmethod
     def from_jsonable(obj: Any) -> "MatrixSpec":
@@ -179,8 +173,8 @@ def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
             a = parent[a]
         return a
 
-    first, second = np.triu_indices(n, 1)
-    close = np.abs(values[first] - values[second]) <= radius
+    first, second, gaps = _pair_gaps(values)
+    close = gaps <= radius
     for i, j in zip(first[close].tolist(), second[close].tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
@@ -332,9 +326,7 @@ def classify(matrix: MatrixSpec | np.ndarray) -> ConvexCyclicVerdict:
             if abs(lam.imag) <= 2 * tol and abs(lam.real) <= 2 * tol:
                 borderline = True
     if spec.field == "complex":
-        values = np.array([info.value for info in infos])
-        first, second = np.triu_indices(len(infos), 1)
-        gaps = np.abs(values[first] - values[second].conj())
+        first, second, gaps = _pair_gaps([info.value for info in infos], conjugate=True)
         paired = gaps <= tol
         for i, j in zip(first[paired].tolist(), second[paired].tolist()):
             eigen_ok = False

@@ -164,6 +164,15 @@ class TestDensity:
         assert payload["total"] == 2
         assert payload["fraction"] == 1.0
 
+    def test_target_at_the_top_of_the_float_range(self, run_cli, validate_schema):
+        # a target entry beyond 2^1023 is answered, not a traceback
+        body = json.dumps(dict(json.loads(DENSITY_OK), targets=[[1e308, 0.0], [-2.0, -3.0]], poly_budget=400))
+        code, out, err = run_cli(["density", "--input", body])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        validate_schema("density", payload)
+        assert payload["miss_indices"] == [0]
+
     def test_budget_flag(self, run_cli):
         body = json.dumps(dict(json.loads(DENSITY_OK), poly_budget=30))
         code, out, _ = run_cli(["density", "--input", body])

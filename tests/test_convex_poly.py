@@ -157,25 +157,35 @@ class TestAlgebra:
         assert convex_poly.horner([], 2.0j) == 0.0
 
 
+def _comprehension_pairs(nodes, conjugate, tolerance):
+    """The comprehension ``node_pairs`` ran before ``_pair_gaps`` existed."""
+    return [
+        (i, j)
+        for i in range(len(nodes))
+        for j in range(i + 1, len(nodes))
+        if abs(nodes[i] - (nodes[j].conjugate() if conjugate else nodes[j])) <= tolerance
+    ]
+
+
+def _triu_gaps(values, conjugate):
+    """The pass ``spectral`` ran on its own: plain gaps when clustering
+    eigenvalues, conjugate gaps for the conjugate-pair clause."""
+    values = np.array([complex(v) for v in values])
+    first, second = np.triu_indices(len(values), 1)
+    other = values[second].conj() if conjugate else values[second]
+    return first, second, np.abs(values[first] - other)
+
+
 class TestNodePairs:
     POOL = (0j, 1e-10 + 0j, 2e-10 + 0j, 0.5e-10j, -0.5e-10j, -2.0 + 0j, 1 + 2j, 1 - 2j, 1 + 2j + 1e-11, 1 + 2.5e-10j, 3j)
-
-    @staticmethod
-    def _brute(nodes, conjugate):
-        out = []
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                other = nodes[j].conjugate() if conjugate else nodes[j]
-                if abs(nodes[i] - other) <= convex_poly.NODE_TOLERANCE:
-                    out.append((i, j))
-        return out
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(61)
         for _ in range(300):
             nodes = [self.POOL[k] for k in rng.integers(0, len(self.POOL), int(rng.integers(0, 8)))]
             for conjugate in (False, True):
-                assert convex_poly.node_pairs(nodes, conjugate) == self._brute(nodes, conjugate)
+                expected = _comprehension_pairs(nodes, conjugate, convex_poly.NODE_TOLERANCE)
+                assert convex_poly.node_pairs(nodes, conjugate) == expected
 
     def test_ties_count_and_pairs_come_in_row_order(self):
         # 1e-10 and 2e-10 - 1e-10 equal NODE_TOLERANCE exactly
@@ -188,6 +198,52 @@ class TestNodePairs:
         assert convex_poly.node_pairs([-2.0], conjugate=True) == []
         assert convex_poly.node_pairs([-2.0, -3.0, -2.0], conjugate=True) == [(0, 2)]
         assert convex_poly.node_pairs([2j, -2j, 3.0], conjugate=True) == [(0, 1)]
+
+
+class TestPairGaps:
+    """``_pair_gaps`` against the code it replaced: identical pairs, indices and gaps."""
+
+    def _assert_matches_references(self, nodes, tolerance=convex_poly.NODE_TOLERANCE):
+        for conjugate in (False, True):
+            first, second, gaps = convex_poly._pair_gaps(nodes, conjugate)
+            ref_first, ref_second, ref_gaps = _triu_gaps(nodes, conjugate)
+            assert np.array_equal(first, ref_first) and np.array_equal(second, ref_second)
+            assert np.array_equal(gaps, ref_gaps)
+            close = [(i, j) for i, j, gap in zip(first.tolist(), second.tolist(), gaps) if gap <= tolerance]
+            assert close == _comprehension_pairs(nodes, conjugate, tolerance)
+            if tolerance == convex_poly.NODE_TOLERANCE:
+                assert convex_poly.node_pairs(nodes, conjugate) == close
+
+    def test_random_node_sets(self):
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            n = int(rng.integers(0, 12))
+            nodes = [complex(z) for z in rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+            self._assert_matches_references(nodes, tolerance=float(rng.uniform(0.1, 1.0)))
+            # near-coincident and near-conjugate nodes at the node tolerance
+            pool = TestNodePairs.POOL
+            self._assert_matches_references([pool[k] for k in rng.integers(0, len(pool), n)])
+
+    def test_gaps_exactly_at_the_tolerance(self):
+        # the first pair of each set is exactly 1e-10 apart in floating
+        # point, plainly or, for the last two, conjugately
+        for nodes, conjugate in (
+            ([0j, 1e-10, 2e-10], False),
+            ([1e-10j, 0j], False),
+            ([0.5e-10j, 0.5e-10j], True),
+            ([2.0 + 0.5e-10j, 2.0 + 0.5e-10j, 3.0], True),
+        ):
+            self._assert_matches_references(nodes)
+            assert convex_poly._pair_gaps(nodes, conjugate)[2][0] == convex_poly.NODE_TOLERANCE
+            assert convex_poly.node_pairs(nodes, conjugate)[0] == (0, 1)
+
+    def test_conjugate_pairs_and_real_nodes(self):
+        for nodes in ([1 + 2j, 1 - 2j, 1 + 2j], [2j, -2j, 3.0], [-2.0, -3.0, -2.0], [-2.0], []):
+            self._assert_matches_references(nodes)
+        first, second, gaps = convex_poly._pair_gaps([1 + 2j, 1 - 2j, -2.0], conjugate=True)
+        assert list(zip(first.tolist(), second.tolist())) == [(0, 1), (0, 2), (1, 2)]
+        # numpy's complex modulus, which may differ from Python's abs() in the last bit
+        assert gaps[0] == 0.0 and gaps[1] == np.abs(3 + 2j)
 
 
 class TestPeaking:

@@ -81,7 +81,7 @@ class TestGrowthWitness:
         assert isinstance(outcome, GrowthWitness)
         assert outcome.index == 8
         assert outcome.value == 256.0
-        assert outcome.to_jsonable()["witnessed"] is True
+        assert outcome.threshold == 100.0
 
     def test_bounded_reports_best_value(self):
         outcome = dynamics.growth_witness(
@@ -90,7 +90,6 @@ class TestGrowthWitness:
         assert isinstance(outcome, Bounded)
         assert outcome.max_observed == 2.0**20
         assert outcome.max_n == 20
-        assert outcome.to_jsonable()["witnessed"] is False
 
     def test_complex_pairing_conjugates_the_functional(self):
         # <T^n x, f> with f = i picks out the imaginary part of the orbit
@@ -306,6 +305,19 @@ class TestHullContains:
         with pytest.raises(PreconditionViolated):
             dynamics.hull_contains(HullQuery((np.zeros(2), np.array([np.inf, 1.0])), np.zeros(2)))
 
+    def test_entries_at_the_top_of_the_float_range_are_answered(self):
+        # entries of 2^1023 and more: the solve scale stops at 2^1023
+        far = dynamics.hull_contains(HullQuery((np.zeros(2), np.ones(2)), np.array([1e308, 0.0])))
+        assert not far.contained
+        assert far.residual == pytest.approx(1e308, rel=1e-12)
+        big = (np.array([1.7e308, 0.0]), np.array([0.0, 1.7e308]))
+        mid = dynamics.hull_contains(HullQuery(big, np.array([0.85e308, 0.85e308])))
+        assert mid.contained
+        assert mid.weights == pytest.approx([0.5, 0.5])
+        # a distance beyond the float range is reported as an infinite residual
+        beyond = dynamics.hull_contains(HullQuery((np.zeros(2), np.ones(2)), np.array([1.7e308, 1.7e308])))
+        assert not beyond.contained and beyond.residual == math.inf
+
     def test_real_target_joins_complex_points(self):
         # a real target is a point of the complex space, as for density scans
         result = dynamics.hull_contains(HullQuery((1.0 + 0.0j, 3.0 + 0.0j), 2.0))
@@ -414,6 +426,13 @@ class TestDensityScan:
         assert report.total == 1
         validate_schema("density", report.to_jsonable())
 
+    def test_target_at_the_top_of_the_float_range_is_answered(self):
+        # the prefix stops near 1e308 at 3^646 in the second coordinate, while
+        # its first coordinates stay within 2^646, far below the first target's
+        report = dynamics.empirical_density_scan(np.diag([-2.0, -3.0]), [1.0, 1.0], [[1e308, 0.0], [-2.0, -3.0]])
+        assert report.miss_indices == (0,)
+        assert report.captured == 1
+
     def test_misses_match_per_target_hull_verdicts(self):
         rng = np.random.default_rng(8)
         T = np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 1.5]])
@@ -470,6 +489,38 @@ def test_bad_vectors_are_rejected_at_the_boundary(call, bad):
     own errors before any orbit or solve, never a bare ValueError."""
     with pytest.raises(DimensionMismatch if bad == "short" else PreconditionViolated):
         call(BAD_VECTORS[bad])
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ([1.0, 2.0, 3.0], DimensionMismatch, "expected dimension 2, got 3"),
+        ([1.0 + 1.0j, 2.0], PreconditionViolated, "real field requires a real vector"),
+        ([1.0, math.nan], PreconditionViolated, "vector entries must be finite"),
+    ],
+    ids=["wrong length", "complex on a real matrix", "non-finite"],
+)
+@pytest.mark.parametrize("position", [1, 2, 4])
+def test_one_bad_target_raises_what_it_raises_alone(bad, error, message, position):
+    """The target list is checked in one pass, yet one bad target raises the
+    error and message it raises alone, wherever it stands."""
+    good = [[-4.0, 2.0], [3.0, -5.0], [0.5, 0.5], [1.0, 1.0], [-2.0, -3.0]]
+    targets = good[:position] + [bad] + good[position:]
+    for listed in (targets, [np.asarray(t) for t in targets]):
+        with pytest.raises(error) as raised:
+            dynamics.empirical_density_scan(T2, [1.0, 1.0], listed)
+        assert type(raised.value) is error and str(raised.value) == message
+    with pytest.raises(error, match=message):
+        dynamics.empirical_density_scan(T2, [1.0, 1.0], [bad])
+
+
+def test_a_wrong_length_outranks_an_earlier_bad_entry():
+    """Lengths are checked before entries, so among several bad vectors a
+    wrong length is reported even when a non-finite or complex one comes first."""
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+        dynamics.growth_witness(T2, [math.nan, 1.0], [1.0, 2.0, 3.0], threshold=10.0)
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+        dynamics.empirical_density_scan(T2, [1.0, 1.0], [[1.0j, 2.0], [math.inf, 0.0], [1.0]])
 
 
 class TestOrbitHullCapture:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -41,8 +42,12 @@ class TestProblem:
             max_degree=64,
             residual_tol=1e-9,
         )
-        again = itp.InterpolationProblem.from_jsonable(problem.to_jsonable())
-        assert again == problem
+        wire = json.loads(
+            '{"real_nodes": [{"x": -2.0, "targets": [7.0, 1.0]}], '
+            '"complex_nodes": [{"z": [0.0, 2.0], "targets": [[3.0, 1.0]]}], '
+            '"max_degree": 64, "residual_tol": 1e-9}'
+        )
+        assert itp.InterpolationProblem.from_jsonable(wire) == problem
 
     def test_constraint_count_doubles_complex_targets(self):
         problem = itp.InterpolationProblem(
@@ -133,11 +138,13 @@ class TestAdmissibility:
         reasons = {v.reason for v in itp.check_admissibility(problem).violations}
         assert reasons == {itp.VIOLATION_CONJUGATE_NODE_PAIR}
 
-    def test_report_is_jsonable(self):
+    def test_report_names_the_violating_node(self):
         problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(-0.5, ()),))
-        payload = itp.check_admissibility(problem).to_jsonable()
-        assert payload["admissible"] is False
-        assert payload["violations"][0]["reason"] == itp.VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE
+        report = itp.check_admissibility(problem)
+        assert report.admissible is False
+        assert report.violations == (
+            itp.AdmissibilityViolation(itp.VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE, (-0.5 + 0j,)),
+        )
 
 
 class TestNecessaryChecks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -90,12 +91,12 @@ class TestWireFormat:
                 DiagonalEntrySpec(2j),
             )
         )
-        again = DirectSumSpec.from_jsonable(spec.to_jsonable())
-        assert again == spec
-
-    def test_real_diag_value_stays_scalar(self):
-        payload = DirectSumSpec((DiagonalEntrySpec(-2.0),)).to_jsonable()
-        assert payload["blocks"][0]["value"] == -2.0
+        wire = json.loads(
+            '{"blocks": [{"type": "jordan", "k": 2, "lambda": -2.5}, '
+            '{"type": "real_jordan", "k": 1, "r": 2.0, "theta": 1.0}, '
+            '{"type": "diag", "value": [0.0, 2.0]}]}'
+        )
+        assert DirectSumSpec.from_jsonable(wire) == spec
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -1,10 +1,13 @@
 """Package structure: every intra-package import points down one layer order,
-the package's export list is exactly its modules' ``__all__`` lists, and
-every exported error class is still raised somewhere."""
+the package's export list is exactly its modules' ``__all__`` lists, every
+exported error class is still raised somewhere, and a class has a
+serializer exactly when a command writes it."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
 import convex_cyclic
@@ -106,3 +109,51 @@ def _raised_names() -> set[str]:
 def test_every_error_class_has_a_raise_site():
     unraised = set(errors.__all__) - {"ConvexCyclicError"} - _raised_names()
     assert unraised == set(), "error classes nothing raises"
+
+
+# every command that writes a ``to_jsonable`` payload, with an input whose
+# payload reaches every serializer it nests, and the schema of that format
+WRITERS = {
+    "analyze": ('{"field": "complex", "rows": [[[0.0, 0.5], 0.0], [0.0, [0.0, -0.5]]]}', "verdict"),
+    "interpolate": ('{"real_nodes": [{"x": -2.0, "targets": [7.0]}]}', "interpolation_certificate"),
+    "density": (
+        '{"matrix": {"field": "real", "rows": [[-2.0, 0.0], [0.0, -3.0]]}, "vector": [1.0, 1.0], '
+        '"targets": [[-4.0, 2.0]], "poly_budget": 50}',
+        "density",
+    ),
+}
+
+
+def _serializers() -> dict[str, type]:
+    """Every class of the package that defines ``to_jsonable``, by name."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"convex_cyclic.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "to_jsonable" for item in node.body
+            ):
+                found[node.name] = getattr(module, node.name)
+    return found
+
+
+def test_a_class_serializes_exactly_when_a_command_writes_it(monkeypatch, run_cli, validate_schema):
+    """A serializer no command writes is dead code; each written format has a schema."""
+    written = set()
+    for name, cls in _serializers().items():
+
+        def recorded(self, _name=name, _method=cls.to_jsonable):
+            written.add(_name)
+            return _method(self)
+
+        monkeypatch.setattr(cls, "to_jsonable", recorded)
+    for command, (body, schema) in WRITERS.items():
+        code, out, _ = run_cli([command, "--input", body])
+        assert code == 0, command
+        validate_schema(schema, json.loads(out))
+    assert written == set(_serializers()) == {
+        "ConvexCyclicVerdict",
+        "FailedCondition",
+        "InterpolationCertificate",
+        "DensityReport",
+    }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -36,13 +38,16 @@ def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 class TestMatrixSpec:
     def test_wire_round_trip_real(self):
         spec = MatrixSpec("real", [[-2.0, 1.0], [0.0, -3.0]])
-        again = MatrixSpec.from_jsonable(spec.to_jsonable())
+        again = MatrixSpec.from_jsonable(json.loads('{"field": "real", "rows": [[-2.0, 1.0], [0.0, -3.0]]}'))
         assert again.field == "real"
+        assert again.entries.dtype == float
         assert np.array_equal(again.entries, spec.entries)
 
     def test_wire_round_trip_complex(self):
         spec = MatrixSpec("complex", [[2j, 0.0], [1.0, -3.0 + 1.0j]])
-        again = MatrixSpec.from_jsonable(spec.to_jsonable())
+        again = MatrixSpec.from_jsonable(
+            json.loads('{"field": "complex", "rows": [[[0.0, 2.0], 0.0], [1.0, [-3.0, 1.0]]]}')
+        )
         assert again.field == "complex"
         assert np.array_equal(again.entries, spec.entries)
 
@@ -220,6 +225,13 @@ class TestCluster:
             values = rng.permutation(2.0 + direction * np.cumsum(steps))
             assert spectral._cluster(values, radius) == _reference_clusters(values, radius)
 
+    def test_single_linkage_joins_a_chain(self):
+        # 0 and 1.5 are farther apart than either radius but linked through
+        # 0.75; 2.5 joins them exactly at the radius 1
+        values = np.array([0.0, 0.75, 1.5, 5.0, 2.5]) + 0j
+        assert spectral._cluster(values, 0.875) == [[0, 1, 2], [3], [4]]
+        assert spectral._cluster(values, 1.0) == [[0, 1, 2, 4], [3]]
+
     def test_matches_brute_force_on_scattered_points(self):
         rng = np.random.default_rng(56)
         for _ in range(100):
@@ -336,6 +348,8 @@ class TestClassify:
         assert near.tolerances_used["tol"] == pytest.approx(tol, rel=1e-6)
         assert near.borderline
         assert near.is_convex_cyclic
+        # beyond the band (tol, 2 * tol] nothing is borderline any more
+        assert not verdict(2.5).borderline
         assert {c.reason for c in verdict(0.5).failed_conditions} == {spectral.REASON_CONJUGATE_PAIR}
 
     def test_is_cyclic_takes_a_plain_matrix(self):

@@ -1,6 +1,7 @@
 """Digests of the library's outputs on the benchmark's seeded inputs.
 
     python3 tools/output_digest.py
+    python3 tools/output_digest.py --against PATH
 
 Prints one SHA-256 per layer:
 
@@ -22,24 +23,31 @@ Prints one SHA-256 per layer:
   ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``.
 
 Run it on two checkouts to show that a change leaves every output bit for
-bit as it was.  It uses the library in the ``src/`` next to it and reads
-``bench/inputs.py`` without changing anything there.  One BLAS thread keeps
-the linear algebra deterministic; set it in the environment before the run
-(``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
+bit as it was; ``--against PATH`` does both in one command.  It computes
+the digests here and, in a subprocess, on the library in ``PATH/src``,
+then prints ``same`` or ``DIFFERENT`` per layer and exits 1 on any
+difference.  The digests use the library in the ``src/`` next to this
+script, or the one the environment variable ``OUTPUT_DIGEST_SRC`` names,
+and read ``bench/inputs.py`` without changing anything there.  One BLAS
+thread keeps the linear algebra deterministic; set it in the environment
+before the run (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import logging
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [os.environ.get("OUTPUT_DIGEST_SRC", str(ROOT / "src")), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
@@ -159,20 +167,45 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+DIGESTS = (
+    ("solve", solve_digest),
+    ("classify", classify_digest),
+    ("density", density_digest),
+    ("hull", hull_digest),
+    ("peak", peak_digest),
+    ("cli", cli_digest),
+)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="PATH", help="a checkout whose src/ to digest too and compare")
+    args = parser.parse_args()
     # the wide slice's known InfeasibleAtCap ends would log a warning each
     logging.getLogger("convex_cyclic").setLevel(logging.ERROR)
-    digests = (
-        ("solve", solve_digest),
-        ("classify", classify_digest),
-        ("density", density_digest),
-        ("hull", hull_digest),
-        ("peak", peak_digest),
-        ("cli", cli_digest),
+    if args.against is None:
+        for name, digest in DIGESTS:
+            print(f"{name} {digest()}", flush=True)
+        return 0
+    src = Path(args.against).resolve() / "src"
+    if not (src / "convex_cyclic" / "__init__.py").is_file():
+        parser.error(f"no library source at {src / 'convex_cyclic'}")
+    # the other checkout runs while this one computes its own digests
+    other = subprocess.Popen(
+        [sys.executable, __file__], env=dict(os.environ, OUTPUT_DIGEST_SRC=str(src)), stdout=subprocess.PIPE, text=True
     )
-    for name, digest in digests:
-        print(f"{name} {digest()}", flush=True)
+    here = {name: digest() for name, digest in DIGESTS}
+    out, _ = other.communicate()
+    if other.returncode != 0:
+        raise SystemExit(f"digesting {src} failed with exit code {other.returncode}")
+    there = dict(line.split() for line in out.splitlines())
+    differ = False
+    for name, _ in DIGESTS:
+        same = here[name] == there.get(name)
+        differ |= not same
+        print(f"{name} {'same' if same else 'DIFFERENT'} {here[name]} {there.get(name)}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
