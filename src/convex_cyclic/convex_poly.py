@@ -160,6 +160,36 @@ def _pair_gaps(points: Sequence[complex], conjugate: bool = False) -> tuple[np.n
     return first, second, np.abs(a[first] - other)
 
 
+def _node_clauses(
+    points: Sequence[complex], complex_field: bool, tol: float, disk_tol: float
+) -> tuple[list[tuple[str, tuple[int, ...]]], tuple[list[float], list[float], list[float], tuple | None]]:
+    """The paper's node clauses, the package's one encoding of them.
+
+    A point fails ``"real"`` when ``|Im z| <= tol`` (in the real field only
+    when also ``Re z >= -tol``) and ``"disk"`` when ``|z| <= 1 + disk_tol``;
+    in the complex field a pair fails ``"pair"`` when its conjugate gap is at
+    most ``tol``.  Returns the failures as ``(clause, indices)``, per point
+    in point order (real before disk) and then the pairs, and the margins
+    they were decided on: the lists of ``|z|`` (Python's rounding), ``|Im
+    z|`` and ``Re z``, and in the complex field ``_pair_gaps(...,
+    conjugate=True)`` (None in the real field).
+    """
+    z = [complex(p) for p in points]
+    moduli, imag, real = [abs(p) for p in z], [abs(p.imag) for p in z], [p.real for p in z]
+    failed = []
+    for i, (m, y, x) in enumerate(zip(moduli, imag, real)):
+        if y <= tol and (complex_field or x >= -tol):
+            failed.append(("real", (i,)))
+        if m <= 1.0 + disk_tol:
+            failed.append(("disk", (i,)))
+    pairs = None
+    if complex_field:
+        pairs = first, second, gaps = _pair_gaps(z, conjugate=True)
+        paired = gaps <= tol
+        failed += [("pair", pair) for pair in zip(first[paired].tolist(), second[paired].tolist())]
+    return failed, (moduli, imag, real, pairs)
+
+
 def node_pairs(nodes: Sequence[complex], conjugate: bool = False) -> list[tuple[int, int]]:
     """The pairs of ``_pair_gaps`` whose gap is at most ``NODE_TOLERANCE``."""
     first, second, gaps = _pair_gaps(nodes, conjugate)

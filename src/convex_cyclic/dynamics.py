@@ -44,6 +44,16 @@ logger = logging.getLogger("convex_cyclic.dynamics")
 OVERFLOW_LIMIT = 1e300
 HULL_RTOL = 1e-6
 _FLOAT_MAX = np.finfo(float).max / 2
+# Below this Euclidean length, sqrt(tiny), the sum of squares is subnormal
+# and squares that underflowed may have shrunk it.
+_SQUARES_EXACT = 2.0**-511
+
+
+def _length(v: np.ndarray) -> float:
+    """``sqrt(v @ v)``, or ``hypot``'s scaled length where underflowing squares may have shrunk it."""
+    length = math.sqrt(v @ v)
+    return length if length >= _SQUARES_EXACT else math.hypot(*v.tolist())
+
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
 
@@ -175,11 +185,16 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
     columns changes no bit of the result while no scaled entry (nor its
     square, inside the column norms) leaves the normal range.  The verdict
     compares in units of ``s`` too; only the residual may round to infinity.
+    Far below the largest entry, squares underflow instead: a column norm,
+    target size or distance shorter than ``_SQUARES_EXACT`` is measured
+    again by ``math.hypot``.
     """
     peak = np.max(np.abs(G), initial=1.0)
     scale = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
     points = G / scale
     norms = np.linalg.norm(points, axis=0)
+    for k in np.flatnonzero(norms < _SQUARES_EXACT):
+        norms[k] = math.hypot(*points[:, k].tolist())
     nonzero = norms > 0
     # NNLS runs on unit-norm columns (zero columns stay as they are): its
     # residual otherwise grows with the generator magnitudes
@@ -197,7 +212,7 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
         t = t / s
         # max(1, |t|) in units of s scales the verdict and the unit-sum row's
         # weight, whose rounding (eps times it) stays far below HULL_RTOL * size
-        size = max(1.0 / s, math.sqrt(t @ t))
+        size = max(1.0 / s, _length(t))
         col = unit_norms if r == 1.0 else np.where(nonzero, norms * r, 1.0)
         # a column shorter than 1e-305 * size enters NNLS at that length, so
         # its unit-sum weight stays finite; the verdict uses the true point
@@ -212,7 +227,7 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
         if total > 0:
             w = w / total
         gap = (points @ w) * r - t
-        distance = math.sqrt(gap @ gap)
+        distance = _length(gap)
         results.append(HullResult(contained=distance <= HULL_RTOL * size, residual=s * distance, weights=w))
     return results
 

@@ -37,12 +37,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
-from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _pair_gaps
+from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _node_clauses, _pair_gaps
 from .errors import ParseError, PreconditionViolated, _require_int
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "NECESSARY_VALUE_AT_ONE",
     "NECESSARY_REAL_TARGET",
     "NECESSARY_CONJUGATE_SYMMETRY",
+    "NECESSARY_NONNEGATIVE_NODE",
     "STATUS_FEASIBLE",
     "STATUS_INFEASIBLE_NECESSARY",
     "STATUS_INFEASIBLE_AT_CAP",
@@ -90,6 +91,7 @@ NECESSARY_DISK_BOUND = "DiskBound"
 NECESSARY_VALUE_AT_ONE = "ValueAtOne"
 NECESSARY_REAL_TARGET = "RealTarget"
 NECESSARY_CONJUGATE_SYMMETRY = "ConjugateSymmetry"
+NECESSARY_NONNEGATIVE_NODE = "NonNegativeNode"
 
 STATUS_FEASIBLE = "Feasible"
 STATUS_INFEASIBLE_NECESSARY = "InfeasibleNecessary"
@@ -204,25 +206,30 @@ def check_admissibility(problem: InterpolationProblem) -> AdmissibilityReport:
 
     Admissible means: all nodes pairwise distinct, real nodes strictly below
     -1, complex nodes non-real and strictly outside the closed unit disk,
-    and no conjugate pair among the complex nodes.
+    and no conjugate pair among the complex nodes.  The last three are
+    ``convex_poly._node_clauses``: real nodes in the real field at
+    tolerance 0 (failing a clause is exactly ``x >= -1``, one violation per
+    node), complex nodes in the complex field at ``NODE_TOLERANCE`` with
+    the exact disk.  Violations come as duplicates, real nodes, then per
+    complex node realness before the disk, then conjugate pairs.
     """
     nodes = problem.all_nodes()
     violations = [
         AdmissibilityViolation(VIOLATION_DUPLICATE_NODE, (nodes[i], nodes[j])) for i, j in node_pairs(nodes)
     ]
-    for node in problem.real_nodes:
-        if not node.x < -1.0:
-            violations.append(
-                AdmissibilityViolation(VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE, (complex(node.x),))
-            )
-    for node in problem.complex_nodes:
-        if abs(node.z.imag) <= NODE_TOLERANCE:
-            violations.append(AdmissibilityViolation(VIOLATION_COMPLEX_NODE_REAL, (node.z,)))
-        if abs(node.z) <= 1.0:
-            violations.append(AdmissibilityViolation(VIOLATION_COMPLEX_NODE_IN_CLOSED_DISK, (node.z,)))
-    cplx = [n.z for n in problem.complex_nodes]
-    for i, j in node_pairs(cplx, conjugate=True):
-        violations.append(AdmissibilityViolation(VIOLATION_CONJUGATE_NODE_PAIR, (cplx[i], cplx[j])))
+    n_real = len(problem.real_nodes)
+    failed, _ = _node_clauses(nodes[:n_real], False, 0.0, 0.0)
+    for i in dict.fromkeys(i for _, (i,) in failed):
+        violations.append(AdmissibilityViolation(VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE, (nodes[i],)))
+    cplx = nodes[n_real:]
+    failed, _ = _node_clauses(cplx, True, NODE_TOLERANCE, 0.0)
+    reasons = {
+        "real": VIOLATION_COMPLEX_NODE_REAL,
+        "disk": VIOLATION_COMPLEX_NODE_IN_CLOSED_DISK,
+        "pair": VIOLATION_CONJUGATE_NODE_PAIR,
+    }
+    for clause, points in failed:
+        violations.append(AdmissibilityViolation(reasons[clause], tuple(cplx[i] for i in points)))
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
 
 
@@ -239,65 +246,52 @@ class NecessaryViolation:
 def necessary_target_check(problem: InterpolationProblem) -> list[NecessaryViolation]:
     """Degree-independent rejections from convex-polynomial membership.
 
-    Checks: real nodes (including real entries of the complex list) need
-    real targets at every order; the node 1 has value exactly 1; value
-    targets at nodes in the closed unit disk stay in the closed unit disk;
-    conjugate node pairs need conjugate targets order by order.
+    Checks, in this order: real entries of the complex list need real
+    targets at every order; the node 1 has value exactly 1; value targets
+    at nodes in the closed unit disk stay in the closed unit disk;
+    conjugate node pairs in the complex list need conjugate targets order
+    by order; at a node ``u >= 0`` every derivative target is nonnegative
+    and, at ``u >= 1``, the value target at least 1.  The real axis, the
+    disk and the conjugate pairs are ``convex_poly._node_clauses`` in the
+    complex field at ``NODE_TOLERANCE``; the nonnegative nodes are its real
+    field at tolerance 0, exactly real with ``u >= 0``.  Targets are
+    compared at ``residual_tol``.
     """
     tol = problem.residual_tol
-    out: list[NecessaryViolation] = []
-
-    for node in problem.complex_nodes:
-        if abs(node.z.imag) <= NODE_TOLERANCE:
-            for j, w in enumerate(node.targets):
-                if abs(w.imag) > tol:
-                    out.append(
-                        NecessaryViolation(
-                            NECESSARY_REAL_TARGET,
-                            (node.z,),
-                            j,
-                            "real node requires real targets",
-                        )
-                    )
-
-    def value_checks(u: complex, targets: Sequence[complex]):
-        if not targets:
-            return
-        w = complex(targets[0])
-        if abs(u - 1.0) <= NODE_TOLERANCE and abs(w - 1.0) > tol:
-            out.append(
-                NecessaryViolation(
-                    NECESSARY_VALUE_AT_ONE, (u,), 0, "every convex-polynomial fixes the node 1"
-                )
-            )
-        elif abs(u) <= 1.0 + NODE_TOLERANCE and abs(w) > 1.0 + tol:
-            out.append(
-                NecessaryViolation(
-                    NECESSARY_DISK_BOUND,
-                    (u,),
-                    0,
-                    "values on the closed unit disk stay in the closed unit disk",
-                )
-            )
-
-    for node in problem.real_nodes:
-        value_checks(complex(node.x), [complex(t) for t in node.targets])
-    for node in problem.complex_nodes:
-        value_checks(node.z, node.targets)
-
-    cplx = problem.complex_nodes
-    for i, k in node_pairs([n.z for n in cplx], conjugate=True):
-        shared = min(len(cplx[i].targets), len(cplx[k].targets))
-        for j in range(shared):
-            if abs(cplx[i].targets[j] - cplx[k].targets[j].conjugate()) > 2 * tol:
-                out.append(
-                    NecessaryViolation(
-                        NECESSARY_CONJUGATE_SYMMETRY,
-                        (cplx[i].z, cplx[k].z),
-                        j,
-                        "conjugate nodes require conjugate targets",
-                    )
-                )
+    nodes = problem.all_nodes()
+    n_real = len(problem.real_nodes)
+    targets = [[complex(t) for t in n.targets] for n in problem.real_nodes] + [n.targets for n in problem.complex_nodes]
+    failed, _ = _node_clauses(nodes, True, NODE_TOLERANCE, NODE_TOLERANCE)
+    in_disk = {i for clause, (i, *_) in failed if clause == "disk"}
+    # a real node's targets are real by type, and only complex nodes pair
+    complex_failed = [(clause, points) for clause, points in failed if points[0] >= n_real]
+    out = [
+        NecessaryViolation(NECESSARY_REAL_TARGET, (nodes[i],), j, "real node requires real targets")
+        for clause, (i, *_) in complex_failed
+        if clause == "real"
+        for j, w in enumerate(targets[i])
+        if abs(w.imag) > tol
+    ]
+    for i, (u, ts) in enumerate(zip(nodes, targets)):
+        if not ts:
+            continue
+        if abs(u - 1.0) <= NODE_TOLERANCE and abs(ts[0] - 1.0) > tol:
+            out.append(NecessaryViolation(NECESSARY_VALUE_AT_ONE, (u,), 0, "every convex-polynomial fixes the node 1"))
+        elif i in in_disk and abs(ts[0]) > 1.0 + tol:
+            detail = "values on the closed unit disk stay in the closed unit disk"
+            out.append(NecessaryViolation(NECESSARY_DISK_BOUND, (u,), 0, detail))
+    for i, k in (points for clause, points in complex_failed if clause == "pair"):
+        for j in range(min(len(targets[i]), len(targets[k]))):
+            if abs(targets[i][j] - targets[k][j].conjugate()) > 2 * tol:
+                detail = "conjugate nodes require conjugate targets"
+                out.append(NecessaryViolation(NECESSARY_CONJUGATE_SYMMETRY, (nodes[i], nodes[k]), j, detail))
+    failed, _ = _node_clauses(nodes, False, 0.0, 0.0)
+    for i in (i for clause, (i,) in failed if clause == "real"):
+        for j, w in enumerate(targets[i]):
+            floor = 1.0 if j == 0 and nodes[i].real >= 1.0 else 0.0
+            if w.real < floor - tol:
+                detail = "values at nodes >= 1 are at least 1" if floor else "jets at nonnegative nodes are nonnegative"
+                out.append(NecessaryViolation(NECESSARY_NONNEGATIVE_NODE, (nodes[i],), j, detail))
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
-from .convex_poly import _pair_gaps
+from .convex_poly import _node_clauses, _pair_gaps
 from .errors import NonSquare, ParseError, PreconditionViolated
 
 __all__ = [
@@ -282,12 +282,16 @@ def _sort_failures(failures: list[FailedCondition]) -> tuple[FailedCondition, ..
 def classify(matrix: MatrixSpec | np.ndarray) -> ConvexCyclicVerdict:
     """Decide convex-cyclicity and the invariant-convex-set property.
 
-    Strictness margins, with ``tol`` the eigenstructure's tolerance: an
-    eigenvalue counts as inside the closed unit disk when
-    ``|lambda| <= 1 + tol``, as real when ``|Im lambda| <= tol``, as on the
-    nonnegative reals when additionally ``Re lambda >= -tol``, and two
-    eigenvalues form a conjugate pair when ``|a - conj(b)| <= tol``.  Any
-    decision within ``2 * tol`` of flipping sets ``borderline``.
+    The eigenvalue clauses are ``convex_poly._node_clauses`` with ``tol``
+    the eigenstructure's tolerance: an eigenvalue counts as inside the
+    closed unit disk when ``|lambda| <= 1 + tol``, as real when
+    ``|Im lambda| <= tol``, as on the nonnegative reals when additionally
+    ``Re lambda >= -tol``, and two eigenvalues form a conjugate pair when
+    ``|a - conj(b)| <= tol``.  ``borderline`` is read off the clauses'
+    margins: a modulus within ``2 * tol`` of 1, a nonzero ``|Im lambda|``
+    within ``2 * tol``, an eigenvalue within ``2 * tol`` of 0 on both axes
+    (real field) or an unpaired conjugate gap within ``2 * tol`` (complex
+    field).
     """
     spec = _coerce_matrix(matrix)
     structure = eigenstructure(spec)
@@ -295,8 +299,6 @@ def classify(matrix: MatrixSpec | np.ndarray) -> ConvexCyclicVerdict:
     infos = structure.eigenvalues
 
     failures: list[FailedCondition] = []
-    borderline = False
-
     cyclic = True
     for info in infos:
         if info.geometric_mult >= 2:
@@ -305,34 +307,18 @@ def classify(matrix: MatrixSpec | np.ndarray) -> ConvexCyclicVerdict:
     if not cyclic:
         failures.append(FailedCondition(REASON_NOT_CYCLIC))
 
-    eigen_ok = True
-    for info in infos:
-        lam = info.value
-        if abs(abs(lam) - 1.0) <= 2 * tol:
-            borderline = True
-        if abs(lam) <= 1.0 + tol:
-            eigen_ok = False
-            failures.append(FailedCondition(REASON_IN_CLOSED_DISK, (lam,)))
-        if 0.0 < abs(lam.imag) <= 2 * tol:
-            borderline = True
-        if spec.field == "complex":
-            if abs(lam.imag) <= tol:
-                eigen_ok = False
-                failures.append(FailedCondition(REASON_REAL_EIGENVALUE, (lam,)))
-        else:
-            if abs(lam.imag) <= tol and lam.real >= -tol:
-                eigen_ok = False
-                failures.append(FailedCondition(REASON_NONNEGATIVE_REAL, (lam,)))
-            if abs(lam.imag) <= 2 * tol and abs(lam.real) <= 2 * tol:
-                borderline = True
-    if spec.field == "complex":
-        first, second, gaps = _pair_gaps([info.value for info in infos], conjugate=True)
-        paired = gaps <= tol
-        for i, j in zip(first[paired].tolist(), second[paired].tolist()):
-            eigen_ok = False
-            failures.append(FailedCondition(REASON_CONJUGATE_PAIR, (infos[i].value, infos[j].value)))
-        if np.any(~paired & (gaps <= 2 * tol)):
-            borderline = True
+    complex_field = spec.field == "complex"
+    values = [info.value for info in infos]
+    failed, (moduli, imag, real, pairs) = _node_clauses(values, complex_field, tol, tol)
+    real_reason = REASON_REAL_EIGENVALUE if complex_field else REASON_NONNEGATIVE_REAL
+    reasons = {"real": real_reason, "disk": REASON_IN_CLOSED_DISK, "pair": REASON_CONJUGATE_PAIR}
+    failures += [FailedCondition(reasons[clause], tuple(values[i] for i in points)) for clause, points in failed]
+    eigen_ok = not failed
+    band = 2 * tol
+    borderline = any(
+        abs(m - 1.0) <= band or 0.0 < y <= band or (not complex_field and y <= band and abs(x) <= band)
+        for m, y, x in zip(moduli, imag, real)
+    ) or (complex_field and bool(np.any((pairs[2] > tol) & (pairs[2] <= band))))
 
     return ConvexCyclicVerdict(
         field=spec.field,

@@ -246,6 +246,81 @@ class TestPairGaps:
         assert gaps[0] == 0.0 and gaps[1] == np.abs(3 + 2j)
 
 
+def _reference_clauses(points, complex_field, tol, disk_tol):
+    """The per-point clause loops ``classify`` and ``check_admissibility`` ran
+    before ``_node_clauses``: Python's ``abs`` for the modulus, realness
+    before the disk per point, then the conjugate pairs of ``_triu_gaps``."""
+    failed = []
+    for i, z in enumerate(points):
+        if abs(z.imag) <= tol and (complex_field or z.real >= -tol):
+            failed.append(("real", (i,)))
+        if abs(z) <= 1.0 + disk_tol:
+            failed.append(("disk", (i,)))
+    if complex_field:
+        first, second, gaps = _triu_gaps(points, conjugate=True)
+        failed += [("pair", (i, j)) for i, j, gap in zip(first.tolist(), second.tolist(), gaps) if gap <= tol]
+    return failed
+
+
+class TestNodeClauses:
+    """``_node_clauses``, the one encoding of the paper's node clauses."""
+
+    TOL = convex_poly.NODE_TOLERANCE
+    # at a threshold or one rounding step off it: the unit circle (at
+    # exp(5i/7) Python's modulus is 1 and numpy's one step above), the real
+    # axis at NODE_TOLERANCE, conjugates at gap NODE_TOLERANCE, the origin
+    POOL = (
+        0.6 + 0.8j, cmath.exp(1j), cmath.exp(5j / 7), 1j, complex(0.0, math.nextafter(1.0, 2.0)), -1.0 + 0j,
+        2.0 + 1e-10j, -3.0 - 1e-10j, complex(2.0, math.nextafter(1e-10, 1.0)), 2.0 + 0j, 0j, -1e-10 + 0j,
+        2.0 + 1.0j, 2.0 - 1.0j + 1e-10, 2.0 - 1.0j, 1.5 - 2.0j, -2.5 + 0j, 1.0 + 0j, 0.5 - 0.5j,
+    )
+
+    def test_matches_the_loops_it_replaced(self):
+        rng = np.random.default_rng(71)
+        for _ in range(400):
+            points = [self.POOL[k] for k in rng.integers(0, len(self.POOL), int(rng.integers(0, 7)))]
+            for complex_field in (False, True):
+                for tol, disk_tol in ((self.TOL, 0.0), (self.TOL, self.TOL), (0.0, 0.0), (0.3, 0.3)):
+                    failed, _ = convex_poly._node_clauses(points, complex_field, tol, disk_tol)
+                    assert failed == _reference_clauses(points, complex_field, tol, disk_tol)
+
+    def test_clause_order_and_fields(self):
+        points = [0.5j, 2.0 + 0j, -2.0 + 0j, 3.0 + 1j, 3.0 - 1j, 0.5 + 0j]
+        failed, _ = convex_poly._node_clauses(points, True, self.TOL, 0.0)
+        assert failed == [
+            ("disk", (0,)), ("real", (1,)), ("real", (2,)), ("real", (5,)), ("disk", (5,)), ("pair", (3, 4)),
+        ]
+        # the real field: only the nonnegative reals fail realness, and no pair is a clause
+        failed, _ = convex_poly._node_clauses(points, False, self.TOL, 0.0)
+        assert failed == [("disk", (0,)), ("real", (1,)), ("real", (5,)), ("disk", (5,))]
+
+    def test_thresholds_are_inclusive(self):
+        failed, _ = convex_poly._node_clauses([1j, 2.0 + 1e-10j, -1e-10 + 0j], False, self.TOL, 0.0)
+        assert failed == [("disk", (0,)), ("real", (1,)), ("real", (2,)), ("disk", (2,))]
+        failed, _ = convex_poly._node_clauses([-1.0 + 0j, 2.0 + 0j], False, 0.0, 0.0)
+        assert failed == [("disk", (0,)), ("real", (1,))]
+        # a modulus above 1 by less than disk_tol still counts as in the disk
+        failed, _ = convex_poly._node_clauses([1j * (1.0 + 0.5e-10)], True, self.TOL, self.TOL)
+        assert failed == [("disk", (0,))]
+
+    def test_margins_are_what_the_clauses_decided_on(self):
+        points = [cmath.exp(5j / 7), 2.0 - 3e-11j, -0.5 + 0j, 2.0 + 3e-11j]
+        for complex_field in (False, True):
+            _, (moduli, imag, real, gaps) = convex_poly._node_clauses(points, complex_field, self.TOL, 0.0)
+            assert moduli == [abs(z) for z in points]  # Python's rounding, bit for bit
+            assert imag == [abs(z.imag) for z in points]
+            assert real == [z.real for z in points]
+            if complex_field:
+                assert all(np.array_equal(g, e) for g, e in zip(gaps, convex_poly._pair_gaps(points, conjugate=True)))
+            else:
+                assert gaps is None
+
+    def test_empty(self):
+        failed, (moduli, imag, real, (first, second, gaps)) = convex_poly._node_clauses([], True, self.TOL, 0.0)
+        assert failed == moduli == imag == real == [] and first.size == second.size == gaps.size == 0
+        assert convex_poly._node_clauses([], False, self.TOL, 0.0) == ([], ([], [], [], None))
+
+
 class TestPeaking:
     def test_frozen_mixed_pair(self):
         cert = convex_poly.peaking_polynomial([2j, -2.0])

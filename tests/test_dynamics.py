@@ -318,6 +318,19 @@ class TestHullContains:
         beyond = dynamics.hull_contains(HullQuery((np.zeros(2), np.ones(2)), np.array([1.7e308, 1.7e308])))
         assert not beyond.contained and beyond.residual == math.inf
 
+    @pytest.mark.parametrize("far", [1e170, 1e200, 1e300])
+    def test_a_target_far_below_the_generators_keeps_its_distance(self, far):
+        # in units of the largest entry, the target's and the first point's
+        # squares underflow: their lengths must still be measured
+        points = (np.array([1.0, 0.0]), np.array([far, 0.0]), np.array([0.0, far]))
+        result = dynamics.hull_contains(HullQuery(points, np.array([-1.0, 0.0])))
+        assert not result.contained
+        assert result.residual == pytest.approx(2.0, rel=1e-12)
+        assert result.weights.sum() == pytest.approx(1.0)
+        # and a target inside the hull, at the first point, is captured
+        inside = dynamics.hull_contains(HullQuery(points, np.array([1.0, 0.0])))
+        assert inside.contained and inside.weights[0] == pytest.approx(1.0)
+
     def test_real_target_joins_complex_points(self):
         # a real target is a point of the complex space, as for density scans
         result = dynamics.hull_contains(HullQuery((1.0 + 0.0j, 3.0 + 0.0j), 2.0))

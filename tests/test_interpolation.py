@@ -97,6 +97,66 @@ class TestProblem:
         )
 
 
+# node placements at or one rounding step off a clause threshold: x = -1,
+# |z| = 1, |Im z| = NODE_TOLERANCE, conjugates at gap NODE_TOLERANCE, 0 and 1
+_THRESHOLD_REALS = (-1.0, math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0), 0.0, -0.0, 1.0, -2.0, 0.5, 3.0)
+_THRESHOLD_COMPLEX = (
+    0.6 + 0.8j, cmath.exp(5j / 7), 1j, complex(0.0, math.nextafter(1.0, 2.0)), -1.0 + 0j, 1.0 + 0j, 2.0 + 0j,
+    2.0 + 1e-10j, -3.0 - 1e-10j, complex(2.0, math.nextafter(1e-10, 1.0)), 2.0 + 1.0j, 2.0 - 1.0j + 1e-10,
+    2.0 - 1.0j, 1.0 + 1e-11 + 1e-11j, 0.5 - 0.5j, -2.0 + 0j,
+)
+
+
+def _threshold_problems(seed, targets):
+    """Node sets drawn from the threshold placements, each node with targets ``targets(rng)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        xs = [_THRESHOLD_REALS[k] for k in rng.integers(0, len(_THRESHOLD_REALS), int(rng.integers(0, 4)))]
+        zs = [_THRESHOLD_COMPLEX[k] for k in rng.integers(0, len(_THRESHOLD_COMPLEX), int(rng.integers(0, 4)))]
+        yield itp.InterpolationProblem(
+            tuple(itp.RealNode(x, tuple(t.real for t in targets(rng))) for x in xs),
+            tuple(itp.ComplexNode(z, targets(rng)) for z in zs),
+        )
+
+
+def _reference_admissibility(problem):
+    """The clause loops ``check_admissibility`` ran before ``_node_clauses``."""
+    nodes = problem.all_nodes()
+    out = [(itp.VIOLATION_DUPLICATE_NODE, (nodes[i], nodes[j])) for i, j in itp.node_pairs(nodes)]
+    out += [(itp.VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE, (complex(n.x),)) for n in problem.real_nodes if not n.x < -1.0]
+    for node in problem.complex_nodes:
+        if abs(node.z.imag) <= itp.NODE_TOLERANCE:
+            out.append((itp.VIOLATION_COMPLEX_NODE_REAL, (node.z,)))
+        if abs(node.z) <= 1.0:
+            out.append((itp.VIOLATION_COMPLEX_NODE_IN_CLOSED_DISK, (node.z,)))
+    cplx = [n.z for n in problem.complex_nodes]
+    out += [(itp.VIOLATION_CONJUGATE_NODE_PAIR, (cplx[i], cplx[j])) for i, j in itp.node_pairs(cplx, conjugate=True)]
+    return out
+
+
+def _reference_necessary(problem):
+    """The checks ``necessary_target_check`` ran before ``_node_clauses``, in
+    their order, as ``(reason, nodes, order)``."""
+    tol, out = problem.residual_tol, []
+    for node in problem.complex_nodes:
+        if abs(node.z.imag) <= itp.NODE_TOLERANCE:
+            out += [(itp.NECESSARY_REAL_TARGET, (node.z,), j) for j, w in enumerate(node.targets) if abs(w.imag) > tol]
+    jets = [(complex(n.x), [complex(t) for t in n.targets]) for n in problem.real_nodes]
+    for u, targets in jets + [(n.z, n.targets) for n in problem.complex_nodes]:
+        if not targets:
+            continue
+        if abs(u - 1.0) <= itp.NODE_TOLERANCE and abs(targets[0] - 1.0) > tol:
+            out.append((itp.NECESSARY_VALUE_AT_ONE, (u,), 0))
+        elif abs(u) <= 1.0 + itp.NODE_TOLERANCE and abs(targets[0]) > 1.0 + tol:
+            out.append((itp.NECESSARY_DISK_BOUND, (u,), 0))
+    cplx = problem.complex_nodes
+    for i, k in itp.node_pairs([n.z for n in cplx], conjugate=True):
+        for j in range(min(len(cplx[i].targets), len(cplx[k].targets))):
+            if abs(cplx[i].targets[j] - cplx[k].targets[j].conjugate()) > 2 * tol:
+                out.append((itp.NECESSARY_CONJUGATE_SYMMETRY, (cplx[i].z, cplx[k].z), j))
+    return out
+
+
 class TestAdmissibility:
     def test_admissible_example(self):
         problem = itp.InterpolationProblem(
@@ -146,6 +206,17 @@ class TestAdmissibility:
             itp.AdmissibilityViolation(itp.VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE, (-0.5 + 0j,)),
         )
 
+    def test_matches_the_clause_loops_it_replaced(self):
+        for problem in _threshold_problems(81, lambda rng: ()):
+            report = itp.check_admissibility(problem)
+            assert [(v.reason, v.nodes) for v in report.violations] == _reference_admissibility(problem)
+            assert report.admissible == (not report.violations)
+
+    def test_a_real_node_fails_once_however_many_clauses_it_fails(self):
+        # 0.5 is a nonnegative real and in the disk, yet one violation
+        problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(0.5, ()), itp.RealNode(-1.0, ())))
+        assert [v.nodes for v in itp.check_admissibility(problem).violations] == [(0.5 + 0j,), (-1.0 + 0j,)]
+
 
 class TestNecessaryChecks:
     def test_disk_bound(self):
@@ -181,6 +252,22 @@ class TestNecessaryChecks:
         reasons = [v.reason for v in itp.necessary_target_check(problem)]
         assert reasons == [itp.NECESSARY_CONJUGATE_SYMMETRY]
 
+    def test_matches_the_checks_it_replaced(self):
+        # targets near 1, on and off the real axis, so that every check fires somewhere
+        def targets(rng):
+            count = int(rng.integers(0, 3))
+            return tuple(complex(rng.choice([1.0, 0.5, 3.0, -2.0]), rng.choice([0.0, 0.0, 1e-9, 0.7])) for _ in range(count))
+
+        reasons = set()
+        for problem in _threshold_problems(82, targets):
+            found = [(v.reason, v.nodes, v.order) for v in itp.necessary_target_check(problem)]
+            expected = _reference_necessary(problem)
+            # the nonnegative-node check is new and comes after every other one
+            assert found[: len(expected)] == expected
+            assert {reason for reason, *_ in found[len(expected) :]} <= {itp.NECESSARY_NONNEGATIVE_NODE}
+            reasons.update(reason for reason, *_ in found)
+        assert len(reasons) == 5
+
     def test_conjugate_pair_with_consistent_targets_is_feasible(self):
         problem = itp.InterpolationProblem(
             complex_nodes=(
@@ -192,6 +279,49 @@ class TestNecessaryChecks:
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
         assert _exact_within_tol(problem, cert.polynomial)
+
+
+class TestNonNegativeNodes:
+    """At a real node u >= 0 every convex-polynomial has p^(j)(u) >= 0, and p(u) >= 1 at u >= 1."""
+
+    @pytest.mark.parametrize(
+        "real_nodes, complex_nodes, order",
+        [
+            ((itp.RealNode(2.0, (0.5,)),), (), 0),
+            ((itp.RealNode(0.5, (-0.1,)),), (), 0),
+            ((itp.RealNode(2.0, (3.0, -1.0)),), (), 1),
+            ((itp.RealNode(0.0, (-0.5,)),), (), 0),
+            ((itp.RealNode(-2.0, (1.0,)), itp.RealNode(3.0, (0.9,))), (), 0),
+            ((), (itp.ComplexNode(2.0 + 0j, (0.5,)),), 0),
+        ],
+    )
+    def test_provably_infeasible_targets_are_rejected_before_any_lp(self, real_nodes, complex_nodes, order):
+        problem = itp.InterpolationProblem(real_nodes, complex_nodes)
+        (violation,) = itp.necessary_target_check(problem)
+        assert (violation.reason, violation.order) == (itp.NECESSARY_NONNEGATIVE_NODE, order)
+        cert = itp.solve(problem)
+        assert (cert.status, cert.reason) == (itp.STATUS_INFEASIBLE_NECESSARY, itp.NECESSARY_NONNEGATIVE_NODE)
+
+    def test_value_at_one_still_reports_first(self):
+        problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(1.0, (-3.0,)),))
+        reasons = [v.reason for v in itp.necessary_target_check(problem)]
+        assert reasons == [itp.NECESSARY_VALUE_AT_ONE, itp.NECESSARY_NONNEGATIVE_NODE]
+        assert itp.solve(problem).reason == itp.NECESSARY_VALUE_AT_ONE
+
+    def test_targets_on_the_bounds_pass(self):
+        for node in (itp.RealNode(2.0, (1.0, 0.0)), itp.RealNode(0.0, (0.0, 0.0, 0.0)), itp.RealNode(0.5, (1e-9 - 1e-8,))):
+            assert itp.necessary_target_check(itp.InterpolationProblem(real_nodes=(node,))) == []
+
+    def test_a_node_just_left_of_zero_is_not_checked(self):
+        # p = z^11 at u = -1e-11: its tenth derivative 11! * u is far below
+        # -residual_tol, so a check with NODE_TOLERANCE slack at 0 would
+        # reject targets that p meets
+        u = -1e-11
+        jets = tuple(math.perm(11, j) * u ** (11 - j) for j in range(11))
+        assert jets[10] < -1e-4
+        problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(u, jets),))
+        assert itp.necessary_target_check(problem) == []
+        assert _exact_within_tol(problem, ConvexPolynomial([0.0] * 11 + [1.0]))
 
 
 class TestSolve:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -396,6 +398,78 @@ class TestClassify:
         large = spectral.default_tolerance(np.diag([-2000.0]))
         assert small == pytest.approx(1e-9 * 2.0)
         assert large == pytest.approx(1e-9 * 2000.0)
+
+
+def _exact_2x2(a: int, b: int, c: int, d: int):
+    """The exact real-field verdict of ``[[a, b], [c, d]]`` from its trace
+    and determinant, as ``(is_cyclic, invariant_convex_sets_are_subspaces,
+    on_unit_circle)``, for a matrix with a double eigenvalue or one on the
+    unit circle; None for any other."""
+    trace, det = a + d, a * d - b * c
+    disc = trace * trace - 4 * det
+    if disc == 0:
+        roots = [Fraction(trace, 2)] * 2
+    elif disc < 0:
+        if det != 1:
+            return None
+        roots = None  # a conjugate pair on the unit circle
+    elif 1 - trace + det == 0:  # the eigenvalue 1; the product gives the other
+        roots = [Fraction(1), Fraction(det)]
+    elif 1 + trace + det == 0:
+        roots = [Fraction(-1), Fraction(-det)]
+    else:
+        return None
+    cyclic = not (b == 0 and c == 0 and a == d)  # a 2x2 matrix is cyclic unless scalar
+    subspaces = roots is not None and all(r < -1 for r in roots)
+    return cyclic, subspaces, roots is None or any(abs(r) == 1 for r in roots)
+
+
+class TestExactReferee2x2:
+    """Every real 2x2 integer matrix with entries in [-6, 6] that has a double
+    eigenvalue or one on the unit circle, decided exactly and compared with
+    ``classify``.  The two pinned lists are today's known failures: a fix
+    must shrink them, and any other change to them fails."""
+
+    # double roots at 2 or 3 whose eigensolver split leaves the real axis,
+    # so the nonnegative-real clause passes: reported convex-cyclic, unflagged
+    SILENTLY_WRONG = {
+        (-1, 3, -3, 5), (0, 3, -3, 6), (1, -4, 1, 5), (1, -2, 2, 5), (1, -1, 4, 5), (1, 1, -4, 5), (1, 2, -2, 5),
+        (1, 4, -1, 5), (5, -4, 1, 1), (5, -3, 3, -1), (5, -2, 2, 1), (5, -1, 4, 1), (5, 1, -4, 1), (5, 2, -2, 1),
+        (5, 4, -1, 1), (6, -3, 3, 0),
+    }
+    # double roots at -1 or 1, exactly on the circle, right but not flagged borderline
+    UNFLAGGED_ON_CIRCLE = {
+        (-6, -5, 5, 4), (-6, 5, -5, 4), (-5, -4, 4, 3), (-4, -5, 5, 6), (-4, 5, -5, 6), (-3, 1, -4, 1),
+        (-3, 2, -2, 1), (-3, 4, -4, 5), (-3, 4, -1, 1), (-1, -4, 1, 3), (-1, -2, 2, 3), (-1, -1, 4, 3),
+        (1, -4, 1, -3), (1, -2, 2, -3), (1, -1, 4, -3), (3, 1, -4, -1), (3, 2, -2, -1), (3, 4, -4, -5),
+        (3, 4, -1, -1), (4, -5, 5, -6), (4, 5, -5, -6), (5, -4, 4, -3), (6, -5, 5, -4), (6, 5, -5, -4),
+    }
+
+    def test_classify_against_the_exact_verdict(self):
+        decided, wrong, unflagged = 0, set(), set()
+        for entries in itertools.product(range(-6, 7), repeat=4):
+            exact = _exact_2x2(*entries)
+            if exact is None:
+                continue
+            decided += 1
+            cyclic, subspaces, on_circle = exact
+            verdict = spectral.classify(MatrixSpec("real", np.array(entries, dtype=float).reshape(2, 2)))
+            got = (verdict.is_cyclic, verdict.invariant_convex_sets_are_subspaces, verdict.is_convex_cyclic)
+            if got != (cyclic, subspaces, cyclic and subspaces) and not verdict.borderline:
+                wrong.add(entries)
+            if on_circle and not verdict.borderline:
+                unflagged.add(entries)
+        assert decided == 2791
+        assert wrong == self.SILENTLY_WRONG
+        assert unflagged == self.UNFLAGGED_ON_CIRCLE
+
+    def test_the_referee_on_known_matrices(self):
+        assert _exact_2x2(1, 1, -4, 5) == (True, False, False)  # one J2(3), the smallest silent failure
+        assert _exact_2x2(-2, 1, 0, -2) == (True, True, False)  # J2(-2)
+        assert _exact_2x2(-2, 0, 0, -2) == (False, True, False)  # -2 I is not cyclic
+        assert _exact_2x2(0, -1, 1, 0) == (True, False, True)  # the rotation by pi/2
+        assert _exact_2x2(1, 0, 0, -1) == (True, False, True)  # eigenvalues 1 and -1
+        assert _exact_2x2(-2, 0, 0, -3) is None  # distinct, off the circle: not decided here
 
 
 class TestVectorTest:

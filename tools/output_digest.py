@@ -20,7 +20,12 @@ Prints one SHA-256 per layer:
   (an exception counts by its type and message);
 - ``cli``: the exit code and stdout of every command line example in the
   README (``analyze`` on dense rows and on block form, ``interpolate``,
-  ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``.
+  ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``;
+- ``admissibility``: the verdict and the violations (reasons and nodes, in
+  order) of ``check_admissibility`` on 2 000 node sets drawn at seed 0,
+  most nodes placed at a threshold or one rounding step off it:
+  ``x = -1`` (and 0 and 1), ``|z| = 1``, ``|Im z| = NODE_TOLERANCE``, a
+  conjugate pair at gap ``NODE_TOLERANCE``, a repeated node.
 
 Run it on two checkouts to show that a change leaves every output bit for
 bit as it was; ``--against PATH`` does both in one command.  It computes
@@ -41,6 +46,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +62,8 @@ from convex_cyclic import (  # noqa: E402
     ConvexCyclicError,
     HullQuery,
     MatrixSpec,
+    NODE_TOLERANCE,
+    check_admissibility,
     classify,
     empirical_density_scan,
     hull_contains,
@@ -167,6 +175,45 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
+def _admissibility_nodes(rng: np.random.Generator) -> tuple[list[float], list[complex]]:
+    """Up to three real and three complex nodes, each random or placed at one
+    of ``check_admissibility``'s thresholds or one rounding step off it."""
+
+    def near(v: float) -> float:
+        return float(np.nextafter(v, v + int(rng.integers(-1, 2))))
+
+    xs = [
+        float(rng.uniform(-3.0, 2.0)) if rng.uniform() < 0.5 else near(float(rng.choice([-1.0, 0.0, 1.0])))
+        for _ in range(int(rng.integers(0, 4)))
+    ]
+    zs: list[complex] = []
+    for _ in range(int(rng.integers(0, 4))):
+        turn = complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))  # |turn| rounds to 1 or a step off it
+        earlier = [complex(u) for u in xs + zs] or [turn]
+        other = earlier[int(rng.integers(len(earlier)))]
+        placements = (
+            turn * float(rng.uniform(0.5, 3.0)),
+            turn,
+            complex(0.0, near(1.0)),
+            complex(rng.uniform(-3.0, 3.0), math.copysign(near(NODE_TOLERANCE), turn.imag)),
+            other.conjugate() + near(NODE_TOLERANCE),  # a conjugate pair at gap NODE_TOLERANCE
+            other,  # a repeated node
+        )
+        zs.append(placements[int(rng.integers(len(placements)))])
+    return xs, zs
+
+
+def admissibility_digest(seed=0, trials=2000) -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        xs, zs = _admissibility_nodes(rng)
+        problem = InterpolationProblem(tuple(RealNode(x, (0.0,)) for x in xs), tuple(ComplexNode(z, (0j,)) for z in zs))
+        report = check_admissibility(problem)
+        h.update(repr((report.admissible, [(v.reason, v.nodes) for v in report.violations])).encode())
+    return h.hexdigest()
+
+
 DIGESTS = (
     ("solve", solve_digest),
     ("classify", classify_digest),
@@ -174,6 +221,7 @@ DIGESTS = (
     ("hull", hull_digest),
     ("peak", peak_digest),
     ("cli", cli_digest),
+    ("admissibility", admissibility_digest),
 )
 
 
