@@ -17,7 +17,7 @@ import math
 import time
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,9 +64,12 @@ class _Failures:
             self.add(message)
         return bool(condition)
 
-    @property
-    def saturated(self) -> bool:
-        return len(self.items) >= self.cap
+    def until_saturated(self, items: Iterable) -> Iterator:
+        """``items`` in order, stopping before the next one once the collector is full."""
+        for item in items:
+            if len(self.items) >= self.cap:
+                return
+            yield item
 
     def detail(self) -> str:
         return "; ".join(self.items)
@@ -91,9 +94,7 @@ def criterion_1(seed: int = 0) -> CriterionResult:
     rng = np.random.default_rng(seed)
     fails = _Failures()
     previous: ConvexPolynomial | None = None
-    for trial in range(10_000):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(10_000)):
         degree = int(rng.integers(0, 9))
         p = ConvexPolynomial(rng.dirichlet(np.ones(degree + 1)))
         for z in _disk_points(rng, 10):
@@ -149,9 +150,7 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     start = time.monotonic()
     rng = np.random.default_rng(seed + 1)
     fails = _Failures()
-    for trial in range(200):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(200)):
         nodes = _peaking_nodes(rng)
         cert = convex_poly.peaking_polynomial(nodes)
         values = [abs(evaluate(cert.polynomial, complex(z))) for z in nodes]
@@ -191,9 +190,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     worked = _scalar_scan(2.0, math.pi / 2.0, 1.0 + 0.0j, 100.0)
     index = worked.index if isinstance(worked, GrowthWitness) else None
     fails.check(index == 8, f"worked query returned {index}, expected 8")
-    for trial in range(100):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(100)):
         ratio = float(rng.uniform(1.5, 3.0))
         theta = float(rng.uniform(0.3, math.pi - 0.3))
         if rng.uniform() < 0.5:
@@ -262,9 +259,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         got = _verdict_signature(verdict)
         fails.check(got == expected, f"{entry.name}: verdict {got} != expected {expected}")
         fails.check(not verdict.borderline, f"{entry.name}: unexpectedly borderline")
-    for trial in range(100):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(100)):
         entry = entries[int(rng.integers(0, len(entries)))]
         matrix = build(entry.spec)
         is_complex = matrix.field == "complex"
@@ -297,9 +292,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     start = time.monotonic()
     rng = np.random.default_rng(seed + 4)
     fails = _Failures()
-    for trial in range(500):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(500)):
         size = int(rng.integers(1, 7))
         degree = int(rng.integers(0, 13))
         p = ConvexPolynomial(rng.dirichlet(np.ones(degree + 1)))
@@ -312,9 +305,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         gap = float(np.linalg.norm(toeplitz - dense))
         bound = 1e-9 * max(1.0, float(np.linalg.norm(dense)))
         fails.check(gap <= bound, f"trial {trial}: closed form vs Horner gap {gap:.3e}")
-    for trial in range(50):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(50)):
         size = int(rng.integers(1, 5))
         factor, lam = _annihilating_factor(rng)
         p = factor
@@ -336,9 +327,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     start = time.monotonic()
     rng = np.random.default_rng(seed + 5)
     fails = _Failures()
-    for trial in range(1000):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(1000)):
         size = int(rng.integers(1, 6))
         modulus = float(rng.uniform(0.3, 3.0))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -428,9 +417,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     start = time.monotonic()
     rng = np.random.default_rng(seed + 6)
     fails = _Failures()
-    for trial in range(200):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(200)):
         problem = interpolation.sample_admissible_problem(rng)
         if not interpolation.check_admissibility(problem).admissible:
             fails.add(f"trial {trial}: sampler produced an inadmissible node set")
@@ -453,9 +440,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
         interpolation.NECESSARY_REAL_TARGET,
         interpolation.NECESSARY_CONJUGATE_SYMMETRY,
     )
-    for trial in range(200):
-        if fails.saturated:
-            break
+    for trial in fails.until_saturated(range(200)):
         kind = kinds[trial % len(kinds)]
         problem = _violating_problem(rng, kind)
         cert = interpolation.solve(problem)
@@ -473,9 +458,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     start = time.monotonic()
     rng = np.random.default_rng(seed + 7)
     fails = _Failures()
-    for entry in convex_cyclic_entries():
-        if fails.saturated:
-            break
+    for entry in fails.until_saturated(convex_cyclic_entries()):
         matrix = build(entry.spec)
         n = matrix.dimension
         is_complex = matrix.field == "complex"

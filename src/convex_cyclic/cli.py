@@ -189,22 +189,13 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     finite = np.all(np.isfinite(trace.points), axis=1)
     if not finite.all():
         raise OverflowReached(int(np.argmin(finite)))
-    lines = []
-    n = trace.points.shape[1]
-    if matrix.field == "real":
-        lines.append(",".join(["n"] + [f"x{i}" for i in range(n)]))
-        for step, row in enumerate(trace.points):
-            lines.append(",".join([str(step)] + [format(v, ".17g") for v in row]))
-    else:
-        header = ["n"]
-        for i in range(n):
-            header += [f"x{i}_re", f"x{i}_im"]
-        lines.append(",".join(header))
-        for step, row in enumerate(trace.points):
-            cells = [str(step)]
-            for v in row:
-                cells += [format(v.real, ".17g"), format(v.imag, ".17g")]
-            lines.append(",".join(cells))
+    # a complex point's coordinates view as interleaved real and imaginary parts
+    names = [f"x{i}" for i in range(trace.points.shape[1])]
+    if matrix.field == "complex":
+        names = [f"{name}_{part}" for name in names for part in ("re", "im")]
+    lines = [",".join(["n"] + names)]
+    for step, row in enumerate(trace.points.view(float)):
+        lines.append(",".join([str(step)] + [format(v, ".17g") for v in row]))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -161,18 +161,19 @@ def _pair_gaps(points: Sequence[complex], conjugate: bool = False) -> tuple[np.n
 
 
 def _node_clauses(
-    points: Sequence[complex], complex_field: bool, tol: float, disk_tol: float
+    points: Sequence[complex], complex_field: bool, tol: float, disk_tol: float, pair_clause: bool = True
 ) -> tuple[list[tuple[str, tuple[int, ...]]], tuple[list[float], list[float], list[float], tuple | None]]:
     """The paper's node clauses, the package's one encoding of them.
 
     A point fails ``"real"`` when ``|Im z| <= tol`` (in the real field only
     when also ``Re z >= -tol``) and ``"disk"`` when ``|z| <= 1 + disk_tol``;
     in the complex field a pair fails ``"pair"`` when its conjugate gap is at
-    most ``tol``.  Returns the failures as ``(clause, indices)``, per point
-    in point order (real before disk) and then the pairs, and the margins
-    they were decided on: the lists of ``|z|`` (Python's rounding), ``|Im
-    z|`` and ``Re z``, and in the complex field ``_pair_gaps(...,
-    conjugate=True)`` (None in the real field).
+    most ``tol``, unless ``pair_clause=False`` leaves the pair clause out.
+    Returns the failures as ``(clause, indices)``, per point in point order
+    (real before disk) and then the pairs, and the margins they were
+    decided on: the lists of ``|z|`` (Python's rounding), ``|Im z|`` and
+    ``Re z``, and with the pair clause ``_pair_gaps(..., conjugate=True)``
+    (else None).
     """
     z = [complex(p) for p in points]
     moduli, imag, real = [abs(p) for p in z], [abs(p.imag) for p in z], [p.real for p in z]
@@ -183,7 +184,7 @@ def _node_clauses(
         if m <= 1.0 + disk_tol:
             failed.append(("disk", (i,)))
     pairs = None
-    if complex_field:
+    if complex_field and pair_clause:
         pairs = first, second, gaps = _pair_gaps(z, conjugate=True)
         paired = gaps <= tol
         failed += [("pair", pair) for pair in zip(first[paired].tolist(), second[paired].tolist())]
@@ -240,17 +241,20 @@ def _peaking_coeffs(power: int, alpha: float) -> np.ndarray:
 
 
 def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[complex]]:
-    """Validate the peaking preconditions; return (R, maximum-modulus mask, those nodes)."""
+    """Validate the peaking preconditions; return (R, maximum-modulus mask, those nodes).
+
+    ``R > 1`` exactly when some node is off ``_node_clauses``' closed disk.
+    """
     if not nodes:
         raise PreconditionViolated("node set must be nonempty")
     if not all(cmath.isfinite(z) for z in nodes):
         raise PreconditionViolated("nodes must be finite")
     if node_pairs(nodes):
         raise PreconditionViolated("nodes must be distinct")
-    moduli = [abs(z) for z in nodes]
-    max_modulus = max(moduli)
-    if not max_modulus > 1.0:
+    failed, (moduli, *_) = _node_clauses(nodes, True, NODE_TOLERANCE, 0.0, pair_clause=False)
+    if sum(clause == "disk" for clause, _ in failed) == len(nodes):
         raise PreconditionViolated("maximum node modulus must exceed 1")
+    max_modulus = max(moduli)
     is_top = [max_modulus - m <= NODE_TOLERANCE * max(1.0, max_modulus) for m in moduli]
     top = [z for z, t in zip(nodes, is_top) if t]
     if node_pairs(top, conjugate=True):
@@ -313,17 +317,19 @@ def peaking_polynomial(
     node value sits at a maximum-modulus node and exceeds every other node
     value by more than ``margin_goal``.  ``alpha="auto"`` picks 1/2 (or 1/3
     in the degenerate case where 1/2 is the single excluded value for the
-    dominant node).  With ``avoid_real_values=True`` (only meaningful for
-    node sets disjoint from the real axis) alpha is perturbed over a
-    deterministic grid until every node value is non-real.
+    dominant node).  With ``avoid_real_values=True`` (only for node sets
+    off the real axis: no node with ``|Im z| <= NODE_TOLERANCE``, the node
+    tolerance ``RealTarget`` uses) alpha is perturbed over a deterministic
+    grid until every node value is non-real.
 
     Raises
     ------
     PreconditionViolated
         Nodes not distinct, maximum modulus at most 1, a conjugate pair
         among maximum-modulus nodes, alpha outside (0, 1), an explicit
-        alpha equal to the excluded value for this node set, a margin goal
-        that is not finite, or a power cap that is not an integer >= 0.
+        alpha equal to the excluded value for this node set, a node on the
+        real axis with ``avoid_real_values``, a margin goal that is not
+        finite, or a power cap that is not an integer >= 0.
     NoPeakWithinCap
         The scan (or the realness-avoidance grid) was exhausted.
     """
@@ -357,7 +363,8 @@ def peaking_polynomial(
         raise PreconditionViolated("alpha is the excluded value for this node set")
 
     if avoid_real_values:
-        if any(abs(z.imag) <= NODE_TOLERANCE for z in node_list):
+        failed, _ = _node_clauses(node_list, True, NODE_TOLERANCE, 0.0, pair_clause=False)
+        if any(clause == "real" for clause, _ in failed):
             raise PreconditionViolated("avoid_real_values requires a node set disjoint from the real axis")
         candidates = _alpha_grid(alpha_value)
         for a in candidates:

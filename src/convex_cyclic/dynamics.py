@@ -20,9 +20,9 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, OverflowReached, PreconditionViolated, ZeroFunctional, _require_int
+from .errors import OverflowReached, PreconditionViolated, ZeroFunctional, _require_int
 from .interpolation import _scipy_extension
-from .spectral import MatrixSpec, _coerce_matrix
+from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -56,26 +56,6 @@ def _length(v: np.ndarray) -> float:
 
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
-
-
-def _vectors(rows: Any, dimension: int, is_complex: bool) -> np.ndarray:
-    """The one check of this module's vectors: ``rows`` stacked as finite
-    complex or float vectors of length ``dimension`` (a scalar row has
-    length one; a real field refuses complex entries).  Every row's length
-    is checked first, then the stacked rows' field, then their finiteness:
-    one bad row raises what it raises alone, and among several bad rows a
-    wrong length wins.  ``.view(float)`` gives real coordinates."""
-    shaped = [np.atleast_1d(np.asarray(row)) for row in rows]
-    for row in shaped:
-        if row.ndim != 1 or len(row) != dimension:
-            raise DimensionMismatch(dimension, len(row) if row.ndim == 1 else -1)
-    arr = np.array(shaped).reshape(len(shaped), dimension)
-    if np.iscomplexobj(arr) and not is_complex:
-        raise PreconditionViolated("real field requires a real vector")
-    arr = arr.astype(complex if is_complex else float)
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionViolated("vector entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True)

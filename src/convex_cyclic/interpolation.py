@@ -92,6 +92,7 @@ NECESSARY_VALUE_AT_ONE = "ValueAtOne"
 NECESSARY_REAL_TARGET = "RealTarget"
 NECESSARY_CONJUGATE_SYMMETRY = "ConjugateSymmetry"
 NECESSARY_NONNEGATIVE_NODE = "NonNegativeNode"
+_REAL_TARGET_DETAIL = "real node requires real targets"
 
 STATUS_FEASIBLE = "Feasible"
 STATUS_INFEASIBLE_NECESSARY = "InfeasibleNecessary"
@@ -250,25 +251,31 @@ def necessary_target_check(problem: InterpolationProblem) -> list[NecessaryViola
     targets at every order; the node 1 has value exactly 1; value targets
     at nodes in the closed unit disk stay in the closed unit disk;
     conjugate node pairs in the complex list need conjugate targets order
-    by order; at a node ``u >= 0`` every derivative target is nonnegative
-    and, at ``u >= 1``, the value target at least 1.  The real axis, the
-    disk and the conjugate pairs are ``convex_poly._node_clauses`` in the
-    complex field at ``NODE_TOLERANCE``; the nonnegative nodes are its real
-    field at tolerance 0, exactly real with ``u >= 0``.  Targets are
-    compared at ``residual_tol``.
+    by order; at an exactly real node ``u >= 0`` every derivative target
+    is nonnegative, and at a real node with ``Re u >= 1`` the real part of
+    the value target is at least 1.  The real axis, the disk and the
+    conjugate pairs are one ``convex_poly._node_clauses`` call in the
+    complex field at ``NODE_TOLERANCE``: a node is real when ``|Im u| <=
+    NODE_TOLERANCE``, for ``RealTarget`` and ``NonNegativeNode`` alike.
+    Off the exact axis only the value floor holds: at ``u = x + iy`` with
+    ``x >= 1`` a convex-polynomial of degree ``d`` has ``Re p(u) >= 1 -
+    (d*y)**2/2``, within ``residual_tol`` of 1 for every degree below
+    ``sqrt(2*residual_tol)/|y|`` (over 10^6 at the defaults), while near
+    ``Re u = 0`` its derivatives can be negative (``Re (iy)^2 = -y^2``).
+    Targets are compared at ``residual_tol``.
     """
     tol = problem.residual_tol
     nodes = problem.all_nodes()
     n_real = len(problem.real_nodes)
     targets = [[complex(t) for t in n.targets] for n in problem.real_nodes] + [n.targets for n in problem.complex_nodes]
     failed, _ = _node_clauses(nodes, True, NODE_TOLERANCE, NODE_TOLERANCE)
+    on_axis = [i for clause, (i, *_) in failed if clause == "real"]
     in_disk = {i for clause, (i, *_) in failed if clause == "disk"}
     # a real node's targets are real by type, and only complex nodes pair
-    complex_failed = [(clause, points) for clause, points in failed if points[0] >= n_real]
     out = [
-        NecessaryViolation(NECESSARY_REAL_TARGET, (nodes[i],), j, "real node requires real targets")
-        for clause, (i, *_) in complex_failed
-        if clause == "real"
+        NecessaryViolation(NECESSARY_REAL_TARGET, (nodes[i],), j, _REAL_TARGET_DETAIL)
+        for i in on_axis
+        if i >= n_real
         for j, w in enumerate(targets[i])
         if abs(w.imag) > tol
     ]
@@ -280,18 +287,22 @@ def necessary_target_check(problem: InterpolationProblem) -> list[NecessaryViola
         elif i in in_disk and abs(ts[0]) > 1.0 + tol:
             detail = "values on the closed unit disk stay in the closed unit disk"
             out.append(NecessaryViolation(NECESSARY_DISK_BOUND, (u,), 0, detail))
-    for i, k in (points for clause, points in complex_failed if clause == "pair"):
+    for i, k in (points for clause, points in failed if clause == "pair" and points[0] >= n_real):
         for j in range(min(len(targets[i]), len(targets[k]))):
             if abs(targets[i][j] - targets[k][j].conjugate()) > 2 * tol:
                 detail = "conjugate nodes require conjugate targets"
                 out.append(NecessaryViolation(NECESSARY_CONJUGATE_SYMMETRY, (nodes[i], nodes[k]), j, detail))
-    failed, _ = _node_clauses(nodes, False, 0.0, 0.0)
-    for i in (i for clause, (i,) in failed if clause == "real"):
-        for j, w in enumerate(targets[i]):
-            floor = 1.0 if j == 0 and nodes[i].real >= 1.0 else 0.0
+    for i in on_axis:
+        u, ts = nodes[i], targets[i]
+        if u.imag != 0.0:
+            ts = ts[:1] if u.real >= 1.0 else []
+        elif u.real < 0.0:
+            continue
+        for j, w in enumerate(ts):
+            floor = 1.0 if j == 0 and u.real >= 1.0 else 0.0
             if w.real < floor - tol:
                 detail = "values at nodes >= 1 are at least 1" if floor else "jets at nonnegative nodes are nonnegative"
-                out.append(NecessaryViolation(NECESSARY_NONNEGATIVE_NODE, (nodes[i],), j, detail))
+                out.append(NecessaryViolation(NECESSARY_NONNEGATIVE_NODE, (u,), j, detail))
     return out
 
 
@@ -622,28 +633,26 @@ def vanishing_annihilator(
 
     ``vanish_nodes`` lists ``(node, order)`` pairs: the polynomial and its
     first ``order - 1`` derivatives vanish there.  ``value_nodes`` lists
-    ``(node, value)`` pairs on a disjoint node set.  The combined node set
-    must be admissible; violations surface as InfeasibleNecessary with the
-    admissibility reason code.  The problem's degree cap and residual
-    tolerance are the defaults of ``InterpolationProblem``.
+    ``(node, value)`` pairs on a disjoint node set.  A node with ``|Im u| <=
+    NODE_TOLERANCE`` (the realness clause of ``convex_poly._node_clauses``,
+    as for ``RealTarget``) becomes a real node.  The combined node set must
+    be admissible; violations surface as InfeasibleNecessary with the
+    admissibility reason code, and then a value at a real node whose
+    imaginary part exceeds the residual tolerance as ``RealTarget``.  The
+    problem's degree cap and residual tolerance are the defaults of
+    ``InterpolationProblem``.
     """
-    real_nodes: list[RealNode] = []
-    complex_nodes: list[ComplexNode] = []
-
-    def push(u: complex, targets: list[complex]):
-        u = complex(u)
-        if abs(u.imag) <= NODE_TOLERANCE:
-            real_nodes.append(RealNode(u.real, tuple(t.real for t in targets)))
-        else:
-            complex_nodes.append(ComplexNode(u, tuple(targets)))
-
-    for u, order in vanish_nodes:
-        order = _require_int(order, "vanishing order", 1)
-        push(u, [0.0 + 0.0j] * order)
-    for u, value in value_nodes:
-        push(u, [complex(value)])
-
-    problem = InterpolationProblem(tuple(real_nodes), tuple(complex_nodes))
+    jets = [(complex(u), [0j] * _require_int(order, "vanishing order", 1)) for u, order in vanish_nodes]
+    jets += [(complex(u), [complex(value)]) for u, value in value_nodes]
+    failed, _ = _node_clauses([u for u, _ in jets], True, NODE_TOLERANCE, 0.0, pair_clause=False)
+    on_axis = {i for clause, (i, *_) in failed if clause == "real"}
+    nodes = [
+        RealNode(u.real, tuple(t.real for t in ts)) if i in on_axis else ComplexNode(u, tuple(ts))
+        for i, (u, ts) in enumerate(jets)
+    ]
+    problem = InterpolationProblem(
+        tuple(n for n in nodes if isinstance(n, RealNode)), tuple(n for n in nodes if isinstance(n, ComplexNode))
+    )
     report = check_admissibility(problem)
     if not report.admissible:
         v = report.violations[0]
@@ -651,6 +660,10 @@ def vanishing_annihilator(
             status=STATUS_INFEASIBLE_NECESSARY,
             reason=v.reason,
             detail="combined node set is not admissible",
+        )
+    if any(abs(t.imag) > problem.residual_tol for i in on_axis for t in jets[i][1]):
+        return InterpolationCertificate(
+            status=STATUS_INFEASIBLE_NECESSARY, reason=NECESSARY_REAL_TARGET, detail=_REAL_TARGET_DETAIL
         )
     return solve(problem)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
 from .convex_poly import derivative, horner
-from .errors import DimensionMismatch, OddLength, ParseError, PreconditionViolated, _require_int
-from .spectral import MatrixSpec, _coerce_matrix
+from .errors import OddLength, ParseError, PreconditionViolated, _require_int
+from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
 __all__ = [
     "JordanBlockSpec",
@@ -224,11 +224,11 @@ def convex_cyclic_vector_test(canonical: Any, vector: Sequence[complex]) -> bool
     nonzero first coordinate for every Jordan block, and a nonzero first
     coordinate pair for every 2x2-cell real block.  Zero tests are exact;
     the answer is only meaningful when the built matrix is convex-cyclic.
+    The vector is checked as ``spectral._vectors`` checks an orbit's start,
+    in the built matrix's field.
     """
     canonical = _direct_sum(canonical)
-    arr = np.asarray(vector, dtype=complex).ravel()
-    if arr.size != canonical.dimension:
-        raise DimensionMismatch(canonical.dimension, arr.size)
+    arr = _vectors([vector], canonical.dimension, not canonical.is_real)[0]
     pos = 0
     for block in canonical.blocks:
         lead = 2 if isinstance(block, RealJordanBlockSpec) else 1

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._jsonutil import complex_pair, parse_complex, parse_real
 from .convex_poly import _node_clauses, _pair_gaps
-from .errors import NonSquare, ParseError, PreconditionViolated
+from .errors import DimensionMismatch, NonSquare, ParseError, PreconditionViolated
 
 __all__ = [
     "MatrixSpec",
@@ -126,6 +126,26 @@ def _coerce_matrix(matrix: MatrixSpec | np.ndarray | Sequence) -> MatrixSpec:
     arr = np.asarray(matrix)
     field = "complex" if np.iscomplexobj(arr) else "real"
     return MatrixSpec(field, arr)
+
+
+def _vectors(rows: Any, dimension: int, is_complex: bool) -> np.ndarray:
+    """The one check of the package's vectors: ``rows`` stacked as finite
+    complex or float vectors of length ``dimension`` (a scalar row has
+    length one; a real field refuses complex entries).  Every row's length
+    is checked first, then the stacked rows' field, then their finiteness:
+    one bad row raises what it raises alone, and among several bad rows a
+    wrong length wins.  ``.view(float)`` gives real coordinates."""
+    shaped = [np.atleast_1d(np.asarray(row)) for row in rows]
+    for row in shaped:
+        if row.ndim != 1 or len(row) != dimension:
+            raise DimensionMismatch(dimension, len(row) if row.ndim == 1 else -1)
+    arr = np.array(shaped).reshape(len(shaped), dimension)
+    if np.iscomplexobj(arr) and not is_complex:
+        raise PreconditionViolated("real field requires a real vector")
+    arr = arr.astype(complex if is_complex else float)
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionViolated("vector entries must be finite")
+    return arr
 
 
 def default_tolerance(matrix: MatrixSpec | np.ndarray) -> float:

@@ -30,6 +30,17 @@ def test_criterion(number):
     assert result.passed, result.detail
 
 
+def test_failure_collector_stops_a_loop_once_saturated():
+    fails = acceptance._Failures(cap=2)
+    seen = []
+    for trial in fails.until_saturated(range(10)):
+        seen.append(trial)
+        fails.check(trial < 3, f"trial {trial}")
+    assert seen == [0, 1, 2, 3, 4]
+    assert fails.detail() == "trial 3; trial 4"
+    assert list(fails.until_saturated(range(3))) == []
+
+
 # ``python -m convex_cyclic selftest --seed 0`` in fresh interpreters
 SELFTEST = "import runpy; runpy.run_module('convex_cyclic', run_name='__main__')"
 

@@ -321,7 +321,51 @@ class TestNodeClauses:
         assert convex_poly._node_clauses([], False, self.TOL, 0.0) == ([], ([], [], [], None))
 
 
+def _reference_peaking_nodes(nodes):
+    """The peaking preconditions ``_check_peaking_nodes`` tested before
+    ``_node_clauses``, after distinctness: the message it raised, or
+    ``(R, maximum-modulus mask, those nodes)``."""
+    moduli = [abs(z) for z in nodes]
+    max_modulus = max(moduli)
+    if not max_modulus > 1.0:
+        return "maximum node modulus must exceed 1"
+    is_top = [max_modulus - m <= convex_poly.NODE_TOLERANCE * max(1.0, max_modulus) for m in moduli]
+    top = [z for z, t in zip(nodes, is_top) if t]
+    if convex_poly.node_pairs(top, conjugate=True):
+        return "conjugate pair among maximum-modulus nodes"
+    return max_modulus, is_top, top
+
+
 class TestPeaking:
+    # pairwise distinct, at a threshold or one rounding step off it: the
+    # unit circle, the real axis at NODE_TOLERANCE, and conjugates (exact or
+    # at gap NODE_TOLERANCE) at the maximum modulus sqrt(5)
+    POOL = (
+        0.6 + 0.8j, cmath.exp(5j / 7), -1j, complex(0.0, math.nextafter(1.0, 2.0)), -1.0 + 0j, 0.5 + 0j,
+        2.0 + 1.0j, 2.0 - 1.0j + 1e-10, 1.0 - 2.0j, 1.0 + 2.0j, complex(math.sqrt(5.0), 1e-10),
+        2.2 + 1e-10j, complex(-2.2, math.nextafter(1e-10, 1.0)), -1.5 + 0j,
+    )
+
+    def test_preconditions_match_the_checks_they_replaced(self):
+        rng = np.random.default_rng(73)
+        outcomes = set()
+        for _ in range(600):
+            nodes = [self.POOL[k] for k in rng.choice(len(self.POOL), int(rng.integers(1, 6)), replace=False)]
+            try:
+                got = convex_poly._check_peaking_nodes(nodes)
+            except PreconditionViolated as exc:
+                got = str(exc)
+            assert got == _reference_peaking_nodes(nodes)
+            outcomes.add(got if isinstance(got, str) else len(got[2]))
+        assert len(outcomes) > 3  # both refusals, and one or more maximum-modulus nodes
+
+    def test_avoid_real_values_refuses_nodes_within_the_node_tolerance_of_the_axis(self):
+        with pytest.raises(PreconditionViolated, match="disjoint from the real axis"):
+            convex_poly.peaking_polynomial([complex(2.2, -convex_poly.NODE_TOLERANCE)], avoid_real_values=True)
+        z = complex(2.2, -math.nextafter(convex_poly.NODE_TOLERANCE, 1.0))
+        with pytest.raises(NoPeakWithinCap):
+            convex_poly.peaking_polynomial([z], power_cap=3, avoid_real_values=True)
+
     def test_frozen_mixed_pair(self):
         cert = convex_poly.peaking_polynomial([2j, -2.0])
         assert cert.alpha == pytest.approx(0.5)
@@ -454,3 +498,17 @@ class TestPeaking:
                 power_cap=3,
                 avoid_real_values=True,
             )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ConvexPolynomial([0.5, math.nan]), "finite"),
+        (lambda: ConvexPolynomial([math.inf, 0.0]), "finite"),
+        (lambda: convex_poly.peaking_polynomial([2j], alpha="half"), "'auto'"),
+    ],
+    ids=["nan-coefficient", "infinite-coefficient", "alpha-string"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        call()

@@ -157,6 +157,35 @@ def _reference_necessary(problem):
     return out
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: itp.RealNode(-2.0, (math.inf,)), PreconditionViolated, "real targets must be finite"),
+        (lambda: itp.ComplexNode(complex(math.nan, 2.0), ()), PreconditionViolated, "complex node must be finite"),
+        (lambda: itp.ComplexNode(2j, (complex(1.0, -math.inf),)), PreconditionViolated, "complex targets must be finite"),
+        (
+            lambda: itp.InterpolationProblem.from_jsonable({"real_nodes": [{"x": -2.0, "targets": 7.0}]}),
+            ParseError,
+            r"real_nodes\[0\]: 'targets' must be a list",
+        ),
+        (
+            lambda: itp.InterpolationProblem.from_jsonable({"complex_nodes": [{"targets": []}]}),
+            ParseError,
+            r"complex_nodes\[0\]: expected an object",
+        ),
+        (
+            lambda: itp.InterpolationProblem.from_jsonable({"complex_nodes": [{"z": [0.0, 2.0], "targets": "x"}]}),
+            ParseError,
+            r"complex_nodes\[0\]: 'targets' must be a list",
+        ),
+    ],
+    ids=["real-target", "complex-node", "complex-target", "real-targets-shape", "complex-node-shape", "targets-shape"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestAdmissibility:
     def test_admissible_example(self):
         problem = itp.InterpolationProblem(
@@ -293,14 +322,37 @@ class TestNonNegativeNodes:
             ((itp.RealNode(0.0, (-0.5,)),), (), 0),
             ((itp.RealNode(-2.0, (1.0,)), itp.RealNode(3.0, (0.9,))), (), 0),
             ((), (itp.ComplexNode(2.0 + 0j, (0.5,)),), 0),
+            # just off the axis, real as for RealTarget; the LPs would escalate to the cap
+            ((), (itp.ComplexNode(2.0 + 1e-12j, (0.5,)),), 0),
+            ((), (itp.ComplexNode(complex(1.5, -itp.NODE_TOLERANCE), (0.5, -1.0)),), 0),
         ],
     )
-    def test_provably_infeasible_targets_are_rejected_before_any_lp(self, real_nodes, complex_nodes, order):
+    def test_provably_infeasible_targets_are_rejected_before_any_lp(self, monkeypatch, real_nodes, complex_nodes, order):
         problem = itp.InterpolationProblem(real_nodes, complex_nodes)
         (violation,) = itp.necessary_target_check(problem)
         assert (violation.reason, violation.order) == (itp.NECESSARY_NONNEGATIVE_NODE, order)
+        monkeypatch.setattr(itp, "_highs_solver", None)  # any LP would now raise
         cert = itp.solve(problem)
         assert (cert.status, cert.reason) == (itp.STATUS_INFEASIBLE_NECESSARY, itp.NECESSARY_NONNEGATIVE_NODE)
+
+    def test_the_node_tolerance_decides_both_real_checks(self):
+        # at 1e-10 off the axis a non-real target is a RealTarget and a value
+        # below 1 a NonNegativeNode; one rounding step further out neither applies
+        cases = (
+            (itp.NODE_TOLERANCE, [itp.NECESSARY_REAL_TARGET, itp.NECESSARY_NONNEGATIVE_NODE]),
+            (math.nextafter(itp.NODE_TOLERANCE, 1.0), []),
+        )
+        for imag, reasons in cases:
+            problem = itp.InterpolationProblem(complex_nodes=(itp.ComplexNode(complex(3.0, imag), (0.5 + 1e-6j,)),))
+            assert [v.reason for v in itp.necessary_target_check(problem)] == reasons
+
+    @pytest.mark.parametrize("u", [1e-10j, complex(1.0, 1e-12)])
+    def test_off_the_exact_axis_derivative_targets_are_not_floored(self, u):
+        # z^16 is a convex-polynomial; at 1e-10j its 14th derivative is
+        # (16!/2) * (1e-10j)^2, about -1.05e-7, below -residual_tol
+        jet = tuple(complex(*map(float, _exact_jet([0.0] * 16 + [1.0], j, u))) for j in range(15))
+        problem = itp.InterpolationProblem(complex_nodes=(itp.ComplexNode(u, jet),))
+        assert itp.NECESSARY_NONNEGATIVE_NODE not in [v.reason for v in itp.necessary_target_check(problem)]
 
     def test_value_at_one_still_reports_first(self):
         problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(1.0, (-3.0,)),))
@@ -953,3 +1005,34 @@ class TestAnnihilator:
     def test_order_must_be_positive(self):
         with pytest.raises(PreconditionViolated):
             itp.vanishing_annihilator([(-2.0, 0)])
+
+    def test_a_non_real_value_at_a_real_node_is_refused(self):
+        # dropping the imaginary part would return Feasible with p(-3) = 1
+        cert = itp.vanishing_annihilator([(-2.0, 1)], [(-3.0, 1 + 1j)])
+        assert (cert.status, cert.reason) == (itp.STATUS_INFEASIBLE_NECESSARY, itp.NECESSARY_REAL_TARGET)
+        assert cert.detail == "real node requires real targets"
+
+    def test_a_node_within_the_node_tolerance_of_the_axis_is_real(self):
+        # as for RealTarget: |Im u| <= NODE_TOLERANCE is real, and so is a value within residual_tol of real
+        cert = itp.vanishing_annihilator([(complex(-2.0, itp.NODE_TOLERANCE), 1)], [(-3.0 - 1e-11j, 4.0 + 1e-9j)])
+        assert cert.status == itp.STATUS_FEASIBLE
+        targets = (itp.RealNode(-2.0, (0.0,)), itp.RealNode(-3.0, (4.0,)))
+        assert _exact_within_tol(itp.InterpolationProblem(real_nodes=targets), cert.polynomial)
+        # one rounding step further out the node is complex
+        z = complex(-2.0, math.nextafter(itp.NODE_TOLERANCE, 1.0))
+        cert = itp.vanishing_annihilator([(z, 1)])
+        assert cert.status == itp.STATUS_FEASIBLE
+        targets = (itp.ComplexNode(z, (0.0,)),)
+        assert _exact_within_tol(itp.InterpolationProblem(complex_nodes=targets), cert.polynomial)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [([(math.inf, 1), (math.inf, 1)], "real node"), ([(complex(math.inf, 1.0), 1), (math.inf, 1)], "complex node")],
+    )
+    def test_non_finite_nodes_are_refused_by_their_type(self, nodes, message):
+        with pytest.raises(PreconditionViolated, match=f"{message} must be finite"):
+            itp.vanishing_annihilator(nodes)
+
+    def test_admissibility_reports_before_a_real_target(self):
+        cert = itp.vanishing_annihilator([(-0.5, 1)], [(-3.0, 1j)])
+        assert cert.reason == itp.VIOLATION_REAL_NODE_NOT_BELOW_MINUS_ONE

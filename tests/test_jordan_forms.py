@@ -216,3 +216,17 @@ def test_dimension_properties():
     assert spec.dimension == 4
     assert not spec.is_real
     assert jordan_forms.BlockSpec is not None
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DirectSumSpec((np.eye(2),)), PreconditionViolated, "unsupported block type ndarray"),
+        (lambda: DirectSumSpec.from_jsonable({"blocks": [{"k": 2}]}), ParseError, r"blocks\[0\]: expected an object"),
+        (lambda: complexify([[1.0, 2.0]]), PreconditionViolated, "1-d vector"),
+    ],
+    ids=["foreign-block", "untagged-block", "complexify-2d"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -75,6 +75,24 @@ class TestMatrixSpec:
         with pytest.raises(ParseError):
             MatrixSpec.from_jsonable({"field": "real", "rows": [["x"]]})
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: MatrixSpec("real", np.zeros((0, 0))), PreconditionViolated, "at least 1x1"),
+            (lambda: MatrixSpec.from_jsonable([[1.0]]), ParseError, "must be an object"),
+            (lambda: MatrixSpec.from_jsonable({"field": "real", "rows": [1.0]}), ParseError, r"rows\[0\] must be a list"),
+        ],
+        ids=["empty-matrix", "non-object-spec", "non-list-row"],
+    )
+    def test_input_checks(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_real_field_accepts_complex_storage_with_zero_imaginary_parts(self):
+        spec = MatrixSpec("real", np.array([[1.0 + 0j, -2.0], [0.0, 3.0]]))
+        assert spec.entries.dtype == float
+        assert np.array_equal(spec.entries, [[1.0, -2.0], [0.0, 3.0]])
+
     def test_entries_are_immutable(self):
         spec = MatrixSpec("real", [[1.0]])
         with pytest.raises(ValueError):
@@ -504,3 +522,23 @@ class TestVectorTest:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0])
+
+    @pytest.mark.parametrize("entry, bad", [(2.0, np.nan), (2.0, np.inf), (2j, complex(1.0, -np.inf))])
+    def test_non_finite_vector_rejected(self, entry, bad):
+        # a NaN coordinate is nonzero, so the zero test alone would accept it
+        with pytest.raises(PreconditionViolated, match="finite"):
+            jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(entry), [bad])
+
+    def test_complex_vector_rejected_in_the_real_field(self):
+        # build(DiagonalEntrySpec(-2.0)) is a real-field matrix
+        with pytest.raises(PreconditionViolated, match="real field requires a real vector"):
+            jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(-2.0), [1j])
+        assert jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(2j), [1j])
+
+    def test_vector_that_is_not_1d_rejected(self):
+        # flattening would accept a 1x2 array
+        spec = DirectSumSpec((DiagonalEntrySpec(-2.0), DiagonalEntrySpec(-3.0)))
+        assert jordan_forms.convex_cyclic_vector_test(spec, [1.0, 1.0])
+        with pytest.raises(DimensionMismatch) as info:
+            jordan_forms.convex_cyclic_vector_test(spec, [[1.0, 1.0]])
+        assert (info.value.expected, info.value.got) == (2, -1)

@@ -25,15 +25,24 @@ Prints one SHA-256 per layer:
   order) of ``check_admissibility`` on 2 000 node sets drawn at seed 0,
   most nodes placed at a threshold or one rounding step off it:
   ``x = -1`` (and 0 and 1), ``|z| = 1``, ``|Im z| = NODE_TOLERANCE``, a
-  conjugate pair at gap ``NODE_TOLERANCE``, a repeated node.
+  conjugate pair at gap ``NODE_TOLERANCE``, a repeated node;
+- ``necessary``: the violations (reasons, nodes, orders and details, in
+  order) of ``necessary_target_check`` on 2 000 problems drawn at seed 0,
+  their nodes at the realness threshold (``Im u`` at 0, at
+  ``+-NODE_TOLERANCE`` or one rounding step past it) with ``Re u`` around 0
+  and 1, and their targets around the floors 0 and 1.
 
-Run it on two checkouts to show that a change leaves every output bit for
-bit as it was; ``--against PATH`` does both in one command.  It computes
-the digests here and, in a subprocess, on the library in ``PATH/src``,
-then prints ``same`` or ``DIFFERENT`` per layer and exits 1 on any
-difference.  The digests use the library in the ``src/`` next to this
-script, or the one the environment variable ``OUTPUT_DIGEST_SRC`` names,
-and read ``bench/inputs.py`` without changing anything there.  One BLAS
+A layer is a sequence of entries (one per input: a certificate, a verdict,
+a report) and its digest hashes them in order.  Run it on two checkouts to
+show that a change leaves every output bit for bit as it was; ``--against
+PATH`` does both in one command.  It computes the digests here and, in a
+subprocess, on the library in ``PATH/src``, then prints ``same`` or
+``DIFFERENT`` per layer, with the indices of the entries that differ, and
+exits 1 on any difference.  The digests use the library in the ``src/``
+next to this script, or the one the environment variable
+``OUTPUT_DIGEST_SRC`` names (the ``--against`` subprocess sets it); with it
+set, each line also lists its entries' hashes, comma-separated.  The tool
+reads ``bench/inputs.py`` without changing anything there.  One BLAS
 thread keeps the linear algebra deterministic; set it in the environment
 before the run (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
 """
@@ -51,6 +60,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [os.environ.get("OUTPUT_DIGEST_SRC", str(ROOT / "src")), str(ROOT / "bench")]
@@ -67,17 +77,17 @@ from convex_cyclic import (  # noqa: E402
     classify,
     empirical_density_scan,
     hull_contains,
+    necessary_target_check,
     orbit,
     peaking_polynomial,
     solve,
 )
 from convex_cyclic import cli  # noqa: E402
 from convex_cyclic.acceptance import _peaking_nodes  # noqa: E402
-from convex_cyclic.interpolation import ComplexNode, InterpolationProblem, RealNode  # noqa: E402
+from convex_cyclic.interpolation import DEFAULT_RESIDUAL_TOL, ComplexNode, InterpolationProblem, RealNode  # noqa: E402
 
 
-def solve_digest(seeds=(0, 1, 2)) -> str:
-    h = hashlib.sha256()
+def solve_entries(seeds=(0, 1, 2)) -> Iterator[bytes]:
     for seed in seeds:
         for case in inputs.interpolate_round(seed):
             cert = solve(
@@ -86,32 +96,27 @@ def solve_digest(seeds=(0, 1, 2)) -> str:
                     tuple(ComplexNode(z, t) for z, t in case.complex_nodes),
                 )
             )
-            h.update(repr((cert.status, cert.reason, cert.detail, cert.degree_used, cert.max_residual)).encode())
+            entry = repr((cert.status, cert.reason, cert.detail, cert.degree_used, cert.max_residual)).encode()
             if cert.polynomial is not None:
-                h.update(np.asarray(cert.polynomial.coeffs, dtype=float).tobytes())
-    return h.hexdigest()
+                entry += np.asarray(cert.polynomial.coeffs, dtype=float).tobytes()
+            yield entry
 
 
-def classify_digest(seeds=(0, 1, 2)) -> str:
-    h = hashlib.sha256()
+def classify_entries(seeds=(0, 1, 2)) -> Iterator[bytes]:
     for seed in seeds:
         for case in inputs.classify_round(seed):
             verdict = classify(MatrixSpec(case.field, case.matrix))
-            h.update(json.dumps(verdict.to_jsonable()).encode())
-    return h.hexdigest()
+            yield json.dumps(verdict.to_jsonable()).encode()
 
 
-def density_digest(seeds=(0, 1, 2, 3)) -> str:
-    h = hashlib.sha256()
+def density_entries(seeds=(0, 1, 2, 3)) -> Iterator[bytes]:
     for seed in seeds:
         for case in inputs.density_round(seed):
             report = empirical_density_scan(case.matrix, case.x, list(case.targets), poly_budget=case.budget)
-            h.update(repr(report).encode())
-    return h.hexdigest()
+            yield repr(report).encode()
 
 
-def hull_digest(seeds=(0, 1)) -> str:
-    h = hashlib.sha256()
+def hull_entries(seeds=(0, 1)) -> Iterator[bytes]:
     for seed in seeds:
         for case in inputs.density_round(seed):
             if case.budget != 400:
@@ -125,13 +130,10 @@ def hull_digest(seeds=(0, 1)) -> str:
             prefix = tuple(points[:keep])
             for target in case.targets:
                 result = hull_contains(HullQuery(prefix, target))
-                h.update(repr(result.residual).encode())
-                h.update(result.weights.tobytes())
-    return h.hexdigest()
+                yield repr(result.residual).encode() + result.weights.tobytes()
 
 
-def peak_digest(seed=0, trials=200) -> str:
-    h = hashlib.sha256()
+def peak_entries(seed=0, trials=200) -> Iterator[bytes]:
     rng = np.random.default_rng(seed + 1)  # criterion 2's generator
     for _ in range(trials):
         nodes = _peaking_nodes(rng)
@@ -139,12 +141,10 @@ def peak_digest(seed=0, trials=200) -> str:
             try:
                 cert = peaking_polynomial(nodes, avoid_real_values=avoid)
             except ConvexCyclicError as exc:
-                h.update(repr((type(exc).__name__, str(exc))).encode())
+                yield repr((type(exc).__name__, str(exc))).encode()
                 continue
             fields = (cert.alpha, cert.power, cert.peak_point, cert.peak_value, cert.max_modulus, cert.min_power, cert.margin)
-            h.update(repr(fields).encode())
-            h.update(np.asarray(cert.polynomial.coeffs, dtype=float).tobytes())
-    return h.hexdigest()
+            yield repr(fields).encode() + np.asarray(cert.polynomial.coeffs, dtype=float).tobytes()
 
 
 README_EXAMPLES = (
@@ -165,14 +165,12 @@ README_EXAMPLES = (
 )
 
 
-def cli_digest() -> str:
-    h = hashlib.sha256()
+def cli_entries() -> Iterator[bytes]:
     for command, payload in README_EXAMPLES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main([command, "--input", payload])
-        h.update(repr((command, code, out.getvalue())).encode())
-    return h.hexdigest()
+        yield repr((command, code, out.getvalue())).encode()
 
 
 def _admissibility_nodes(rng: np.random.Generator) -> tuple[list[float], list[complex]]:
@@ -203,26 +201,68 @@ def _admissibility_nodes(rng: np.random.Generator) -> tuple[list[float], list[co
     return xs, zs
 
 
-def admissibility_digest(seed=0, trials=2000) -> str:
-    h = hashlib.sha256()
+def admissibility_entries(seed=0, trials=2000) -> Iterator[bytes]:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         xs, zs = _admissibility_nodes(rng)
         problem = InterpolationProblem(tuple(RealNode(x, (0.0,)) for x in xs), tuple(ComplexNode(z, (0j,)) for z in zs))
         report = check_admissibility(problem)
-        h.update(repr((report.admissible, [(v.reason, v.nodes) for v in report.violations])).encode())
-    return h.hexdigest()
+        yield repr((report.admissible, [(v.reason, v.nodes) for v in report.violations])).encode()
 
 
-DIGESTS = (
-    ("solve", solve_digest),
-    ("classify", classify_digest),
-    ("density", density_digest),
-    ("hull", hull_digest),
-    ("peak", peak_digest),
-    ("cli", cli_digest),
-    ("admissibility", admissibility_digest),
+def _necessary_problem(rng: np.random.Generator) -> InterpolationProblem:
+    """One to three nodes at ``necessary_target_check``'s realness threshold,
+    each with one to three targets around the floors 0 and 1; an exactly real
+    node is a ``RealNode`` half the time."""
+
+    def near(v: float) -> float:
+        return float(np.nextafter(v, v + int(rng.integers(-1, 2))))
+
+    real_nodes, complex_nodes = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        x = near(float(rng.choice([0.0, 1.0]))) if rng.uniform() < 0.7 else float(rng.uniform(-1.0, 3.0))
+        y = float(rng.choice([0.0, NODE_TOLERANCE, math.nextafter(NODE_TOLERANCE, 1.0)]))
+        y *= float(rng.choice([-1.0, 1.0]))
+        targets = []
+        for _ in range(int(rng.integers(1, 4))):
+            # Re w < floor - residual_tol decides; place Re w on that bound, one step off it, or anywhere
+            floor = float(rng.choice([0.0, 1.0])) - DEFAULT_RESIDUAL_TOL
+            re = near(floor) if rng.uniform() < 0.7 else float(rng.uniform(-1.0, 2.0))
+            targets.append(complex(re, float(rng.choice([0.0, 0.0, 2 * DEFAULT_RESIDUAL_TOL]))))
+        if y == 0.0 and rng.uniform() < 0.5:
+            real_nodes.append(RealNode(x, tuple(w.real for w in targets)))
+        else:
+            complex_nodes.append(ComplexNode(complex(x, y), tuple(targets)))
+    return InterpolationProblem(tuple(real_nodes), tuple(complex_nodes))
+
+
+def necessary_entries(seed=0, trials=2000) -> Iterator[bytes]:
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        violations = necessary_target_check(_necessary_problem(rng))
+        yield repr([(v.reason, v.nodes, v.order, v.detail) for v in violations]).encode()
+
+
+LAYERS = (
+    ("solve", solve_entries),
+    ("classify", classify_entries),
+    ("density", density_entries),
+    ("hull", hull_entries),
+    ("peak", peak_entries),
+    ("cli", cli_entries),
+    ("admissibility", admissibility_entries),
+    ("necessary", necessary_entries),
 )
+
+
+def digest(entries: Iterable[bytes]) -> tuple[str, list[str]]:
+    """The SHA-256 of the entries in order, and each entry's own (16 hex digits)."""
+    h = hashlib.sha256()
+    each = []
+    for entry in entries:
+        h.update(entry)
+        each.append(hashlib.sha256(entry).hexdigest()[:16])
+    return h.hexdigest(), each
 
 
 def main() -> int:
@@ -232,8 +272,9 @@ def main() -> int:
     # the wide slice's known InfeasibleAtCap ends would log a warning each
     logging.getLogger("convex_cyclic").setLevel(logging.ERROR)
     if args.against is None:
-        for name, digest in DIGESTS:
-            print(f"{name} {digest()}", flush=True)
+        for name, layer in LAYERS:
+            total, each = digest(layer())
+            print(f"{name} {total}" + (f" {','.join(each)}" if "OUTPUT_DIGEST_SRC" in os.environ else ""), flush=True)
         return 0
     src = Path(args.against).resolve() / "src"
     if not (src / "convex_cyclic" / "__init__.py").is_file():
@@ -242,16 +283,23 @@ def main() -> int:
     other = subprocess.Popen(
         [sys.executable, __file__], env=dict(os.environ, OUTPUT_DIGEST_SRC=str(src)), stdout=subprocess.PIPE, text=True
     )
-    here = {name: digest() for name, digest in DIGESTS}
+    here = {name: digest(layer()) for name, layer in LAYERS}
     out, _ = other.communicate()
     if other.returncode != 0:
         raise SystemExit(f"digesting {src} failed with exit code {other.returncode}")
-    there = dict(line.split() for line in out.splitlines())
+    there = {}
+    for line in out.splitlines():
+        name, total, each = line.split(" ")
+        there[name] = total, each.split(",")
     differ = False
-    for name, _ in DIGESTS:
-        same = here[name] == there.get(name)
+    for name, _ in LAYERS:
+        (total, each), (other_total, other_each) = here[name], there[name]
+        same = total == other_total
         differ |= not same
-        print(f"{name} {'same' if same else 'DIFFERENT'} {here[name]} {there.get(name)}")
+        print(f"{name} {'same' if same else 'DIFFERENT'} {total} {other_total}")
+        if not same:
+            changed = [i for i, (a, b) in enumerate(zip(each, other_each)) if a != b]
+            print(f"  {len(changed)} of {len(each)} entries differ ({len(other_each)} there), first: {changed[:50]}")
     return 1 if differ else 0
 
 
