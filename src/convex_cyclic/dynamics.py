@@ -6,9 +6,11 @@ images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
 decides it, up to ``HULL_RTOL * max(1, |t|)`` for a target t; its kernel,
 scipy's compiled ``_slsqplib``, is loaded alone at the first hull test,
-never ``scipy.optimize``.  Growth witnesses certify unboundedness of
-functionals along orbits, which is the separation-based obstruction to
-such capture ever failing on admissible matrices.
+never ``scipy.optimize``.  One chunked builder makes every orbit, and a
+scan's hull test is one array-wide pass around its NNLS solves, so a scan
+costs little more than those solves.  Growth witnesses certify
+unboundedness of functionals along orbits, which is the separation-based
+obstruction to such capture ever failing on admissible matrices.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ _FLOAT_MAX = np.finfo(float).max / 2
 _SQUARES_EXACT = 2.0**-511
 
 
-def _length(v: np.ndarray) -> float:
-    """``sqrt(v @ v)``, or ``hypot``'s scaled length where underflowing squares may have shrunk it."""
-    length = math.sqrt(v @ v)
-    return length if length >= _SQUARES_EXACT else math.hypot(*v.tolist())
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """``sqrt(v @ v)`` of each row v, or ``hypot``'s scaled length where
+    underflowing squares may have shrunk it; one BLAS dot per row, since a
+    batched sum of squares rounds differently."""
+    lengths = np.sqrt([v.dot(v) for v in rows])
+    for k in np.flatnonzero(lengths < _SQUARES_EXACT):
+        lengths[k] = math.hypot(*rows[k].tolist())
+    return lengths
 
 
 MatrixLike = Union[MatrixSpec, np.ndarray, Sequence[Sequence[float]]]
@@ -69,16 +75,44 @@ class OrbitTrace:
         return len(self.points) - 1
 
 
+def _orbit_points(T: np.ndarray, x: np.ndarray, count: int, norm_cap: float | None = None) -> tuple[np.ndarray, str]:
+    """The orbit x, Tx, T^2 x, ... as rows, and why they stopped.
+
+    Without ``norm_cap`` the rows are all ``count`` points, whatever their
+    values.  With it they end before the first point that is not finite
+    (``overflow``) or has an entry beyond ``norm_cap`` (``norm_cap``), else
+    at ``count`` (``budget``).  Steps run in chunks, rows 1-15 and then
+    chunks of doubling length (16-31, 32-63, ...), each ``T @ row`` written
+    in place, and a capped buffer doubles with them, so a large ``count``
+    allocates only what the orbit reaches; the cap is checked once per
+    chunk, on every row of it.
+    """
+    # finite, so an infinite cap still stops an infinite entry
+    limit = None if norm_cap is None else min(norm_cap, np.finfo(float).max)
+    P = np.empty((count if limit is None else min(count, 16), len(x)), dtype=T.dtype)
+    P[0] = x
+    n = 1
+    while n < count:
+        end = min(max(2 * n, 16), count)
+        if end > len(P):
+            P = np.concatenate([P, np.empty((end - len(P), len(x)), dtype=T.dtype)])
+        for k in range(n, end):
+            T.dot(P[k - 1], out=P[k])  # the BLAS matrix-vector product of ``T @ row``, without its dispatch
+        if limit is not None:
+            stop = np.flatnonzero(~(np.abs(P[n:end]).max(axis=1) <= limit))
+            if len(stop):
+                k = n + int(stop[0])
+                return P[:k], "norm_cap" if np.all(np.isfinite(P[k])) else "overflow"
+        n = end
+    return P[:count], "budget"
+
+
 def orbit(matrix: MatrixLike, x: Any, horizon: int) -> OrbitTrace:
     """Forward orbit of ``x`` under the matrix, horizon + 1 points."""
     horizon = _require_int(horizon, "horizon", 0)
     T = _coerce_matrix(matrix).entries
     v = _vectors([x], T.shape[0], np.iscomplexobj(T))[0]
-    points = np.empty((horizon + 1, len(v)), dtype=T.dtype)
-    points[0] = v
-    for n in range(horizon):
-        points[n + 1] = T @ points[n]
-    return OrbitTrace(points)
+    return OrbitTrace(_orbit_points(T, v, horizon + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -146,15 +180,20 @@ class HullResult:
     weights: np.ndarray
 
 
-def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
+def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Is each embedded target t, a row of ``targets``, within
-    ``HULL_RTOL * max(1, |t|)`` of the hull of G's columns?
+    ``HULL_RTOL * max(1, |t|)`` of the hull of G's columns?  Returns the
+    verdicts, the residuals and the weights, one row per target.
 
-    G's peak, column norms and unit-norm columns are computed once; per
-    target only the weighted unit-sum row and the right-hand side of one
-    preallocated NNLS system change.  The verdict uses the true Euclidean
-    distance after renormalizing the weights, so it never depends on the
-    penalty weight or on the column scaling.
+    Array-wide passes compute everything around the solves: G's peak,
+    column norms and unit-norm columns, and for all targets at once their
+    units, scaled targets (the right-hand sides), unit-sum rows and column
+    scales.  The loop only writes a target's unit-sum row into one NNLS
+    system and solves it into one weight matrix, renormalized afterwards in
+    one pass.  The verdict uses the true Euclidean distance after
+    renormalizing, so it never depends on the penalty weight or on the
+    column scaling; each target's gap comes from one matrix-vector product,
+    since a batched product rounds differently.
 
     Each solve runs in units of ``s``, the least power of two above every
     entry of G and of its target but at most 2**1023, so scaling rounds
@@ -176,40 +215,45 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> list[HullResult]:
     for k in np.flatnonzero(norms < _SQUARES_EXACT):
         norms[k] = math.hypot(*points[:, k].tolist())
     nonzero = norms > 0
-    # NNLS runs on unit-norm columns (zero columns stay as they are): its
-    # residual otherwise grows with the generator magnitudes
-    unit_norms = np.where(nonzero, norms, 1.0)
     dim, count = G.shape
-    A, b = np.empty((dim + 1, count)), np.empty(dim + 1)
-    A[:dim] = points / unit_norms
+    t_peak = np.max(np.abs(targets), axis=1, initial=1.0)
+    s = np.ldexp(1.0, np.minimum(np.frexp(np.maximum(peak, t_peak))[1], 1023))
+    r = scale / s
+    b = np.empty((len(targets), dim + 1))  # right-hand sides: the target and the unit-sum weight
+    t = np.divide(targets, s[:, None], out=b[:, :dim])
+    # max(1, |t|) in units of s scales the verdict and the unit-sum row's
+    # weight, whose rounding (eps times it) stays far below HULL_RTOL * size
+    size = np.maximum(1.0 / s, _lengths(t))
+    b[:, dim] = 1e3 * size
+    # NNLS runs on unit-norm columns (zero columns stay as they are): its
+    # residual otherwise grows with the generator magnitudes.  A column
+    # shorter than 1e-305 * size enters NNLS at that length, so its unit-sum
+    # weight stays finite; the verdict uses the true point
+    col = np.maximum(np.where(nonzero, norms * r[:, None], 1.0), b[:, dim:] / _FLOAT_MAX)
+    unit_sums = b[:, dim:] / col
+    A = np.empty((dim + 1, count))
+    A[:dim] = points / np.where(nonzero, norms, 1.0)
     # scipy's default cap of 3 iterations per column is too small for long,
     # nearly collinear orbit prefixes and raises instead of answering
     nnls, cap = _scipy_extension("optimize._slsqplib").nnls, 10 * count
-    results = []
-    for t, t_peak in zip(targets, np.max(np.abs(targets), axis=1, initial=1.0).tolist()):
-        s = math.ldexp(1.0, min(math.frexp(max(peak, t_peak))[1], 1023))
-        r = scale / s
-        t = t / s
-        # max(1, |t|) in units of s scales the verdict and the unit-sum row's
-        # weight, whose rounding (eps times it) stays far below HULL_RTOL * size
-        size = max(1.0 / s, _length(t))
-        col = unit_norms if r == 1.0 else np.where(nonzero, norms * r, 1.0)
-        # a column shorter than 1e-305 * size enters NNLS at that length, so
-        # its unit-sum weight stays finite; the verdict uses the true point
-        col = np.maximum(col, 1e3 * size / _FLOAT_MAX)
-        np.divide(1e3 * size, col, out=A[dim])
-        b[:dim], b[dim] = t, 1e3 * size
-        u, _, info = nnls(A, b, cap)
+    w = np.empty((len(targets), count))
+    for i, (row, rhs) in enumerate(zip(unit_sums, b)):
+        A[dim] = row
+        w[i], _, info = nnls(A, rhs, cap)
         if info == 3:
             raise RuntimeError("NNLS reached its iteration cap")
-        w = u / col
-        total = w.sum()
-        if total > 0:
-            w = w / total
-        gap = (points @ w) * r - t
-        distance = _length(gap)
-        results.append(HullResult(contained=distance <= HULL_RTOL * size, residual=s * distance, weights=w))
-    return results
+    w /= col
+    total = w.sum(axis=1, keepdims=True)
+    np.divide(w, total, out=w, where=total > 0)
+    gaps = np.empty_like(t)
+    for wi, gap in zip(w, gaps):
+        points.dot(wi, out=gap)
+    gaps *= r[:, None]
+    gaps -= t
+    distance = _lengths(gaps)
+    with np.errstate(over="ignore"):  # only the residual may round to infinity
+        residual = s * distance
+    return distance <= HULL_RTOL * size, residual, w
 
 
 def hull_contains(query: HullQuery) -> HullResult:
@@ -219,7 +263,8 @@ def hull_contains(query: HullQuery) -> HullResult:
         raise PreconditionViolated("hull query needs at least one point")
     n, is_complex = len(np.atleast_1d(np.asarray(query.points[0]))), any(np.iscomplexobj(p) for p in query.points)
     rows = _vectors([*query.points, query.target], n, is_complex).view(float)
-    return _hull_solve(rows[:-1].T.copy(), rows[-1:])[0]
+    (contained,), (residual,), (weights,) = _hull_solve(rows[:-1].T.copy(), rows[-1:])
+    return HullResult(contained=bool(contained), residual=float(residual), weights=weights)
 
 
 @dataclass(frozen=True)
@@ -243,30 +288,6 @@ class DensityReport:
             "generators_used": self.generators_used,
             "stop_reason": self.stop_reason,
         }
-
-
-def _generator_points(
-    T: np.ndarray, x: np.ndarray, budget: int, norm_cap: float
-) -> tuple[list[np.ndarray], str]:
-    """The orbit prefix x, Tx, T^2 x, ... and why it stopped.
-
-    The convex-polynomial images of x are exactly the convex hull of its
-    orbit, so no other generator can enlarge the hull.  The prefix holds at
-    most ``budget`` points and ends before a non-finite point or one with
-    an entry beyond ``norm_cap``.
-    """
-    points = [x.copy()]
-    limit = min(norm_cap, np.finfo(float).max)  # finite, so an infinite cap stops an infinite entry
-    while len(points) < budget:
-        nxt = T @ points[-1]
-        peak = np.max(np.abs(nxt))
-        if not peak <= limit:
-            if not np.all(np.isfinite(nxt)):
-                return points, "overflow"
-            if peak > norm_cap:
-                return points, "norm_cap"
-        points.append(nxt)
-    return points, "budget"
 
 
 def empirical_density_scan(
@@ -294,14 +315,12 @@ def empirical_density_scan(
 
     # overflow shows as a non-finite orbit point or an infinite norm cap
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = max([1.0, float(np.linalg.norm(v))] + [float(np.linalg.norm(t)) for t in embedded])
-        generators, stop_reason = _generator_points(T, v, poly_budget, norm_cap=1e7 * scale)
-    results = _hull_solve(np.column_stack([p.view(float) for p in generators]), embedded)
-    misses = []
-    for i, result in enumerate(results):
-        if not result.contained:
-            misses.append(i)
-            logger.debug("target %d missed, residual %.3e", i, result.residual)
+        scale = max(1.0, float(np.linalg.norm(v)), float(_lengths(embedded).max()))
+        generators, stop_reason = _orbit_points(T, v, poly_budget, norm_cap=1e7 * scale)
+    contained, residuals, _ = _hull_solve(np.ascontiguousarray(generators.view(float).T), embedded)
+    misses = np.flatnonzero(~contained).tolist()
+    for i in misses:
+        logger.debug("target %d missed, residual %.3e", i, residuals[i])
     captured = len(embedded) - len(misses)
     return DensityReport(
         total=len(embedded),

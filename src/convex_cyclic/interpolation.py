@@ -15,16 +15,16 @@ rows, built once per candidate, that refinement and the measurement apply
 to the coefficients.  Any other outcome (an infeasible LP, an LP that ends
 without an optimum, a candidate that fails the gate) moves on to the next
 degree; degrees escalate geometrically up to the cap.
-One HiGHS instance, driven through scipy's bindings, serves every degree
-of a solve with the options and status reading of ``linprog(method="highs",
-options={"presolve": False})``, bit for bit, without the wrapper's per-call
-option validation, sparse conversion and result assembly; presolve removes
-nothing from these small dense LPs.  The compiled HiGHS bindings are
-loaded alone at the first LP, and ``scipy.optimize`` itself never is, so a
-cold solve pays only for them.  Node sets with distinct real nodes below -1
-and distinct non-real complex nodes outside the closed unit disk with no
-conjugate pairs are admissible: for those, every target assignment is
-feasible at some degree.
+One HiGHS instance per thread, driven through scipy's bindings, serves
+every LP of every solve on that thread with the options and status reading
+of ``linprog(method="highs", options={"presolve": False})``, bit for bit,
+without the wrapper's per-call option validation, sparse conversion and
+result assembly; presolve removes nothing from these small dense LPs.  The
+compiled HiGHS bindings are loaded alone at the first LP, and
+``scipy.optimize`` itself never is, so a cold solve pays only for them.
+Node sets with distinct real nodes below -1 and distinct non-real complex
+nodes outside the closed unit disk with no conjugate pairs are admissible:
+for those, every target assignment is feasible at some degree.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import logging
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -400,7 +401,9 @@ def _polish(
     The start is the LP point itself on its support; mixed-precision
     refinement then iterates on the float64-rounded monomial coefficients,
     with residuals measured against the longdouble jet rows, so the fixed
-    point is limited only by the rounding of the delivered vector.  A
+    point is limited only by the rounding of the delivered vector.  It takes
+    at most four steps and stops at that fixed point: once the rounded
+    vector repeats, every later step would repeat the last one.  A
     refined weight that turns negative gives no candidate.  Otherwise the
     result is the polynomial and its largest per-target residual: the same
     longdouble rows applied to its stored coefficients.  Plain float64
@@ -415,8 +418,12 @@ def _polish(
     raw_ld, rhs_ld = _jet_rows(problem, support, np.clongdouble, 1.0)
     norm_ld = np.asarray(row_norm, dtype=np.longdouble)
     a_sup = np.asarray(b[support] * col_scale[support], dtype=np.longdouble)
+    previous = None
     for _ in range(4):
         a64 = np.where(np.asarray(a_sup, dtype=float) > 0.0, np.asarray(a_sup, dtype=float), 0.0)
+        if previous is not None and np.array_equal(a64, previous):
+            break  # a step from the same float64 point repeats the last one
+        previous = a64
         r_eq = np.asarray((rhs_ld - raw_ld @ a64.astype(np.longdouble)) / norm_ld, dtype=float)
         delta, *_ = np.linalg.lstsq(sub_eq, r_eq, rcond=None)
         a_sup = a64.astype(np.longdouble) + (delta * col_scale[support]).astype(np.longdouble)
@@ -485,11 +492,18 @@ def _lp_options() -> tuple[Any, Any]:
     return highs, options
 
 
+_THREAD = threading.local()
+
+
 def _highs_solver() -> Any:
-    """A HiGHS instance holding the options of ``_lp_options``, for one solve's LPs."""
-    highs, options = _lp_options()
-    solver = highs._Highs()
-    solver.passOptions(options)
+    """This thread's HiGHS instance, holding the options of ``_lp_options``:
+    built at the thread's first LP, then reused by every solve on it
+    (``passModel`` resets the model and the solver state)."""
+    solver = getattr(_THREAD, "highs", None)
+    if solver is None:
+        highs, options = _lp_options()
+        solver = _THREAD.highs = highs._Highs()
+        solver.passOptions(options)
     return solver
 
 
@@ -533,18 +547,18 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, solver: Any) -> tuple
 
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
     """Feasibility at one fixed degree; verified polynomial or None."""
-    found = _certify(problem, degree, _highs_solver())
+    found = _certify(problem, degree)
     return None if found is None else found[0]
 
 
-def _certify(problem: InterpolationProblem, degree: int, solver: Any) -> tuple[ConvexPolynomial, float] | None:
+def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomial, float] | None:
     """Verified polynomial at one fixed degree with its residual, or None.
 
-    One route: the LP, posed on ``solver``, either proves the degree
-    infeasible, ends with any other non-optimal status (both give None, and
-    ``solve`` escalates), or returns an optimal point that ``_polish``
-    refines on its support and measures.  The candidate counts as feasible
-    only if that residual stays within ``residual_tol``.
+    One route: the LP, posed on this thread's HiGHS instance, either proves
+    the degree infeasible, ends with any other non-optimal status (both give
+    None, and ``solve`` escalates), or returns an optimal point that
+    ``_polish`` refines on its support and measures.  The candidate counts
+    as feasible only if that residual stays within ``residual_tol``.
     """
     scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
     rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
@@ -564,7 +578,7 @@ def _certify(problem: InterpolationProblem, degree: int, solver: Any) -> tuple[C
         for t in range(order):
             ff *= np.maximum(idx - t, 0.0)
         weight = weight + ff / scale**order
-    status, b = _highs_lp(weight, eq_rows, eq_rhs, solver)
+    status, b = _highs_lp(weight, eq_rows, eq_rhs, _highs_solver())
     if status != LP_OPTIMAL:
         if status != LP_INFEASIBLE:  # infeasible is a proof; anything else is not
             logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
@@ -606,9 +620,8 @@ def solve(problem: InterpolationProblem) -> InterpolationCertificate:
         return InterpolationCertificate(
             status=STATUS_FEASIBLE, polynomial=ConvexPolynomial([1.0]), degree_used=0, max_residual=0.0
         )
-    solver = _highs_solver()  # one instance for every degree's LP
     for degree in _escalation_degrees(problem):
-        found = _certify(problem, degree, solver)
+        found = _certify(problem, degree)
         if found is not None:
             p, residual = found
             return InterpolationCertificate(

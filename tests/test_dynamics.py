@@ -8,6 +8,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -43,6 +44,108 @@ class TestOrbit:
             dynamics.orbit(np.diag([-2.0]), [1.0], -1)
         with pytest.raises(DimensionMismatch):
             dynamics.orbit(np.diag([-2.0, -3.0]), [1.0], 2)
+
+
+def _per_step_orbit(T, x, count, norm_cap=None):
+    """The orbit builder as a per-step loop: one ``T @ point`` at a time,
+    each new point checked against the cap before it is kept."""
+    points = [np.array(x, dtype=T.dtype)]
+    limit = None if norm_cap is None else min(norm_cap, np.finfo(float).max)
+    while len(points) < count:
+        nxt = T @ points[-1]
+        if limit is not None and not np.max(np.abs(nxt)) <= limit:
+            return np.array(points), "norm_cap" if np.all(np.isfinite(nxt)) else "overflow"
+        points.append(nxt)
+    return np.array(points), "budget"
+
+
+def _overflowing_at(k):
+    """diag(2**e) with 2**(e*(k-1)) finite and 2**(e*k) infinite: row k of
+    the orbit of 1 is the first infinite one."""
+    e = -(-1024 // k)
+    assert e * (k - 1) < 1024 <= e * k
+    return np.diag([2.0**e])
+
+
+class TestOrbitBuilder:
+    """The chunked builder against a per-step loop, bit for bit.  Chunks
+    cover rows [1, 16), [16, 32), [32, 64), ..., so rows 1, 16 and 32 open a
+    chunk and rows 15 and 31 close one."""
+
+    @staticmethod
+    def _same(T, x, count, norm_cap=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            points, reason = dynamics._orbit_points(T, np.array(x, dtype=T.dtype), count, norm_cap)
+            expected, expected_reason = _per_step_orbit(T, x, count, norm_cap)
+        assert reason == expected_reason
+        assert points.shape == expected.shape and points.dtype == expected.dtype
+        assert points.tobytes() == expected.tobytes()
+        return len(points), reason
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 15, 16, 31, 32])
+    def test_the_cap_stops_at_either_end_of_a_chunk(self, k):
+        # row k of the orbit of 1 under 2 is 2**k, the first beyond 2**k - 1
+        assert self._same(np.diag([2.0]), [1.0], 400, norm_cap=2.0**k - 1) == (k, "norm_cap")
+
+    @pytest.mark.parametrize("k", [2, 8, 15, 16, 17, 31, 32])
+    def test_overflow_stops_at_either_end_of_a_chunk(self, k):
+        # an infinite cap still stops the first infinite entry, as overflow
+        assert self._same(_overflowing_at(k), [1.0], 400, math.inf) == (k, "overflow")
+        if k != 31:  # row 30 is beyond 1e300 there
+            assert self._same(_overflowing_at(k), [1.0], 400, 1e300) == (k, "overflow")
+
+    @pytest.mark.parametrize("e, k", [(128, 8), (64, 16)])
+    def test_a_nan_entry_stops_as_overflow(self, e, k):
+        # (2**e (1 + i))**k: the real part's products overflow with opposite
+        # signs, so the first non-finite point has a NaN part
+        T = np.diag([2.0**e * (1 + 1j)])
+        assert self._same(T, [1 + 0j], 400, math.inf) == (k, "overflow")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(T @ dynamics.orbit(T, [1 + 0j], k - 1).points[-1]).any()
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 16, 32, 33])
+    def test_budgets_at_and_past_chunk_boundaries(self, count):
+        # the point after the last one kept would pass the cap: the budget stops first
+        assert self._same(np.diag([2.0]), [1.0], count, norm_cap=2.0**count - 1) == (count, "budget")
+        assert self._same(np.diag([-0.5, 0.25j]), [1.0, 1.0], count, norm_cap=1.0) == (count, "budget")
+
+    def test_budget_one_keeps_only_the_vector(self):
+        report = dynamics.empirical_density_scan(np.diag([-2.0, -3.0]), [1.0, 1.0], [[1.0, 1.0]], poly_budget=1)
+        assert (report.generators_used, report.stop_reason, report.captured) == (1, "budget", 1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("gain", [1.0, 30.0])  # at 30 the long orbits overflow, and orbit keeps every point
+    def test_orbit_matches_a_per_step_loop_across_chunks(self, dtype, gain):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 7):
+            T = gain * rng.standard_normal((n, n)).astype(dtype)
+            if dtype is complex:
+                T += gain * 1j * rng.standard_normal((n, n))
+            x = rng.standard_normal(n).astype(dtype)
+            for horizon in (0, 1, 2, 7, 8, 15, 16, 17, 40, 300):
+                expected = np.empty((horizon + 1, n), dtype=dtype)
+                expected[0] = x
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for k in range(horizon):
+                        expected[k + 1] = T @ expected[k]
+                    points = dynamics.orbit(T, x, horizon).points
+                assert points.tobytes() == expected.tobytes()
+
+    def test_a_huge_budget_allocates_only_what_the_orbit_reaches(self):
+        grid = [[a, b] for a in (-8.0, 0.0, 8.0) for b in (-8.0, 0.0, 8.0)]
+        dynamics.empirical_density_scan(np.diag([-2.0, -3.0]), np.ones(2), grid, poly_budget=64)  # loads NNLS
+        tracemalloc.start()
+        try:
+            report = dynamics.empirical_density_scan(np.diag([-2.0, -3.0]), np.ones(2), grid, poly_budget=10**9)
+            _, peak = tracemalloc.get_traced_memory()
+            np.ones((10**5, 2))
+            _, budget_sized = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.stop_reason, report.generators_used) == ("norm_cap", 17)
+        # numpy's buffers are traced, and 10**9 rows of two floats take 16 GB
+        assert budget_sized >= 1.6e6
+        assert peak < 2e5
 
 
 class TestMatrixCoercion:
@@ -283,9 +386,10 @@ class TestHullContains:
         ]
         for points, targets in cases:
             G = np.column_stack(points)
-            scan = dynamics._hull_solve(G, np.array(targets))
-            assert len(scan) == len(targets)
-            for target, batched in zip(targets, scan):
+            verdicts, residuals, weight_rows = dynamics._hull_solve(G, np.array(targets))
+            assert len(verdicts) == len(residuals) == len(weight_rows) == len(targets)
+            for target, *row in zip(targets, verdicts.tolist(), residuals.tolist(), weight_rows):
+                batched = dynamics.HullResult(*row)
                 residual, weights = self._per_call_hull(points, target)
                 kernel = self._per_target_hull(G, target)
                 for result in (dynamics.hull_contains(HullQuery(points, target)), batched):

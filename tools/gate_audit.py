@@ -63,9 +63,9 @@ def candidates(problem: itp.InterpolationProblem) -> list[tuple[int, bool, np.nd
         polished.append(polish(*args))
         return polished[-1]
 
-    def recording_certify(problem, degree, solver):
+    def recording_certify(problem, degree):
         polished.clear()
-        found = certify(problem, degree, solver)
+        found = certify(problem, degree)
         for c in polished:
             if c is not None:
                 out.append((degree, c is found, c[0].coeffs))

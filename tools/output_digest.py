@@ -15,6 +15,9 @@ Prints one SHA-256 per layer:
   ``hull_contains`` for every target of the budget-400 scans of
   ``density_round`` seeds 0-1, on the orbit prefix the benchmark's trace
   uses (cut where a point first exceeds 1e7 times the largest input norm);
+- ``orbit``: the point bytes of ``orbit`` for every case of
+  ``density_round`` seeds 0-3 at horizon ``budget - 1`` (overflow warnings
+  ignored), so every orbit point a scan's prefix can use is checked;
 - ``peak``: the peaking certificates of the 200 node sets that acceptance
   criterion 2 draws at seed 0, each with and without ``avoid_real_values``
   (an exception counts by its type and message);
@@ -133,6 +136,13 @@ def hull_entries(seeds=(0, 1)) -> Iterator[bytes]:
                 yield repr(result.residual).encode() + result.weights.tobytes()
 
 
+def orbit_entries(seeds=(0, 1, 2, 3)) -> Iterator[bytes]:
+    for seed in seeds:
+        for case in inputs.density_round(seed):
+            with np.errstate(over="ignore", invalid="ignore"):
+                yield orbit(case.matrix, case.x, case.budget - 1).points.tobytes()
+
+
 def peak_entries(seed=0, trials=200) -> Iterator[bytes]:
     rng = np.random.default_rng(seed + 1)  # criterion 2's generator
     for _ in range(trials):
@@ -248,6 +258,7 @@ LAYERS = (
     ("classify", classify_entries),
     ("density", density_entries),
     ("hull", hull_entries),
+    ("orbit", orbit_entries),
     ("peak", peak_entries),
     ("cli", cli_entries),
     ("admissibility", admissibility_entries),
