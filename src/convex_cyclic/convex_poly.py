@@ -10,6 +10,7 @@ polynomials ``z^m (alpha*z + 1 - alpha)`` for admissible node sets.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +32,6 @@ __all__ = [
     "DEFAULT_POWER_CAP",
     "ConvexPolynomial",
     "PeakingCertificate",
-    "horner",
     "evaluate",
     "derivative",
     "node_pairs",
@@ -100,35 +100,52 @@ class ConvexPolynomial:
         return f"ConvexPolynomial([{body}])"
 
 
-def horner(coeffs: Sequence[complex], z: complex | float) -> complex | float:
-    """Evaluate the ascending coefficient vector ``coeffs`` at ``z``.
+def _coefficients(p: ConvexPolynomial | Sequence[complex]) -> np.ndarray:
+    """The one check of the package's coefficient operands: a
+    convex-polynomial's stored vector, or a plain ascending vector that is
+    1-d, numeric, not boolean and finite, as float or complex.  An empty
+    vector is the zero polynomial."""
+    if isinstance(p, ConvexPolynomial):
+        return p.coeffs
+    with contextlib.suppress(ValueError):  # a ragged operand has no array form
+        c = np.asarray(p)
+        if c.ndim == 1 and c.dtype.kind in "iufc" and np.all(np.isfinite(c)):
+            return c.astype(np.result_type(c, float), copy=False)
+    raise PreconditionViolated("coefficients must be a finite 1-d numeric vector")
 
-    Horner's scheme in Python scalars: a float for real ``z``, a complex
-    number for complex ``z`` (every step adds the coefficient as a complex
-    number).  The single Horner kernel of the package, serving
-    ``evaluate`` and ``jordan_forms``: interpolation measures candidates on
-    its refinement's longdouble jet rows instead, and the rational
-    reference ``acceptance._exact_jet`` stays apart on purpose.
+
+def _falling(columns: Sequence[int], max_order: int) -> np.ndarray:
+    """The package's one falling-factorial table: row j, column k holds
+    ``i (i - 1) ... (i - j + 1)`` for ``i = columns[k]``, 0 where ``j > i``,
+    for ``j = 0 .. max_order``.  A product that leaves float range is inf,
+    without a warning."""
+    i = np.asarray(columns, dtype=float)
+    j = np.arange(max_order + 1)[:, None]
+    steps = np.ones((max_order + 1, len(i)))
+    steps[1:] = i - j[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(j <= i, np.cumprod(steps, axis=0), 0.0)
+
+
+def evaluate(p: ConvexPolynomial | Sequence[complex], z: complex | float) -> complex | float:
+    """Evaluate ``p`` (a convex-polynomial or a plain ascending vector) at
+    ``z`` by Horner's scheme in Python scalars: a float for real ``z`` and
+    coefficients, a complex number for any complex ``z``, numpy's included,
+    so ``p(conj(z)) == conj(p(z))`` exactly.  The package's one scalar
+    Horner; the rational reference ``acceptance._exact_jet`` stays apart.
     """
-    if isinstance(z, complex):
+    coeffs = _coefficients(p)
+    if isinstance(z, (complex, np.complexfloating)):
+        z = complex(z)
         acc: complex | float = 0.0 + 0.0j
-        for a in np.asarray(coeffs)[::-1]:
+        for a in coeffs[::-1]:
             acc = acc * z + complex(a)
         return acc
     z = float(z)
     acc = 0.0
-    for a in np.asarray(coeffs)[::-1]:
+    for a in coeffs[::-1]:
         acc = acc * z + a
     return acc
-
-
-def evaluate(p: ConvexPolynomial, z: complex | float) -> complex | float:
-    """Evaluate ``p`` at ``z`` by Horner's scheme.
-
-    Returns a float for real ``z`` and a complex number otherwise; the
-    scheme commutes with conjugation exactly, so ``p(conj(z)) == conj(p(z))``.
-    """
-    return horner(p.coeffs, z)
 
 
 def derivative(p: ConvexPolynomial | Sequence[complex], order: int = 1) -> np.ndarray:
@@ -140,13 +157,8 @@ def derivative(p: ConvexPolynomial | Sequence[complex], order: int = 1) -> np.nd
     ``order`` exceeds the degree.
     """
     order = _require_int(order, "derivative order", 0)
-    c = np.asarray(getattr(p, "coeffs", p))
-    c = c.astype(np.result_type(c, float), copy=False)
-    for _ in range(order):
-        if len(c) <= 1:
-            return np.zeros(0)
-        c = c[1:] * np.arange(1, len(c), dtype=float)
-    return c
+    c = _coefficients(p)
+    return c[order:] * _falling(np.arange(order, len(c)), order)[order]
 
 
 def _pair_gaps(points: Sequence[complex], conjugate: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
-from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _node_clauses, _pair_gaps
+from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _falling, _node_clauses, _pair_gaps
 from .errors import ParseError, PreconditionViolated, _require_int
 
 __all__ = [
@@ -367,10 +367,7 @@ def _jet_rows(
     orders = np.array([order for _, order, *_ in targets], dtype=int)
     exponent = columns - orders[:, None]
     used = exponent >= 0
-    # row j of the table holds falling(i, j) = i (i - 1) ... (i - j + 1)
-    steps = np.ones((orders.max(initial=0) + 1, len(columns)))
-    steps[1:] = columns - np.arange(len(steps) - 1)[:, None]
-    falling = np.cumprod(steps, axis=0)[orders]
+    falling = _falling(columns, orders.max(initial=0))[orders]
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.where(used, falling * np.power(nodes[:, None], np.where(used, exponent, 0)), 0)
         scaled = powers * col_scale
@@ -554,30 +551,33 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
 def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomial, float] | None:
     """Verified polynomial at one fixed degree with its residual, or None.
 
-    One route: the LP, posed on this thread's HiGHS instance, either proves
-    the degree infeasible, ends with any other non-optimal status (both give
-    None, and ``solve`` escalates), or returns an optimal point that
-    ``_polish`` refines on its support and measures.  The candidate counts
-    as feasible only if that residual stays within ``residual_tol``.
+    One route: a degree whose jet rows or objective leave float range gives
+    None at once; otherwise the LP, posed on this thread's HiGHS instance,
+    either proves the degree infeasible, ends with any other non-optimal
+    status (each gives None, and ``solve`` escalates), or returns an optimal
+    point that ``_polish`` refines on its support and measures.  The
+    candidate counts as feasible only if that residual stays within
+    ``residual_tol``.
     """
     scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
     rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
-    row_norm = np.maximum(np.abs(rows).max(axis=1), 1e-300)
-    eq_rows = rows / row_norm[:, None]
-    eq_rhs = rhs / row_norm
-    col_scale = rows[-1]  # the simplex row holds scale**(-i)
 
     # the objective tracks coefficient mass through value and jet rows at
     # the largest node; minimizing it keeps the cancellation that float64
     # storage of the answer must survive as small as the instance allows
-    idx = np.arange(degree + 1, dtype=float)
-    max_order = max([1] + [j + 1 for _, j, _, _ in _targets(problem)])
-    weight = np.ones(degree + 1)
-    for order in range(1, max_order):
-        ff = np.ones(degree + 1)
-        for t in range(order):
-            ff *= np.maximum(idx - t, 0.0)
-        weight = weight + ff / scale**order
+    max_order = max([0] + [j for _, j, _, _ in _targets(problem)])
+    falling = _falling(np.arange(degree + 1), max_order)
+    try:  # Python's float pow: numpy's vectorized power rounds differently
+        weight = sum((falling[order] / scale**order for order in range(1, max_order + 1)), np.ones(degree + 1))
+    except OverflowError:  # scale**order past float range
+        weight = np.full(degree + 1, np.inf)
+    row_norm = np.maximum(np.abs(rows).max(axis=1), 1e-300)  # inf or nan for a row that is not finite
+    if not (np.isfinite(row_norm).all() and np.isfinite(weight).all()):
+        logger.debug("degree %d: jet rows or objective leave float range, no candidate at this degree", degree)
+        return None
+    eq_rows = rows / row_norm[:, None]
+    eq_rhs = rhs / row_norm
+    col_scale = rows[-1]  # the simplex row holds scale**(-i)
     status, b = _highs_lp(weight, eq_rows, eq_rhs, _highs_solver())
     if status != LP_OPTIMAL:
         if status != LP_INFEASIBLE:  # infeasible is a proof; anything else is not

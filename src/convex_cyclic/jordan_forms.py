@@ -17,14 +17,13 @@ from typing import Any, Sequence, Union
 import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
-from .convex_poly import derivative, horner
+from .convex_poly import ConvexPolynomial, _coefficients, derivative, evaluate
 from .errors import OddLength, ParseError, PreconditionViolated, _require_int
 from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
 __all__ = [
     "JordanBlockSpec",
     "RealJordanBlockSpec",
-    "DiagonalEntrySpec",
     "DirectSumSpec",
     "BlockSpec",
     "build",
@@ -82,25 +81,7 @@ class RealJordanBlockSpec:
         return True
 
 
-@dataclass(frozen=True)
-class DiagonalEntrySpec:
-    """A 1x1 block."""
-
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-
-    @property
-    def dimension(self) -> int:
-        return 1
-
-    @property
-    def is_real(self) -> bool:
-        return self.value.imag == 0.0
-
-
-BlockSpec = Union[JordanBlockSpec, RealJordanBlockSpec, DiagonalEntrySpec]
+BlockSpec = Union[JordanBlockSpec, RealJordanBlockSpec]
 
 
 @dataclass(frozen=True)
@@ -152,8 +133,8 @@ class DirectSumSpec:
                             parse_real(item["theta"], where),
                         )
                     )
-                elif kind == "diag":
-                    blocks.append(DiagonalEntrySpec(parse_complex(item["value"], where)))
+                elif kind == "diag":  # a diagonal entry is a 1x1 Jordan block
+                    blocks.append(JordanBlockSpec(1, parse_complex(item["value"], where)))
                 else:
                     raise ParseError(f"{where}: unknown block type {kind!r}")
             except KeyError as exc:
@@ -175,17 +156,14 @@ def _build_block(block: BlockSpec, dtype) -> np.ndarray:
         for i in range(block.size - 1):
             out[i + 1, i] = 1.0
         return out
-    if isinstance(block, RealJordanBlockSpec):
-        k = block.size
-        out = np.zeros((2 * k, 2 * k), dtype=dtype)
-        cell = block.modulus * rotation(block.angle)
-        for i in range(k):
-            out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = cell
-        for i in range(k - 1):
-            out[2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.eye(2)
-        return out
-    value = block.value if dtype == complex else block.value.real
-    return np.array([[value]], dtype=dtype)
+    k = block.size
+    out = np.zeros((2 * k, 2 * k), dtype=dtype)
+    cell = block.modulus * rotation(block.angle)
+    for i in range(k):
+        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = cell
+    for i in range(k - 1):
+        out[2 * i + 2 : 2 * i + 4, 2 * i : 2 * i + 2] = np.eye(2)
+    return out
 
 
 def _direct_sum(spec: Any) -> DirectSumSpec:
@@ -220,9 +198,9 @@ def convex_cyclic_vector_test(canonical: Any, vector: Sequence[complex]) -> bool
     """Blockwise test for convex-cyclic vectors of a canonical direct sum.
 
     For a convex-cyclic canonical matrix the convex-cyclic vectors are
-    exactly those with a nonzero coordinate for every diagonal entry, a
-    nonzero first coordinate for every Jordan block, and a nonzero first
-    coordinate pair for every 2x2-cell real block.  Zero tests are exact;
+    exactly those with a nonzero first coordinate for every Jordan block
+    (a diagonal entry is a 1x1 one) and a nonzero first coordinate pair for
+    every 2x2-cell real block.  Zero tests are exact;
     the answer is only meaningful when the built matrix is convex-cyclic.
     The vector is checked as ``spectral._vectors`` checks an orbit's start,
     in the built matrix's field.
@@ -238,32 +216,36 @@ def convex_cyclic_vector_test(canonical: Any, vector: Sequence[complex]) -> bool
     return True
 
 
-def poly_on_jordan_block(p: Sequence[float], eigenvalue: complex, size: int) -> np.ndarray:
+def poly_on_jordan_block(p: ConvexPolynomial | Sequence[float], eigenvalue: complex, size: int) -> np.ndarray:
     """Closed form for ``p(J)`` on a lower-triangular Jordan block.
 
     The result is lower-triangular Toeplitz: entry ``(i, j)`` for ``i >= j``
     equals the ``(i - j)``-th derivative of ``p`` at the eigenvalue divided
-    by ``(i - j)!``.  Derivative coefficients come from exact index shifts,
-    so ``p(J) == 0`` exactly when ``p`` has a zero of order ``size`` there.
+    by ``(i - j)!``, so ``p(J)`` vanishes when ``p`` has a zero of order
+    ``size`` there.  The eigenvalue must be finite.
     """
     size = _require_int(size, "block size", 1)
+    coeffs = _coefficients(p)
     lam = complex(eigenvalue)
+    if not np.isfinite(lam):
+        raise PreconditionViolated("eigenvalue must be finite")
     out = np.zeros((size, size), dtype=complex)
     for d in range(size):
-        value = horner(derivative(p, d), lam) / math.factorial(d)
+        value = evaluate(derivative(coeffs, d), lam) / math.factorial(d)
         for i in range(d, size):
             out[i, i - d] = value
     return out
 
 
-def matrix_polynomial(p: Sequence[float], matrix: MatrixSpec | np.ndarray) -> np.ndarray:
-    """Dense Horner evaluation of a polynomial at a matrix."""
+def matrix_polynomial(p: ConvexPolynomial | Sequence[float], matrix: MatrixSpec | np.ndarray) -> np.ndarray:
+    """Dense Horner evaluation of a polynomial at a matrix; the zero matrix
+    for an empty coefficient vector."""
     entries = _coerce_matrix(matrix).entries
-    coeffs = np.asarray(getattr(p, "coeffs", p))
+    coeffs = _coefficients(p)
     n = entries.shape[0]
     dtype = np.result_type(entries.dtype, coeffs.dtype)
     eye = np.eye(n, dtype=dtype)
-    acc = coeffs[-1] * eye
+    acc = coeffs[-1] * eye if len(coeffs) else 0.0 * eye
     for a in coeffs[-2::-1]:
         acc = acc @ entries + a * eye
     return acc

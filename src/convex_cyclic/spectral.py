@@ -78,17 +78,16 @@ class MatrixSpec:
             raise NonSquare(arr.shape)
         if arr.shape[0] < 1:
             raise PreconditionViolated("matrix must be at least 1x1")
-        if not np.all(np.isfinite(arr.real)) or (np.iscomplexobj(arr) and not np.all(np.isfinite(arr.imag))):
+        if not np.all(np.isfinite(arr)):  # both parts of a complex entry
             raise PreconditionViolated("matrix entries must be finite")
         if self.field == "real":
             if np.iscomplexobj(arr):
                 if np.any(arr.imag != 0.0):
                     raise PreconditionViolated("real field requires exactly real entries")
                 arr = arr.real
-            arr = arr.astype(float)
+            arr = arr.astype(float)  # a new array: the caller's stays writable
         else:
             arr = arr.astype(complex)
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jordan_forms import (
-    DiagonalEntrySpec,
-    DirectSumSpec,
-    JordanBlockSpec,
-    RealJordanBlockSpec,
-)
+from .jordan_forms import DirectSumSpec, JordanBlockSpec, RealJordanBlockSpec
 from .spectral import (
     REASON_CONJUGATE_PAIR,
     REASON_IN_CLOSED_DISK,
@@ -43,7 +38,7 @@ class SuiteEntry:
 
 
 def _diag(*values) -> DirectSumSpec:
-    return DirectSumSpec(tuple(DiagonalEntrySpec(v) for v in values))
+    return DirectSumSpec(tuple(JordanBlockSpec(1, v) for v in values))
 
 
 def _blocks(*blocks) -> DirectSumSpec:
@@ -78,7 +73,7 @@ def golden_suite() -> tuple[SuiteEntry, ...]:
         _cc("cc_real_diag_three", _diag(-2.5, -1.7, -4.0)),
         _cc(
             "cc_real_mixed",
-            _blocks(RealJordanBlockSpec(1, 1.8, 2 * math.pi / 5), DiagonalEntrySpec(-2.2)),
+            _blocks(RealJordanBlockSpec(1, 1.8, 2 * math.pi / 5), JordanBlockSpec(1, -2.2)),
         ),
         _cc(
             "cc_real_two_rotations",
@@ -87,7 +82,7 @@ def golden_suite() -> tuple[SuiteEntry, ...]:
         _cc("cc_real_jordan", _blocks(JordanBlockSpec(2, -2.5)), "defective, still cyclic"),
         _cc(
             "cc_real_jordan_mixed",
-            _blocks(JordanBlockSpec(2, -4.0), DiagonalEntrySpec(-2.0)),
+            _blocks(JordanBlockSpec(2, -4.0), JordanBlockSpec(1, -2.0)),
         ),
         _cc("cc_real_diag_pair", _diag(-1.4, -2.8)),
         _cc("cc_complex_diag", _diag(2j, -3 + 1j)),
@@ -159,7 +154,7 @@ def golden_suite() -> tuple[SuiteEntry, ...]:
         ),
         _fail(
             "fail_real_disk_mixed",
-            _blocks(RealJordanBlockSpec(1, 0.3, 2.0), DiagonalEntrySpec(0.5)),
+            _blocks(RealJordanBlockSpec(1, 0.3, 2.0), JordanBlockSpec(1, 0.5)),
             frozenset({REASON_IN_CLOSED_DISK, REASON_NONNEGATIVE_REAL}),
             note="all eigenvalues inside the open disk",
         ),

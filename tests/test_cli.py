@@ -216,6 +216,33 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("analyze", [1], "a JSON object describing a matrix"),
+            ("orbit", {"matrix": [[-2.0]], "vector": [1.0]}, "a JSON object describing a matrix"),
+            ("interpolate", [1], "a JSON object describing the problem"),
+            ("peak", {"nodes": []}, "a nonempty 'nodes' list"),
+            ("peak", [[0.0, 2.0]], "a nonempty 'nodes' list"),
+            ("orbit", {"vector": [1.0, 1.0]}, "'matrix' and 'vector'"),
+            ("density", {"vector": [1.0, 1.0]}, "'matrix', 'vector' and 'targets'"),
+            ("density", dict(json.loads(DENSITY_OK), targets=[]), "'targets' must be a nonempty list"),
+            ("density", {k: v for k, v in json.loads(DENSITY_OK).items() if k != "targets"}, "'targets' must be"),
+        ],
+        ids=[
+            "analyze-list", "orbit-matrix-list", "interpolate-list", "peak-no-nodes", "peak-list",
+            "orbit-no-matrix", "density-no-matrix", "density-no-targets", "density-targets-missing",
+        ],
+    )
+    def test_request_of_the_wrong_shape_is_a_parse_error(self, run_cli, tmp_path, command, body, message):
+        # from a file: inline input must start with '{', so a list needs one
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        code, out, err = run_cli([command, "--input", str(path)])
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and message in error["message"]
+
     def test_malformed_matrix_is_a_parse_error(self, run_cli):
         bad = json.dumps({"field": "real", "rows": [[1.0, 2.0]]})
         code, _, err = run_cli(["analyze", "--input", bad])
@@ -249,6 +276,7 @@ class TestErrorHandling:
         ("interpolate", {"real_nodes": [{"x": -2.0, "targets": [7.0]}], "max_degree": 0}, 4, "PreconditionViolated"),
         ("interpolate", {"real_nodes": [{"x": -2.0, "targets": [7.0]}], "residual_tol": 0}, 4, "PreconditionViolated"),
         ("interpolate", {"real_nodes": [{"x": -1.5, "targets": [1e6]}], "max_degree": 4}, 3, None),
+        ("interpolate", {"real_nodes": [{"x": -1e6, "targets": [0.5] + [0.0] * 59}]}, 3, None),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": 3.0}, 1, "ParseError"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": -3}, 4, "PreconditionViolated"),
         ("peak", {"nodes": [[0.0, 2.0], [2.0, 0.0]], "margin_goal": 1e12, "power_cap": 3}, 3, "NoPeakWithinCap"),
@@ -273,6 +301,7 @@ class TestErrorHandling:
         ids=[
             "analyze-malformed", "analyze-block-size", "analyze-block-modulus",
             "interpolate-malformed", "interpolate-max-degree", "interpolate-residual-tol", "interpolate-cap",
+            "interpolate-cap-past-float-range",
             "peak-malformed", "peak-power-cap", "peak-cap", "peak-alpha-string",
             "orbit-malformed", "orbit-horizon", "orbit-vector-length", "orbit-overflow",
             "density-malformed", "density-poly-budget", "density-target-length",

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from convex_cyclic import convex_poly
 from convex_cyclic.convex_poly import ConvexPolynomial
+from convex_cyclic.jordan_forms import matrix_polynomial, poly_on_jordan_block
 from convex_cyclic.errors import (
     AlphaGridExhausted,
     NegativeCoefficient,
@@ -71,6 +74,11 @@ class TestEvaluation:
     def test_real_argument_returns_float(self):
         p = ConvexPolynomial([0.5, 0.5])
         assert isinstance(convex_poly.evaluate(p, 0.25), float)
+
+    @pytest.mark.parametrize("z", [np.complex64(2j), np.complex128(2j), np.clongdouble(2j)])
+    def test_numpy_complex_argument_is_complex(self, z):
+        # a complex64 once went through float() and lost its imaginary part
+        assert convex_poly.evaluate(ConvexPolynomial([0.5, 0.5]), z) == 0.5 + 1j
 
     def test_call_matches_evaluate(self):
         p = ConvexPolynomial([0.2, 0.3, 0.5])
@@ -148,13 +156,85 @@ class TestAlgebra:
             assert np.array_equal(convex_poly.derivative(list(p.coeffs), order), convex_poly.derivative(p, order))
         assert np.array_equal(convex_poly.derivative([1j, 2.0, 3j], 1), [2.0, 6j])
 
-    def test_horner_matches_evaluate(self):
+    def test_evaluate_takes_a_plain_vector(self):
         p = ConvexPolynomial([0.25, 0.0, 0.5, 0.25])
         for z in (-2.0, 0.5, 1.5 - 2.0j, -0.0j):
-            assert convex_poly.horner(p.coeffs, z) == convex_poly.evaluate(p, z)
-        assert isinstance(convex_poly.horner(p.coeffs, -2.0), float)
-        assert isinstance(convex_poly.horner(p.coeffs, -2.0 + 0.0j), complex)
-        assert convex_poly.horner([], 2.0j) == 0.0
+            assert convex_poly.evaluate(list(p.coeffs), z) == convex_poly.evaluate(p, z)
+        assert isinstance(convex_poly.evaluate(p.coeffs, -2.0), float)
+        assert isinstance(convex_poly.evaluate(p.coeffs, -2.0 + 0.0j), complex)
+        assert convex_poly.evaluate([], 2.0j) == 0.0
+
+    def test_derivative_reads_the_falling_factorial_table(self):
+        # one product per coefficient: the table row times the coefficient
+        rng = np.random.default_rng(29)
+        coeffs = rng.uniform(0.0, 1.0, 12) + 1j * rng.uniform(0.0, 1.0, 12)
+        for order in range(14):
+            expected = [coeffs[i] * math.perm(i, order) for i in range(order, 12)]
+            assert np.array_equal(convex_poly.derivative(coeffs, order), expected)
+
+
+class TestFallingTable:
+    def test_exact_products_and_zeros_above_the_column(self):
+        columns = np.array([0, 1, 2, 5, 9, 20])
+        table = convex_poly._falling(columns, 12)
+        assert table.shape == (13, len(columns))
+        assert table.tolist() == [[float(math.perm(i, j)) for i in columns] for j in range(13)]
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = convex_poly._falling(np.arange(300), 200)
+        assert table[171, 171] == math.inf and table[170, 170] == pytest.approx(math.factorial(170))
+        # a column below the order is 0 even where its product passed float range
+        assert table[180, 179] == 0.0 and table[200, 199] == 0.0
+        assert not np.any(np.isnan(table))
+
+
+class TestCoefficients:
+    REFUSED = [
+        [[1.0, 2.0]],
+        np.ones((2, 2)),
+        3.0,
+        [True, False],
+        ["a", "b"],
+        [Fraction(1, 2)],
+        [1.0, [2.0]],
+        [0.5, math.nan],
+        [0.5, complex(0.0, math.inf)],
+    ]
+    IDS = ["row-matrix", "2-d", "scalar", "boolean", "string", "object", "ragged", "nan", "infinite-imaginary"]
+    CALLS = {
+        "evaluate": lambda c: convex_poly.evaluate(c, 2.0),
+        "derivative": lambda c: convex_poly.derivative(c, 1),
+        "matrix_polynomial": lambda c: matrix_polynomial(c, np.eye(2)),
+        "poly_on_jordan_block": lambda c: poly_on_jordan_block(c, -2.0, 2),
+    }
+
+    @pytest.mark.parametrize("coeffs", REFUSED, ids=IDS)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_by_every_reader(self, call, coeffs):
+        with pytest.raises(PreconditionViolated, match="coefficients must be"):
+            self.CALLS[call](coeffs)
+
+    def test_a_row_matrix_is_not_a_polynomial(self):
+        # a 1x2 operand once broadcast into diag(1, 2)
+        with pytest.raises(PreconditionViolated, match="1-d"):
+            matrix_polynomial([[1, 2]], np.eye(2))
+
+    def test_plain_operands_are_float_or_complex(self):
+        assert convex_poly._coefficients([1, 2]).dtype == np.float64
+        assert convex_poly._coefficients(np.array([1, 2], dtype=np.float32)).dtype == np.float64
+        assert convex_poly._coefficients([1j, 2]).dtype == np.complex128
+        p = ConvexPolynomial([0.5, 0.5])
+        assert convex_poly._coefficients(p) is p.coeffs
+
+    def test_empty_is_the_zero_polynomial(self):
+        assert convex_poly.evaluate([], -2.0) == 0.0
+        assert convex_poly.derivative([], 0).size == 0
+        for matrix in (np.diag([-2.0, -3.0]), np.diag([2j, 3j])):
+            out = matrix_polynomial([], matrix)
+            assert out.dtype == matrix.dtype and np.array_equal(out, np.zeros((2, 2)))
+        assert np.array_equal(poly_on_jordan_block([], -2.0, 2), np.zeros((2, 2)))
 
 
 def _comprehension_pairs(nodes, conjugate, tolerance):
@@ -484,6 +564,13 @@ class TestPeaking:
         # a NaN goal fails every margin comparison, so the scan would run to its cap
         with pytest.raises(PreconditionViolated):
             convex_poly.peaking_polynomial([2j, -2.0], **setting)
+
+    def test_zero_node_peaks_at_power_zero(self):
+        # z**0 is 1 at the node 0, so at power 0 its value is 1 - alpha
+        cert = convex_poly.peaking_polynomial([0, 2])
+        assert (cert.power, cert.peak_point, cert.alpha) == (0, 2, 0.5)
+        assert cert.margin == 1.0
+        assert np.array_equal(cert.polynomial.coeffs, [0.5, 0.5])
 
     def test_power_cap_exhaustion_raises(self):
         # equal-modulus nodes keep trading the lead, so tiny caps fail

@@ -5,8 +5,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
+import logging
 import math
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -925,6 +927,26 @@ class TestOverflowingRows:
         assert np.allclose(rows[0], (-1.0) ** np.arange(problem.max_degree + 1), rtol=0.0, atol=1e-12)
         cert = itp.solve(problem)
         assert cert.status in (itp.STATUS_FEASIBLE, itp.STATUS_INFEASIBLE_AT_CAP)
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            itp.RealNode(-2.0, (0.5,) + (0.0,) * 149),
+            itp.RealNode(-1e6, (0.5,) + (0.0,) * 59),
+            itp.RealNode(-1000.0, (0.5,) + (0.0,) * 109),
+        ],
+        ids=["falling-factorial-at-degree-200", "scale-power-1e6", "scale-power-1000"],
+    )
+    def test_a_degree_past_float_range_escalates_to_the_cap(self, node, caplog):
+        # falling(200, 149) and 1e6**59, 1000**109 leave float range: those
+        # degrees pose no LP, with no warning, and the solve ends at the cap
+        problem = itp.InterpolationProblem(real_nodes=(node,))
+        assert itp.check_admissibility(problem).admissible
+        with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="convex_cyclic.interpolation"):
+            warnings.simplefilter("error")
+            cert = itp.solve(problem)
+        assert (cert.status, cert.max_degree) == (itp.STATUS_INFEASIBLE_AT_CAP, 200)
+        assert "degree 200: jet rows or objective leave float range" in caplog.text
 
 
 def _exact(x) -> Fraction:

@@ -13,7 +13,6 @@ from convex_cyclic import jordan_forms
 from convex_cyclic.convex_poly import ConvexPolynomial
 from convex_cyclic.errors import NonSquare, OddLength, ParseError, PreconditionViolated
 from convex_cyclic.jordan_forms import (
-    DiagonalEntrySpec,
     DirectSumSpec,
     JordanBlockSpec,
     RealJordanBlockSpec,
@@ -56,7 +55,7 @@ class TestBuild:
         assert np.all(matrix.entries[0:2, 2:4] == 0.0)
 
     def test_direct_sum_concatenates_blocks(self):
-        spec = DirectSumSpec((DiagonalEntrySpec(-2.0), JordanBlockSpec(2, -3.0)))
+        spec = DirectSumSpec((JordanBlockSpec(1, -2.0), JordanBlockSpec(2, -3.0)))
         matrix = build(spec)
         assert matrix.dimension == 3
         assert matrix.entries[0, 0] == -2.0
@@ -88,7 +87,7 @@ class TestWireFormat:
             (
                 JordanBlockSpec(2, -2.5),
                 RealJordanBlockSpec(1, 2.0, 1.0),
-                DiagonalEntrySpec(2j),
+                JordanBlockSpec(1, 2j),
             )
         )
         wire = json.loads(
@@ -211,8 +210,8 @@ class TestComplexify:
 def test_dimension_properties():
     assert JordanBlockSpec(3, -2.0).dimension == 3
     assert RealJordanBlockSpec(2, 1.5, 0.5).dimension == 4
-    assert DiagonalEntrySpec(2j).dimension == 1
-    spec = DirectSumSpec((JordanBlockSpec(3, -2.0), DiagonalEntrySpec(2j)))
+    assert JordanBlockSpec(1, 2j).dimension == 1
+    spec = DirectSumSpec((JordanBlockSpec(3, -2.0), JordanBlockSpec(1, 2j)))
     assert spec.dimension == 4
     assert not spec.is_real
     assert jordan_forms.BlockSpec is not None
@@ -224,8 +223,10 @@ def test_dimension_properties():
         (lambda: DirectSumSpec((np.eye(2),)), PreconditionViolated, "unsupported block type ndarray"),
         (lambda: DirectSumSpec.from_jsonable({"blocks": [{"k": 2}]}), ParseError, r"blocks\[0\]: expected an object"),
         (lambda: complexify([[1.0, 2.0]]), PreconditionViolated, "1-d vector"),
+        (lambda: poly_on_jordan_block([0.5, 0.5], math.nan, 2), PreconditionViolated, "eigenvalue must be finite"),
+        (lambda: poly_on_jordan_block([0.5, 0.5], complex(1.0, -math.inf), 2), PreconditionViolated, "eigenvalue"),
     ],
-    ids=["foreign-block", "untagged-block", "complexify-2d"],
+    ids=["foreign-block", "untagged-block", "complexify-2d", "nan-eigenvalue", "infinite-eigenvalue"],
 )
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):

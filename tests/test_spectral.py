@@ -17,7 +17,6 @@ from convex_cyclic.errors import (
     PreconditionViolated,
 )
 from convex_cyclic.jordan_forms import (
-    DiagonalEntrySpec,
     DirectSumSpec,
     JordanBlockSpec,
     RealJordanBlockSpec,
@@ -188,7 +187,7 @@ class TestEigenstructure:
             conjugated = spectral.eigenstructure(MatrixSpec("real", q @ base.entries @ q.T))
             self._assert_exactly_paired(conjugated, entry.name)
         mixed = DirectSumSpec(
-            (RealJordanBlockSpec(1, 2.0, 1.0), DiagonalEntrySpec(-3.0), RealJordanBlockSpec(1, 1.5, 2.5))
+            (RealJordanBlockSpec(1, 2.0, 1.0), JordanBlockSpec(1, -3.0), RealJordanBlockSpec(1, 1.5, 2.5))
         )
         assert self._conjugate_pairs(spectral.eigenstructure(build(mixed))) == ((1, 2), (3, 4))
 
@@ -493,7 +492,7 @@ class TestExactReferee2x2:
 class TestVectorTest:
     SPEC = DirectSumSpec(
         (
-            DiagonalEntrySpec(-2.0),
+            JordanBlockSpec(1, -2.0),
             JordanBlockSpec(2, -3.0),
             RealJordanBlockSpec(1, 2.0, 1.0),
         )
@@ -513,7 +512,7 @@ class TestVectorTest:
         assert not jordan_forms.convex_cyclic_vector_test(self.SPEC, [1.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_single_block_promoted(self):
-        assert jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(-2.0), [3.0])
+        assert jordan_forms.convex_cyclic_vector_test(JordanBlockSpec(1, -2.0), [3.0])
 
     def test_non_canonical_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -527,17 +526,17 @@ class TestVectorTest:
     def test_non_finite_vector_rejected(self, entry, bad):
         # a NaN coordinate is nonzero, so the zero test alone would accept it
         with pytest.raises(PreconditionViolated, match="finite"):
-            jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(entry), [bad])
+            jordan_forms.convex_cyclic_vector_test(JordanBlockSpec(1, entry), [bad])
 
     def test_complex_vector_rejected_in_the_real_field(self):
-        # build(DiagonalEntrySpec(-2.0)) is a real-field matrix
+        # build(JordanBlockSpec(1, -2.0)) is a real-field matrix
         with pytest.raises(PreconditionViolated, match="real field requires a real vector"):
-            jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(-2.0), [1j])
-        assert jordan_forms.convex_cyclic_vector_test(DiagonalEntrySpec(2j), [1j])
+            jordan_forms.convex_cyclic_vector_test(JordanBlockSpec(1, -2.0), [1j])
+        assert jordan_forms.convex_cyclic_vector_test(JordanBlockSpec(1, 2j), [1j])
 
     def test_vector_that_is_not_1d_rejected(self):
         # flattening would accept a 1x2 array
-        spec = DirectSumSpec((DiagonalEntrySpec(-2.0), DiagonalEntrySpec(-3.0)))
+        spec = DirectSumSpec((JordanBlockSpec(1, -2.0), JordanBlockSpec(1, -3.0)))
         assert jordan_forms.convex_cyclic_vector_test(spec, [1.0, 1.0])
         with pytest.raises(DimensionMismatch) as info:
             jordan_forms.convex_cyclic_vector_test(spec, [[1.0, 1.0]])

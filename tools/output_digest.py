@@ -7,6 +7,9 @@ Prints one SHA-256 per layer:
 
 - ``solve``: the certificates of ``interpolate_round`` seeds 0-2 (status,
   reason, detail, degree, ``max_residual`` and the coefficient bytes);
+- ``lp``: the bytes of the objective, the rows and the right-hand sides
+  ``(c, A, b)`` of every LP those solves pose, read by wrapping
+  ``interpolation._highs_lp``;
 - ``classify``: ``classify(...).to_jsonable()`` on ``classify_round``
   seeds 0-2;
 - ``density``: the ``DensityReport`` of every scan of ``density_round``
@@ -85,7 +88,7 @@ from convex_cyclic import (  # noqa: E402
     peaking_polynomial,
     solve,
 )
-from convex_cyclic import cli  # noqa: E402
+from convex_cyclic import cli, interpolation  # noqa: E402
 from convex_cyclic.acceptance import _peaking_nodes  # noqa: E402
 from convex_cyclic.interpolation import DEFAULT_RESIDUAL_TOL, ComplexNode, InterpolationProblem, RealNode  # noqa: E402
 
@@ -103,6 +106,23 @@ def solve_entries(seeds=(0, 1, 2)) -> Iterator[bytes]:
             if cert.polynomial is not None:
                 entry += np.asarray(cert.polynomial.coeffs, dtype=float).tobytes()
             yield entry
+
+
+def lp_entries(seeds=(0, 1, 2)) -> Iterator[bytes]:
+    posed: list[bytes] = []
+    highs_lp = interpolation._highs_lp
+
+    def recording(c, A, b, *args):
+        posed.append(b"".join(np.ascontiguousarray(x, dtype=float).tobytes() for x in (c, A, b)))
+        return highs_lp(c, A, b, *args)
+
+    interpolation._highs_lp = recording
+    try:
+        for _ in solve_entries(seeds):
+            yield from posed
+            posed.clear()
+    finally:
+        interpolation._highs_lp = highs_lp
 
 
 def classify_entries(seeds=(0, 1, 2)) -> Iterator[bytes]:
@@ -255,6 +275,7 @@ def necessary_entries(seed=0, trials=2000) -> Iterator[bytes]:
 
 LAYERS = (
     ("solve", solve_entries),
+    ("lp", lp_entries),
     ("classify", classify_entries),
     ("density", density_entries),
     ("hull", hull_entries),
