@@ -10,6 +10,8 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .errors import ParseError
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "parse_complex",
     "parse_real",
     "parse_int",
+    "parse_entries",
     "dumps_canonical",
 ]
 
@@ -53,10 +56,16 @@ def parse_complex(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        re = parse_real(value[0], where)
-        im = parse_real(value[1], where)
-        return complex(re, im)
+        return complex(parse_real(value[0], where), parse_real(value[1], where))
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+
+
+def parse_entries(values: list, field: str, where: str) -> np.ndarray:
+    """A matrix row or vector off the wire: ``parse_real`` entries as a float
+    array in the ``"real"`` field, else ``parse_complex`` ones as complex."""
+    if field == "real":
+        return np.array([parse_real(v, where) for v in values], dtype=float)
+    return np.array([parse_complex(v, where) for v in values], dtype=complex)
 
 
 def _encode(obj: Any):

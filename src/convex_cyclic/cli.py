@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from ._jsonutil import complex_pair, dumps_canonical, parse_complex, parse_int, parse_real
+from ._jsonutil import complex_pair, dumps_canonical, parse_complex, parse_entries, parse_int, parse_real
 from .convex_poly import DEFAULT_POWER_CAP, peaking_polynomial
 from .dynamics import empirical_density_scan, orbit
 from .errors import (
@@ -116,9 +116,7 @@ def _vector_from_obj(obj: Any, matrix: MatrixSpec, key: str = "vector") -> np.nd
     raw = obj.get(key)
     if not isinstance(raw, list) or len(raw) != matrix.dimension:
         raise ParseError(f"'{key}' must be a list of {matrix.dimension} entries")
-    if matrix.field == "real":
-        return np.array([parse_real(v, key) for v in raw], dtype=float)
-    return np.array([parse_complex(v, key) for v in raw], dtype=complex)
+    return parse_entries(raw, matrix.field, key)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

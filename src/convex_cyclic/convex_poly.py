@@ -9,8 +9,6 @@ polynomials ``z^m (alpha*z + 1 - alpha)`` for admissible node sets.
 
 from __future__ import annotations
 
-import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +21,9 @@ from .errors import (
     NoPeakWithinCap,
     PreconditionViolated,
     SumNotOne,
+    _require_array,
     _require_int,
+    _require_number,
 )
 
 __all__ = [
@@ -70,11 +70,9 @@ class ConvexPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        arr = _require_array(self.coeffs, "coefficients", float)
         if arr.ndim != 1 or arr.size == 0:
             raise PreconditionViolated("coefficients must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise PreconditionViolated("coefficients must be finite")
         for index, value in enumerate(arr):
             if value < 0.0:
                 raise NegativeCoefficient(index, float(value))
@@ -101,17 +99,15 @@ class ConvexPolynomial:
 
 
 def _coefficients(p: ConvexPolynomial | Sequence[complex]) -> np.ndarray:
-    """The one check of the package's coefficient operands: a
-    convex-polynomial's stored vector, or a plain ascending vector that is
-    1-d, numeric, not boolean and finite, as float or complex.  An empty
-    vector is the zero polynomial."""
+    """The package's coefficient operands: a convex-polynomial's stored
+    vector, or a plain ascending vector that passes ``_require_array`` and
+    is 1-d.  An empty vector is the zero polynomial."""
     if isinstance(p, ConvexPolynomial):
         return p.coeffs
-    with contextlib.suppress(ValueError):  # a ragged operand has no array form
-        c = np.asarray(p)
-        if c.ndim == 1 and c.dtype.kind in "iufc" and np.all(np.isfinite(c)):
-            return c.astype(np.result_type(c, float), copy=False)
-    raise PreconditionViolated("coefficients must be a finite 1-d numeric vector")
+    c = _require_array(p, "coefficients")
+    if c.ndim != 1:
+        raise PreconditionViolated("coefficients must be a finite 1-d numeric vector")
+    return c
 
 
 def _falling(columns: Sequence[int], max_order: int) -> np.ndarray:
@@ -259,8 +255,6 @@ def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[
     """
     if not nodes:
         raise PreconditionViolated("node set must be nonempty")
-    if not all(cmath.isfinite(z) for z in nodes):
-        raise PreconditionViolated("nodes must be finite")
     if node_pairs(nodes):
         raise PreconditionViolated("nodes must be distinct")
     failed, (moduli, *_) = _node_clauses(nodes, True, NODE_TOLERANCE, 0.0, pair_clause=False)
@@ -337,29 +331,26 @@ def peaking_polynomial(
     Raises
     ------
     PreconditionViolated
-        Nodes not distinct, maximum modulus at most 1, a conjugate pair
-        among maximum-modulus nodes, alpha outside (0, 1), an explicit
-        alpha equal to the excluded value for this node set, a node on the
-        real axis with ``avoid_real_values``, a margin goal that is not
-        finite, or a power cap that is not an integer >= 0.
+        A node, alpha or the margin goal that is not a finite number (read
+        by ``errors._require_number``), nodes not distinct, maximum modulus
+        at most 1, a conjugate pair among maximum-modulus nodes, alpha
+        outside (0, 1), an explicit alpha equal to the excluded value for
+        this node set, a node on the real axis with ``avoid_real_values``,
+        or a power cap that is not an integer >= 0.
     NoPeakWithinCap
         The scan (or the realness-avoidance grid) was exhausted.
     """
-    if not math.isfinite(margin_goal):
-        raise PreconditionViolated("margin_goal must be finite")
+    margin_goal = _require_number(margin_goal, "margin_goal")
     power_cap = _require_int(power_cap, "power_cap", 0)
-    node_list = [complex(z) for z in nodes]
+    node_list = [_require_number(z, "nodes", complex) for z in nodes]
     max_modulus, is_top, top = _check_peaking_nodes(node_list)
 
     auto = isinstance(alpha, str)
-    if auto:
-        if alpha != "auto":
-            raise PreconditionViolated("alpha must be a number in (0, 1) or 'auto'")
-        alpha_value = 0.5
-    else:
-        alpha_value = float(alpha)
-        if not 0.0 < alpha_value < 1.0:
-            raise PreconditionViolated("alpha must lie in the open interval (0, 1)")
+    if auto and alpha != "auto":
+        raise PreconditionViolated("alpha must be a number in (0, 1) or 'auto'")
+    alpha_value = 0.5 if auto else _require_number(alpha, "alpha")
+    if not 0.0 < alpha_value < 1.0:
+        raise PreconditionViolated("alpha must lie in the open interval (0, 1)")
 
     # The single excluded alpha solves (alpha - 1)/alpha = dominant node,
     # which kills the dominant node value and makes a peak impossible.

@@ -6,11 +6,13 @@ images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
 decides it, up to ``HULL_RTOL * max(1, |t|)`` for a target t; its kernel,
 scipy's compiled ``_slsqplib``, is loaded alone at the first hull test,
-never ``scipy.optimize``.  One chunked builder makes every orbit, and a
-scan's hull test is one array-wide pass around its NNLS solves, so a scan
-costs little more than those solves.  Growth witnesses certify
-unboundedness of functionals along orbits, which is the separation-based
-obstruction to such capture ever failing on admissible matrices.
+never ``scipy.optimize``.  One chunked builder makes the orbits of
+``orbit`` and of every scan, and a scan's hull test is one array-wide pass
+around its NNLS solves, so a scan costs little more than those solves.
+Growth witnesses, which step ``T @ v`` themselves to stop at the first
+witness, certify unboundedness of functionals along orbits, which is the
+separation-based obstruction to such capture ever failing on admissible
+matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import OverflowReached, PreconditionViolated, ZeroFunctional, _require_int
+from .errors import OverflowReached, PreconditionViolated, ZeroFunctional, _require_array, _require_int, _require_number
 from .interpolation import _scipy_extension
 from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
@@ -147,8 +149,7 @@ def growth_witness(
     if not np.any(f != 0):
         raise ZeroFunctional()
     max_n = _require_int(max_n, "max_n", 0)
-    if not math.isfinite(threshold):
-        raise PreconditionViolated("threshold must be finite")
+    threshold = _require_number(threshold, "threshold")
 
     best = -math.inf
     # overflow is detected through the isfinite checks below, so numpy's
@@ -157,7 +158,7 @@ def growth_witness(
         for n in range(max_n + 1):
             value = float(np.vdot(f, v).real)
             if math.isfinite(value) and value > threshold:
-                return GrowthWitness(index=n, value=value, threshold=float(threshold))
+                return GrowthWitness(index=n, value=value, threshold=threshold)
             if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > OVERFLOW_LIMIT:
                 raise OverflowReached(n)
             if math.isfinite(value):
@@ -257,12 +258,12 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def hull_contains(query: HullQuery) -> HullResult:
-    """Convex-hull membership of the query target by nonnegative least squares; points
-    and target are finite vectors of one length, complex if any point is."""
+    """Convex-hull membership of the query target by nonnegative least squares; points (each
+    read by ``errors._require_array``) and target are finite vectors of one length, complex if any point is."""
     if len(query.points) == 0:
         raise PreconditionViolated("hull query needs at least one point")
-    n, is_complex = len(np.atleast_1d(np.asarray(query.points[0]))), any(np.iscomplexobj(p) for p in query.points)
-    rows = _vectors([*query.points, query.target], n, is_complex).view(float)
+    points = [np.atleast_1d(_require_array(p, "vector entries")) for p in query.points]
+    rows = _vectors([*points, query.target], len(points[0]), any(p.dtype.kind == "c" for p in points)).view(float)
     (contained,), (residual,), (weights,) = _hull_solve(rows[:-1].T.copy(), rows[-1:])
     return HullResult(contained=bool(contained), residual=float(residual), weights=weights)
 

@@ -1,15 +1,20 @@
 """Exception hierarchy shared by all modules.
 
 Every error carries enough structured state for a caller (or the CLI) to
-produce a stable reason code without parsing the message text.  Every
-integer count a library function takes is checked by ``_require_int``.
+produce a stable reason code without parsing the message text.  Each kind
+of operand has one check here: counts ``_require_int``, real and complex
+scalars ``_require_number``, matrices, vectors and coefficients ``_require_array``.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
+import numbers
 import operator
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "ConvexCyclicError",
@@ -53,6 +58,31 @@ def _require_int(value: Any, name: str, minimum: int) -> int:
             if (count := operator.index(value)) >= minimum:
                 return count
     raise PreconditionViolated(f"{name} must be an integer >= {minimum}")
+
+
+def _require_number(value: Any, name: str, kind: type = float) -> float | complex:
+    """``value`` as a finite ``kind``: any real number type for ``float``, any
+    complex one for ``complex`` (numpy's included), but a bool."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real if kind is float else numbers.Complex):
+        with contextlib.suppress(OverflowError):  # an int or a Fraction beyond float range
+            if cmath.isfinite(number := kind(value)):
+                return number
+    raise PreconditionViolated(f"{name} must be finite")
+
+
+def _require_array(value: Any, name: str, kind: type | None = None) -> np.ndarray:
+    """``value`` as a homogeneous (not ragged) array of finite integers, floats
+    or, unless ``kind`` is ``float``, complex numbers, never booleans: as
+    ``kind``, or else as float64 or complex128 with a wider type kept."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged operand has no array form
+        arr = None
+    if arr is not None and arr.dtype.kind in ("iuf" if kind is float else "iufc"):
+        arr = arr.astype(kind or np.result_type(arr, float), copy=False)
+        if np.isfinite(arr).all():  # both parts of a complex entry
+            return arr
+    raise PreconditionViolated(f"{name} must be finite")
 
 
 class NegativeCoefficient(ConvexCyclicError):

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
 from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _falling, _node_clauses, _pair_gaps
-from .errors import ParseError, PreconditionViolated, _require_int
+from .errors import ParseError, PreconditionViolated, _require_int, _require_number
 
 __all__ = [
     "DEFAULT_MAX_DEGREE",
@@ -100,6 +100,15 @@ STATUS_INFEASIBLE_NECESSARY = "InfeasibleNecessary"
 STATUS_INFEASIBLE_AT_CAP = "InfeasibleAtCap"
 
 
+def _read_jet(node: Any, point: str, kind: type) -> None:
+    """Store a node's point and sequence of targets, each read by ``errors._require_number``."""
+    field = "real" if kind is float else "complex"
+    object.__setattr__(node, point, _require_number(getattr(node, point), f"{field} node", kind))
+    if not isinstance(node.targets, Iterable):
+        raise PreconditionViolated(f"{field} targets must be a sequence of numbers")
+    object.__setattr__(node, "targets", tuple(_require_number(t, f"{field} targets", kind) for t in node.targets))
+
+
 @dataclass(frozen=True)
 class RealNode:
     """Real node with derivative targets; ``targets[j]`` constrains the j-th derivative."""
@@ -108,14 +117,7 @@ class RealNode:
     targets: tuple[float, ...]
 
     def __post_init__(self):
-        x = float(self.x)
-        if not math.isfinite(x):
-            raise PreconditionViolated("real node must be finite")
-        targets = tuple(float(t) for t in self.targets)
-        if not all(math.isfinite(t) for t in targets):
-            raise PreconditionViolated("real targets must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "targets", targets)
+        _read_jet(self, "x", float)
 
 
 @dataclass(frozen=True)
@@ -126,14 +128,7 @@ class ComplexNode:
     targets: tuple[complex, ...]
 
     def __post_init__(self):
-        z = complex(self.z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise PreconditionViolated("complex node must be finite")
-        targets = tuple(complex(t) for t in self.targets)
-        if not all(math.isfinite(t.real) and math.isfinite(t.imag) for t in targets):
-            raise PreconditionViolated("complex targets must be finite")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "targets", targets)
+        _read_jet(self, "z", complex)
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,8 @@ class InterpolationProblem:
         object.__setattr__(self, "real_nodes", tuple(self.real_nodes))
         object.__setattr__(self, "complex_nodes", tuple(self.complex_nodes))
         object.__setattr__(self, "max_degree", _require_int(self.max_degree, "max_degree", 1))
-        if not 0 < self.residual_tol < math.inf:
+        object.__setattr__(self, "residual_tol", _require_number(self.residual_tol, "residual_tol"))
+        if not self.residual_tol > 0:
             raise PreconditionViolated("residual_tol must be positive and finite")
 
     def all_nodes(self) -> list[complex]:
@@ -161,34 +157,20 @@ class InterpolationProblem:
     def from_jsonable(obj: Any) -> "InterpolationProblem":
         if not isinstance(obj, dict):
             raise ParseError("interpolation problem must be an object")
-        real_nodes = []
-        for i, item in enumerate(obj.get("real_nodes", [])):
-            where = f"real_nodes[{i}]"
-            if not isinstance(item, dict) or "x" not in item:
-                raise ParseError(f"{where}: expected an object with 'x' and 'targets'")
-            targets = item.get("targets", [])
-            if not isinstance(targets, list):
-                raise ParseError(f"{where}: 'targets' must be a list")
-            real_nodes.append(
-                RealNode(parse_real(item["x"], where), tuple(parse_real(t, where) for t in targets))
-            )
-        complex_nodes = []
-        for i, item in enumerate(obj.get("complex_nodes", [])):
-            where = f"complex_nodes[{i}]"
-            if not isinstance(item, dict) or "z" not in item:
-                raise ParseError(f"{where}: expected an object with 'z' and 'targets'")
-            targets = item.get("targets", [])
-            if not isinstance(targets, list):
-                raise ParseError(f"{where}: 'targets' must be a list")
-            complex_nodes.append(
-                ComplexNode(
-                    parse_complex(item["z"], where),
-                    tuple(parse_complex(t, where) for t in targets),
-                )
-            )
+        nodes: dict[str, list] = {"real_nodes": [], "complex_nodes": []}
+        readers = (("real_nodes", "x", parse_real, RealNode), ("complex_nodes", "z", parse_complex, ComplexNode))
+        for key, point, parse, node in readers:
+            for i, item in enumerate(obj.get(key, [])):
+                where = f"{key}[{i}]"
+                if not isinstance(item, dict) or point not in item:
+                    raise ParseError(f"{where}: expected an object with '{point}' and 'targets'")
+                targets = item.get("targets", [])
+                if not isinstance(targets, list):
+                    raise ParseError(f"{where}: 'targets' must be a list")
+                nodes[key].append(node(parse(item[point], where), tuple(parse(t, where) for t in targets)))
         max_degree = parse_int(obj.get("max_degree", DEFAULT_MAX_DEGREE), "'max_degree'")
         residual_tol = parse_real(obj.get("residual_tol", DEFAULT_RESIDUAL_TOL), "residual_tol")
-        return InterpolationProblem(tuple(real_nodes), tuple(complex_nodes), max_degree, residual_tol)
+        return InterpolationProblem(tuple(nodes["real_nodes"]), tuple(nodes["complex_nodes"]), max_degree, residual_tol)
 
 
 @dataclass(frozen=True)
@@ -551,10 +533,11 @@ def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynom
 def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomial, float] | None:
     """Verified polynomial at one fixed degree with its residual, or None.
 
-    One route: a degree whose jet rows or objective leave float range gives
-    None at once; otherwise the LP, posed on this thread's HiGHS instance,
-    either proves the degree infeasible, ends with any other non-optimal
-    status (each gives None, and ``solve`` escalates), or returns an optimal
+    One route: a degree whose LP inputs (objective, normalized jet rows and
+    right-hand sides) leave float range gives None at once; otherwise the
+    LP, posed on this thread's HiGHS instance, either proves the degree
+    infeasible, ends with any other non-optimal status (each gives None,
+    and ``solve`` escalates), or returns an optimal
     point that ``_polish`` refines on its support and measures.  The
     candidate counts as feasible only if that residual stays within
     ``residual_tol``.
@@ -572,11 +555,11 @@ def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomi
     except OverflowError:  # scale**order past float range
         weight = np.full(degree + 1, np.inf)
     row_norm = np.maximum(np.abs(rows).max(axis=1), 1e-300)  # inf or nan for a row that is not finite
-    if not (np.isfinite(row_norm).all() and np.isfinite(weight).all()):
+    with np.errstate(over="ignore", invalid="ignore"):  # a right-hand side may leave float range here
+        eq_rows, eq_rhs = rows / row_norm[:, None], rhs / row_norm
+    if not all(np.isfinite(x).all() for x in (weight, eq_rows, eq_rhs)):  # every input of the LP
         logger.debug("degree %d: jet rows or objective leave float range, no candidate at this degree", degree)
         return None
-    eq_rows = rows / row_norm[:, None]
-    eq_rhs = rhs / row_norm
     col_scale = rows[-1]  # the simplex row holds scale**(-i)
     status, b = _highs_lp(weight, eq_rows, eq_rhs, _highs_solver())
     if status != LP_OPTIMAL:
@@ -655,8 +638,9 @@ def vanishing_annihilator(
     problem's degree cap and residual tolerance are the defaults of
     ``InterpolationProblem``.
     """
-    jets = [(complex(u), [0j] * _require_int(order, "vanishing order", 1)) for u, order in vanish_nodes]
-    jets += [(complex(u), [complex(value)]) for u, value in value_nodes]
+    read = functools.partial(_require_number, kind=complex)
+    jets = [(read(u, "vanishing node"), _require_int(k, "vanishing order", 1) * [0j]) for u, k in vanish_nodes]
+    jets += [(read(u, "value node"), [read(w, "value")]) for u, w in value_nodes]
     failed, _ = _node_clauses([u for u, _ in jets], True, NODE_TOLERANCE, 0.0, pair_clause=False)
     on_axis = {i for clause, (i, *_) in failed if clause == "real"}
     nodes = [

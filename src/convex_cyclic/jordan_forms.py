@@ -18,7 +18,7 @@ import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
 from .convex_poly import ConvexPolynomial, _coefficients, derivative, evaluate
-from .errors import OddLength, ParseError, PreconditionViolated, _require_int
+from .errors import OddLength, ParseError, PreconditionViolated, _require_array, _require_int, _require_number
 from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
 __all__ = [
@@ -44,7 +44,7 @@ class JordanBlockSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _require_int(self.size, "Jordan block size", 1))
-        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
+        object.__setattr__(self, "eigenvalue", _require_number(self.eigenvalue, "Jordan block eigenvalue", complex))
 
     @property
     def dimension(self) -> int:
@@ -65,12 +65,10 @@ class RealJordanBlockSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _require_int(self.size, "real block size", 1))
+        object.__setattr__(self, "modulus", _require_number(self.modulus, "real block modulus"))
         if not self.modulus >= 0.0:
             raise PreconditionViolated("real block modulus must be nonnegative")
-        if not math.isfinite(self.angle):
-            raise PreconditionViolated("real block angle must be finite")
-        object.__setattr__(self, "modulus", float(self.modulus))
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", _require_number(self.angle, "real block angle"))
 
     @property
     def dimension(self) -> int:
@@ -222,13 +220,11 @@ def poly_on_jordan_block(p: ConvexPolynomial | Sequence[float], eigenvalue: comp
     The result is lower-triangular Toeplitz: entry ``(i, j)`` for ``i >= j``
     equals the ``(i - j)``-th derivative of ``p`` at the eigenvalue divided
     by ``(i - j)!``, so ``p(J)`` vanishes when ``p`` has a zero of order
-    ``size`` there.  The eigenvalue must be finite.
+    ``size`` there.  The eigenvalue must be a finite number.
     """
     size = _require_int(size, "block size", 1)
     coeffs = _coefficients(p)
-    lam = complex(eigenvalue)
-    if not np.isfinite(lam):
-        raise PreconditionViolated("eigenvalue must be finite")
+    lam = _require_number(eigenvalue, "eigenvalue", complex)
     out = np.zeros((size, size), dtype=complex)
     for d in range(size):
         value = evaluate(derivative(coeffs, d), lam) / math.factorial(d)
@@ -258,10 +254,7 @@ def complexify(x: Sequence[float]) -> np.ndarray:
     A linear isometry; it intertwines a real block of half-dimension ``k``
     with the Jordan block of dimension ``k`` at ``modulus * exp(i*angle)``.
     """
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionViolated("complexify expects a real vector") from exc
+    arr = _require_array(x, "complexify's real vector", float)
     if arr.ndim != 1:
         raise PreconditionViolated("complexify expects a 1-d vector")
     if arr.size % 2 != 0:

@@ -19,9 +19,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._jsonutil import complex_pair, parse_complex, parse_real
+from ._jsonutil import complex_pair, parse_entries
 from .convex_poly import _node_clauses, _pair_gaps
-from .errors import DimensionMismatch, NonSquare, ParseError, PreconditionViolated
+from .errors import DimensionMismatch, NonSquare, ParseError, PreconditionViolated, _require_array
 
 __all__ = [
     "MatrixSpec",
@@ -62,9 +62,9 @@ _REASON_ORDER = {
 class MatrixSpec:
     """A square matrix together with its scalar field tag.
 
-    ``field`` is ``"real"`` or ``"complex"``; real matrices must have
-    exactly zero imaginary parts.  The tag decides which classification
-    rules apply, not the storage dtype.
+    ``field`` is ``"real"`` or ``"complex"``; the entries pass
+    ``errors._require_array``, exactly real in the real field.  The tag
+    decides which classification rules apply, not the storage dtype.
     """
 
     field: str
@@ -73,21 +73,15 @@ class MatrixSpec:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise PreconditionViolated(f"unknown field tag {self.field!r}")
-        arr = np.asarray(self.entries)
+        arr = _require_array(self.entries, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NonSquare(arr.shape)
         if arr.shape[0] < 1:
             raise PreconditionViolated("matrix must be at least 1x1")
-        if not np.all(np.isfinite(arr)):  # both parts of a complex entry
-            raise PreconditionViolated("matrix entries must be finite")
-        if self.field == "real":
-            if np.iscomplexobj(arr):
-                if np.any(arr.imag != 0.0):
-                    raise PreconditionViolated("real field requires exactly real entries")
-                arr = arr.real
-            arr = arr.astype(float)  # a new array: the caller's stays writable
-        else:
-            arr = arr.astype(complex)
+        real = self.field == "real"
+        if real and np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
+            raise PreconditionViolated("real field requires exactly real entries")
+        arr = arr.real.astype(float) if real else arr.astype(complex)  # a new array: the caller's stays writable
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -109,42 +103,42 @@ class MatrixSpec:
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise ParseError(f"rows[{i}] must be a list")
-            if field == "real":
-                parsed.append([parse_real(x, f"rows[{i}]") for x in row])
-            else:
-                parsed.append([parse_complex(x, f"rows[{i}]") for x in row])
-        lengths = {len(r) for r in parsed}
-        if lengths != {len(rows)}:
+            parsed.append(parse_entries(row, field, f"rows[{i}]"))
+        if {len(r) for r in parsed} != {len(rows)}:
             raise ParseError("matrix rows must form a square array")
-        return MatrixSpec(field, np.array(parsed, dtype=float if field == "real" else complex))
+        return MatrixSpec(field, np.array(parsed))
 
 
 def _coerce_matrix(matrix: MatrixSpec | np.ndarray | Sequence) -> MatrixSpec:
     if isinstance(matrix, MatrixSpec):
         return matrix
-    arr = np.asarray(matrix)
-    field = "complex" if np.iscomplexobj(arr) else "real"
-    return MatrixSpec(field, arr)
+    arr = _require_array(matrix, "matrix entries")
+    return MatrixSpec("complex" if arr.dtype.kind == "c" else "real", arr)
 
 
 def _vectors(rows: Any, dimension: int, is_complex: bool) -> np.ndarray:
-    """The one check of the package's vectors: ``rows`` stacked as finite
-    complex or float vectors of length ``dimension`` (a scalar row has
-    length one; a real field refuses complex entries).  Every row's length
-    is checked first, then the stacked rows' field, then their finiteness:
-    one bad row raises what it raises alone, and among several bad rows a
-    wrong length wins.  ``.view(float)`` gives real coordinates."""
-    shaped = [np.atleast_1d(np.asarray(row)) for row in rows]
-    for row in shaped:
-        if row.ndim != 1 or len(row) != dimension:
-            raise DimensionMismatch(dimension, len(row) if row.ndim == 1 else -1)
-    arr = np.array(shaped).reshape(len(shaped), dimension)
-    if np.iscomplexobj(arr) and not is_complex:
+    """The package's vectors: ``rows`` stacked as complex or float vectors
+    of length ``dimension`` (a scalar row has length one; a real field
+    refuses complex entries) that pass ``errors._require_array``.  Every
+    row's length is checked first (a ragged row has none), then the rows'
+    field, then the stack's kind and finiteness: one bad row raises what it
+    raises alone, and among several bad rows a wrong length wins.
+    ``.view(float)`` gives real coordinates."""
+    shaped, kinds = [], ""
+    for row in rows:
+        try:
+            row = np.atleast_1d(np.asarray(row))
+        except ValueError:  # a ragged row: the array check refuses the stack
+            pass
+        else:
+            if row.ndim != 1 or len(row) != dimension:
+                raise DimensionMismatch(dimension, len(row) if row.ndim == 1 else -1)
+            kinds += row.dtype.kind
+        shaped.append(row)
+    if "c" in kinds and not is_complex:
         raise PreconditionViolated("real field requires a real vector")
-    arr = arr.astype(complex if is_complex else float)
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionViolated("vector entries must be finite")
-    return arr
+    stack = [True] if "b" in kinds else shaped  # numpy stacks a boolean row with numeric ones as numbers
+    return _require_array(stack, "vector entries", complex if is_complex else float).reshape(len(shaped), dimension)
 
 
 def default_tolerance(matrix: MatrixSpec | np.ndarray) -> float:

@@ -277,6 +277,7 @@ class TestErrorHandling:
         ("interpolate", {"real_nodes": [{"x": -2.0, "targets": [7.0]}], "residual_tol": 0}, 4, "PreconditionViolated"),
         ("interpolate", {"real_nodes": [{"x": -1.5, "targets": [1e6]}], "max_degree": 4}, 3, None),
         ("interpolate", {"real_nodes": [{"x": -1e6, "targets": [0.5] + [0.0] * 59}]}, 3, None),
+        ("interpolate", {"real_nodes": [{"x": -1e10, "targets": [0.0, 1e300]}]}, 3, None),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": 3.0}, 1, "ParseError"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": -3}, 4, "PreconditionViolated"),
         ("peak", {"nodes": [[0.0, 2.0], [2.0, 0.0]], "margin_goal": 1e12, "power_cap": 3}, 3, "NoPeakWithinCap"),
@@ -301,7 +302,7 @@ class TestErrorHandling:
         ids=[
             "analyze-malformed", "analyze-block-size", "analyze-block-modulus",
             "interpolate-malformed", "interpolate-max-degree", "interpolate-residual-tol", "interpolate-cap",
-            "interpolate-cap-past-float-range",
+            "interpolate-cap-past-float-range", "interpolate-rhs-past-float-range",
             "peak-malformed", "peak-power-cap", "peak-cap", "peak-alpha-string",
             "orbit-malformed", "orbit-horizon", "orbit-vector-length", "orbit-overflow",
             "density-malformed", "density-poly-budget", "density-target-length",

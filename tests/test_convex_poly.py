@@ -201,13 +201,20 @@ class TestCoefficients:
         [1.0, [2.0]],
         [0.5, math.nan],
         [0.5, complex(0.0, math.inf)],
+        np.array([True, False]),
+        np.array(["0.5", "0.5"]),
+        [[0.5], [0.25, 0.25]],
     ]
-    IDS = ["row-matrix", "2-d", "scalar", "boolean", "string", "object", "ragged", "nan", "infinite-imaginary"]
+    IDS = [
+        "row-matrix", "2-d", "scalar", "boolean", "string", "object", "ragged", "nan", "infinite-imaginary",
+        "numpy-boolean", "numpy-string", "ragged-rows",
+    ]
     CALLS = {
         "evaluate": lambda c: convex_poly.evaluate(c, 2.0),
         "derivative": lambda c: convex_poly.derivative(c, 1),
         "matrix_polynomial": lambda c: matrix_polynomial(c, np.eye(2)),
         "poly_on_jordan_block": lambda c: poly_on_jordan_block(c, -2.0, 2),
+        "ConvexPolynomial": lambda c: ConvexPolynomial(c),
     }
 
     @pytest.mark.parametrize("coeffs", REFUSED, ids=IDS)

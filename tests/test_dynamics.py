@@ -162,6 +162,21 @@ class TestMatrixCoercion:
         with pytest.raises(PreconditionViolated):
             dynamics.empirical_density_scan(T, [1.0, 1.0], [[0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "T",
+        [[[-2.0, 0.0], [0.0]], [["-2", "0"], ["0", "-3"]], np.eye(2, dtype=bool)],
+        ids=["ragged", "string", "boolean"],
+    )
+    def test_non_numeric_matrix_rejected(self, T):
+        # once a bare ValueError, a TypeError, or a boolean matrix taken as 0/1
+        for call in (
+            lambda: dynamics.orbit(T, [1.0, 1.0], 3),
+            lambda: dynamics.growth_witness(T, [1.0, 1.0], [1.0, 0.0], 1e6),
+            lambda: dynamics.empirical_density_scan(T, [1.0, 1.0], [[0.0, 0.0]]),
+        ):
+            with pytest.raises(PreconditionViolated, match="^matrix entries must be finite$"):
+                call()
+
     def test_non_square_matrix_rejected(self):
         T = np.ones((2, 3))
         with pytest.raises(NonSquare):
@@ -585,6 +600,9 @@ BAD_VECTORS = {
     "inf": [1.0, -math.inf],
     "complex on a real matrix": [1.0 + 1.0j, 1.0],
     "short": [1.0],
+    "ragged": [[1.0, 2.0], [3.0]],
+    "string": ["1", "2"],
+    "boolean": [True, False],
 }
 
 

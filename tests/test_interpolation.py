@@ -948,6 +948,26 @@ class TestOverflowingRows:
         assert (cert.status, cert.max_degree) == (itp.STATUS_INFEASIBLE_AT_CAP, 200)
         assert "degree 200: jet rows or objective leave float range" in caplog.text
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            itp.InterpolationProblem(real_nodes=(itp.RealNode(-1e10, (0.0, 1e300)),)),
+            itp.InterpolationProblem(complex_nodes=(itp.ComplexNode(1e10j, (0.0, 1e300)),)),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_a_right_hand_side_past_float_range_poses_no_lp(self, problem, caplog):
+        # the rows are finite, but rhs / row_norm overflows at the low degrees:
+        # those degrees pose no LP (once an overflow warning, then a ValueError
+        # from _highs_lp), and the solve escalates to the cap
+        with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="convex_cyclic.interpolation"):
+            warnings.simplefilter("error")
+            cert = itp.solve(problem)
+        assert (cert.status, cert.max_degree) == (itp.STATUS_INFEASIBLE_AT_CAP, 200)
+        first = itp._escalation_degrees(problem)[0]
+        assert f"degree {first}: jet rows or objective leave float range" in caplog.text
+        assert f"degree {first} infeasible or unverified, escalating" in caplog.text
+
 
 def _exact(x) -> Fraction:
     return Fraction(*x.as_integer_ratio())
@@ -1150,7 +1170,7 @@ class TestAnnihilator:
 
     @pytest.mark.parametrize(
         "nodes, message",
-        [([(math.inf, 1), (math.inf, 1)], "real node"), ([(complex(math.inf, 1.0), 1), (math.inf, 1)], "complex node")],
+        [([(math.inf, 1), (math.inf, 1)], "vanishing node"), ([(complex(math.inf, 1.0), 1), (math.inf, 1)], "vanishing node")],
     )
     def test_non_finite_nodes_are_refused_by_their_type(self, nodes, message):
         with pytest.raises(PreconditionViolated, match=f"{message} must be finite"):

@@ -80,8 +80,17 @@ class TestMatrixSpec:
             (lambda: MatrixSpec("real", np.zeros((0, 0))), PreconditionViolated, "at least 1x1"),
             (lambda: MatrixSpec.from_jsonable([[1.0]]), ParseError, "must be an object"),
             (lambda: MatrixSpec.from_jsonable({"field": "real", "rows": [1.0]}), ParseError, r"rows\[0\] must be a list"),
+            (lambda: MatrixSpec("real", [[1, 2], [3]]), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: MatrixSpec("real", [["1", "2"], ["3", "4"]]), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: MatrixSpec("real", np.eye(2, dtype=bool)), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: spectral.classify([[1, 2], [3]]), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: spectral.classify([["1", "2"], ["3", "4"]]), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: spectral.classify([[True, False], [False, True]]), PreconditionViolated, "^matrix entries must be finite$"),
         ],
-        ids=["empty-matrix", "non-object-spec", "non-list-row"],
+        ids=[
+            "empty-matrix", "non-object-spec", "non-list-row",
+            "ragged", "string", "boolean", "classify-ragged", "classify-string", "classify-boolean",
+        ],
     )
     def test_input_checks(self, call, error, message):
         with pytest.raises(error, match=message):

@@ -36,7 +36,10 @@ Prints one SHA-256 per layer:
   order) of ``necessary_target_check`` on 2 000 problems drawn at seed 0,
   their nodes at the realness threshold (``Im u`` at 0, at
   ``+-NODE_TOLERANCE`` or one rounding step past it) with ``Re u`` around 0
-  and 1, and their targets around the floors 0 and 1.
+  and 1, and their targets around the floors 0 and 1;
+- ``refusals``: the exception type and message (or ``accepted``) of every
+  row of the scalar operand table in ``tests/test_operands.py``: each call
+  of ``CALLS`` with each value of ``REFUSED``.
 
 A layer is a sequence of entries (one per input: a certificate, a verdict,
 a report) and its digest hashes them in order.  Run it on two checkouts to
@@ -48,9 +51,11 @@ exits 1 on any difference.  The digests use the library in the ``src/``
 next to this script, or the one the environment variable
 ``OUTPUT_DIGEST_SRC`` names (the ``--against`` subprocess sets it); with it
 set, each line also lists its entries' hashes, comma-separated.  The tool
-reads ``bench/inputs.py`` without changing anything there.  One BLAS
-thread keeps the linear algebra deterministic; set it in the environment
-before the run (``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
+reads ``bench/inputs.py`` and ``tests/test_operands.py`` without changing
+anything there; with ``--against``, both sides replay this checkout's
+operand table.  One BLAS thread keeps the linear algebra deterministic;
+set it in the environment before the run (``OPENBLAS_NUM_THREADS=1``), as
+the benchmark does.
 """
 
 from __future__ import annotations
@@ -69,11 +74,12 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [os.environ.get("OUTPUT_DIGEST_SRC", str(ROOT / "src")), str(ROOT / "bench")]
+sys.path[:0] = [os.environ.get("OUTPUT_DIGEST_SRC", str(ROOT / "src")), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
 import inputs  # noqa: E402
+import test_operands  # noqa: E402
 from convex_cyclic import (  # noqa: E402
     ConvexCyclicError,
     HullQuery,
@@ -273,6 +279,17 @@ def necessary_entries(seed=0, trials=2000) -> Iterator[bytes]:
         yield repr([(v.reason, v.nodes, v.order, v.detail) for v in violations]).encode()
 
 
+def refusals_entries() -> Iterator[bytes]:
+    for call, _, _ in test_operands.CALLS.values():
+        for value in test_operands.REFUSED.values():
+            try:
+                call(value)
+            except Exception as exc:  # a bare ValueError or TypeError counts too
+                yield repr((type(exc).__name__, str(exc))).encode()
+            else:
+                yield b"accepted"
+
+
 LAYERS = (
     ("solve", solve_entries),
     ("lp", lp_entries),
@@ -284,6 +301,7 @@ LAYERS = (
     ("cli", cli_entries),
     ("admissibility", admissibility_entries),
     ("necessary", necessary_entries),
+    ("refusals", refusals_entries),
 )
 
 
