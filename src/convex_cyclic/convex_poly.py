@@ -127,17 +127,18 @@ def evaluate(p: ConvexPolynomial | Sequence[complex], z: complex | float) -> com
     """Evaluate ``p`` (a convex-polynomial or a plain ascending vector) at
     ``z`` by Horner's scheme in Python scalars: a float for real ``z`` and
     coefficients, a complex number for any complex ``z``, numpy's included,
-    so ``p(conj(z)) == conj(p(z))`` exactly.  The package's one scalar
-    Horner; the rational reference ``acceptance._exact_jet`` stays apart.
+    so ``p(conj(z)) == conj(p(z))`` exactly.  ``z`` is read by
+    ``errors._require_number``.  The package's one scalar Horner; the
+    rational reference ``acceptance._exact_jet`` stays apart.
     """
     coeffs = _coefficients(p)
     if isinstance(z, (complex, np.complexfloating)):
-        z = complex(z)
+        z = _require_number(z, "evaluation point", complex)
         acc: complex | float = 0.0 + 0.0j
         for a in coeffs[::-1]:
             acc = acc * z + complex(a)
         return acc
-    z = float(z)
+    z = _require_number(z, "evaluation point")
     acc = 0.0
     for a in coeffs[::-1]:
         acc = acc * z + a
@@ -200,8 +201,9 @@ def _node_clauses(
 
 
 def node_pairs(nodes: Sequence[complex], conjugate: bool = False) -> list[tuple[int, int]]:
-    """The pairs of ``_pair_gaps`` whose gap is at most ``NODE_TOLERANCE``."""
-    first, second, gaps = _pair_gaps(nodes, conjugate)
+    """The pairs of ``_pair_gaps`` whose gap is at most ``NODE_TOLERANCE``,
+    among nodes each read by ``errors._require_number``."""
+    first, second, gaps = _pair_gaps([_require_number(z, "nodes", complex) for z in nodes], conjugate)
     close = gaps <= NODE_TOLERANCE
     return list(zip(first[close].tolist(), second[close].tolist()))
 

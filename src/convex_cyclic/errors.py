@@ -64,8 +64,12 @@ def _require_number(value: Any, name: str, kind: type = float) -> float | comple
     """``value`` as a finite ``kind``: any real number type for ``float``, any
     complex one for ``complex`` (numpy's included), but a bool."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real if kind is float else numbers.Complex):
-        with contextlib.suppress(OverflowError):  # an int or a Fraction beyond float range
-            if cmath.isfinite(number := kind(value)):
+        try:
+            number = kind(value)
+        except OverflowError:  # an int or a Fraction beyond float range
+            pass
+        else:
+            if cmath.isfinite(number):
                 return number
     raise PreconditionViolated(f"{name} must be finite")
 

@@ -2,7 +2,9 @@
 
 Value and derivative targets at real and complex nodes become equality rows
 in the monomial coefficients; together with nonnegativity and the unit-sum
-row this is a linear feasibility problem, posed per degree.  Each degree has
+row this is a linear feasibility problem at each degree of a ladder that
+escalates geometrically up to the cap.  One build at the ladder's last
+degree poses every LP: a degree's LP is its column prefix.  Each degree has
 one route to a certificate.  HiGHS solves the LP with a mass-minimizing
 objective that keeps coefficient weight at low degrees; mixed-precision
 refinement polishes the optimal point on its support, starting from the
@@ -10,11 +12,11 @@ point itself; and the polished coefficients make a Feasible certificate
 only after their residual clears the tolerance.  The residual is measured
 once, in extended precision, on the refinement's own jet rows, and that
 same measurement is the reported ``max_residual``.  One row kernel builds
-every jet constraint: the LP's scaled float rows, and the raw longdouble
-rows, built once per candidate, that refinement and the measurement apply
-to the coefficients.  Any other outcome (an infeasible LP, an LP that ends
-without an optimum, a candidate that fails the gate) moves on to the next
-degree; degrees escalate geometrically up to the cap.
+every jet constraint: the LP's scaled float rows, once per ladder, and the
+raw longdouble rows, once per candidate, that refinement and the
+measurement apply to the coefficients.  Any other outcome (an infeasible
+LP, an LP that ends without an optimum, a candidate that fails the gate)
+moves on to the next degree.
 One HiGHS instance per thread, driven through scipy's bindings, serves
 every LP of every solve on that thread with the options and status reading
 of ``linprog(method="highs", options={"presolve": False})``, bit for bit,
@@ -371,7 +373,6 @@ def _polish(
     problem: InterpolationProblem,
     eq_rows: np.ndarray,
     row_norm: np.ndarray,
-    col_scale: np.ndarray,
     b: np.ndarray,
 ) -> tuple[ConvexPolynomial, float] | None:
     """Drive the stored float64 coefficients of the LP's optimal point ``b``
@@ -383,7 +384,8 @@ def _polish(
     point is limited only by the rounding of the delivered vector.  It takes
     at most four steps and stops at that fixed point: once the rounded
     vector repeats, every later step would repeat the last one.  A
-    refined weight that turns negative gives no candidate.  Otherwise the
+    refined weight that turns negative gives no candidate, and neither do
+    weights whose total vanishes or leaves float range.  Otherwise the
     result is the polynomial and its largest per-target residual: the same
     longdouble rows applied to its stored coefficients.  Plain float64
     evaluation carries rounding of order eps times the coefficient mass,
@@ -394,9 +396,11 @@ def _polish(
     # an optimal point meets the simplex row, so its largest weight is positive
     support = np.flatnonzero(b > b.max() * 1e-14)
     sub_eq = eq_rows[:, support]
+    # the simplex row, of norm scale**0 = 1, holds the column scale scale**(-i)
+    col_scale = eq_rows[-1, support]
     raw_ld, rhs_ld = _jet_rows(problem, support, np.clongdouble, 1.0)
     norm_ld = np.asarray(row_norm, dtype=np.longdouble)
-    a_sup = np.asarray(b[support] * col_scale[support], dtype=np.longdouble)
+    a_sup = np.asarray(b[support] * col_scale, dtype=np.longdouble)
     previous = None
     for _ in range(4):
         a64 = np.where(np.asarray(a_sup, dtype=float) > 0.0, np.asarray(a_sup, dtype=float), 0.0)
@@ -405,11 +409,11 @@ def _polish(
         previous = a64
         r_eq = np.asarray((rhs_ld - raw_ld @ a64.astype(np.longdouble)) / norm_ld, dtype=float)
         delta, *_ = np.linalg.lstsq(sub_eq, r_eq, rcond=None)
-        a_sup = a64.astype(np.longdouble) + (delta * col_scale[support]).astype(np.longdouble)
+        a_sup = a64.astype(np.longdouble) + (delta * col_scale).astype(np.longdouble)
     final = np.asarray(a_sup, dtype=float)
     if not np.all(final >= 0.0):
         return None
-    a = np.zeros(len(col_scale))
+    a = np.zeros(len(b))
     a[support] = np.where(final > 0.0, final, 0.0)  # -0.0 becomes 0.0
     total = a.sum()
     if not np.isfinite(total) or total <= 0.0:
@@ -417,7 +421,7 @@ def _polish(
     p = ConvexPolynomial(a / total)
     # construction renormalizes and strips trailing zeros: measure the
     # stored vector, zero-padded back to the support (zeros add exact zeros)
-    stored = np.zeros(len(col_scale), dtype=np.longdouble)
+    stored = np.zeros(len(b), dtype=np.longdouble)
     stored[: len(p.coeffs)] = p.coeffs
     r = np.asarray(raw_ld[:-1] @ stored[support] - rhs_ld[:-1], dtype=float)
     worst, k = 0.0, 0
@@ -495,7 +499,7 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, solver: Any) -> tuple
     Returns ``(LP_OPTIMAL, x)``, ``(LP_INFEASIBLE, None)``, or HiGHS's text
     for any other status with ``None``.  linprog's own check of an optimal
     point (bounds and rows within 3e-4) is left out: every candidate faces
-    the residual gate of ``solve_at_degree``, far tighter.
+    the residual gate of ``_certify``, far tighter.
     """
     m, n = A.shape
     # HiGHS reads n costs and m right-hand sides through raw pointers
@@ -526,62 +530,63 @@ def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, solver: Any) -> tuple
 
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
     """Feasibility at one fixed degree; verified polynomial or None."""
-    found = _certify(problem, degree)
+    found = _certify(problem, [degree])
     return None if found is None else found[0]
 
 
-def _certify(problem: InterpolationProblem, degree: int) -> tuple[ConvexPolynomial, float] | None:
-    """Verified polynomial at one fixed degree with its residual, or None.
+def _certify(problem: InterpolationProblem, degrees: list[int]) -> tuple[ConvexPolynomial, float, int] | None:
+    """The first verified ``(polynomial, residual, degree)`` along the
+    ascending ``degrees``, or None.
 
-    One route: a degree whose LP inputs (objective, normalized jet rows and
-    right-hand sides) leave float range gives None at once; otherwise the
-    LP, posed on this thread's HiGHS instance, either proves the degree
-    infeasible, ends with any other non-optimal status (each gives None,
-    and ``solve`` escalates), or returns an optimal
-    point that ``_polish`` refines on its support and measures.  The
-    candidate counts as feasible only if that residual stays within
-    ``residual_tol``.
+    The jet rows, right-hand sides and objective are built once, at the last
+    degree; each entry depends on its own column only, so a degree's LP reads
+    their column prefix, bit for bit its own build.  Per degree one route:
+    LP inputs (objective, normalized rows and right-hand sides) past float
+    range give no candidate; otherwise the LP, posed on this thread's HiGHS
+    instance, proves the degree infeasible, ends with any other status
+    (neither gives a candidate), or returns an optimal point that
+    ``_polish`` refines on its support and measures.  The candidate counts
+    only if that residual stays within ``residual_tol``.  Each degree
+    without one logs an escalation record.
     """
+    top = degrees[-1]
     scale = max([1.0] + [abs(u) for u in problem.all_nodes()])
-    rows, rhs = _jet_rows(problem, np.arange(degree + 1), complex, scale)
+    rows, rhs = _jet_rows(problem, np.arange(top + 1), complex, scale)
 
     # the objective tracks coefficient mass through value and jet rows at
     # the largest node; minimizing it keeps the cancellation that float64
     # storage of the answer must survive as small as the instance allows
     max_order = max([0] + [j for _, j, _, _ in _targets(problem)])
-    falling = _falling(np.arange(degree + 1), max_order)
+    falling = _falling(np.arange(top + 1), max_order)
     try:  # Python's float pow: numpy's vectorized power rounds differently
-        weight = sum((falling[order] / scale**order for order in range(1, max_order + 1)), np.ones(degree + 1))
+        with np.errstate(over="ignore"):  # a mass past float range is an inf weight
+            weight = sum((falling[order] / scale**order for order in range(1, max_order + 1)), np.ones(top + 1))
     except OverflowError:  # scale**order past float range
-        weight = np.full(degree + 1, np.inf)
-    row_norm = np.maximum(np.abs(rows).max(axis=1), 1e-300)  # inf or nan for a row that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):  # a right-hand side may leave float range here
-        eq_rows, eq_rhs = rows / row_norm[:, None], rhs / row_norm
-    if not all(np.isfinite(x).all() for x in (weight, eq_rows, eq_rhs)):  # every input of the LP
-        logger.debug("degree %d: jet rows or objective leave float range, no candidate at this degree", degree)
-        return None
-    col_scale = rows[-1]  # the simplex row holds scale**(-i)
-    status, b = _highs_lp(weight, eq_rows, eq_rhs, _highs_solver())
-    if status != LP_OPTIMAL:
-        if status != LP_INFEASIBLE:  # infeasible is a proof; anything else is not
-            logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
-        return None
-
-    candidate = _polish(problem, eq_rows, row_norm, col_scale, b)
-    if candidate is not None and candidate[1] <= problem.residual_tol:
-        return candidate
+        weight = np.full(top + 1, np.inf)
+    for degree in degrees:
+        cols = rows[:, : degree + 1]
+        row_norm = np.maximum(np.abs(cols).max(axis=1), 1e-300)  # inf or nan for a row that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):  # a right-hand side may leave float range here
+            eq_rows, eq_rhs = cols / row_norm[:, None], rhs / row_norm
+        c = weight[: degree + 1]
+        if not all(np.isfinite(x).all() for x in (c, eq_rows, eq_rhs)):  # every input of the LP
+            logger.debug("degree %d: jet rows or objective leave float range, no candidate at this degree", degree)
+        else:
+            status, b = _highs_lp(c, eq_rows, eq_rhs, _highs_solver())
+            if status == LP_OPTIMAL:
+                candidate = _polish(problem, eq_rows, row_norm, b)
+                if candidate is not None and candidate[1] <= problem.residual_tol:
+                    return (*candidate, degree)
+            elif status != LP_INFEASIBLE:  # infeasible is a proof; anything else is not
+                logger.debug("degree %d: LP status %s, no candidate at this degree", degree, status)
+        logger.debug("degree %d infeasible or unverified, escalating", degree)
     return None
 
 
 def _escalation_degrees(problem: InterpolationProblem) -> list[int]:
-    start = max(1, problem.constraint_count() + 2)
-    degrees = []
-    d = min(start, problem.max_degree)
-    while True:
-        degrees.append(d)
-        if d >= problem.max_degree:
-            break
-        d = min(2 * d, problem.max_degree)
+    degrees = [min(max(1, problem.constraint_count() + 2), problem.max_degree)]
+    while degrees[-1] < problem.max_degree:
+        degrees.append(min(2 * degrees[-1], problem.max_degree))
     return degrees
 
 
@@ -596,21 +601,14 @@ def solve(problem: InterpolationProblem) -> InterpolationCertificate:
     violations = necessary_target_check(problem)
     if violations:
         v = violations[0]
-        return InterpolationCertificate(
-            status=STATUS_INFEASIBLE_NECESSARY, reason=v.reason, detail=v.detail
-        )
+        return InterpolationCertificate(status=STATUS_INFEASIBLE_NECESSARY, reason=v.reason, detail=v.detail)
     if problem.constraint_count() == 0:
-        return InterpolationCertificate(
-            status=STATUS_FEASIBLE, polynomial=ConvexPolynomial([1.0]), degree_used=0, max_residual=0.0
-        )
-    for degree in _escalation_degrees(problem):
-        found = _certify(problem, degree)
-        if found is not None:
-            p, residual = found
-            return InterpolationCertificate(
-                status=STATUS_FEASIBLE, polynomial=p, degree_used=degree, max_residual=residual
-            )
-        logger.debug("degree %d infeasible or unverified, escalating", degree)
+        found = ConvexPolynomial([1.0]), 0.0, 0  # no target: the constant 1, exact at degree 0
+    else:
+        found = _certify(problem, _escalation_degrees(problem))
+    if found is not None:
+        p, residual, degree = found
+        return InterpolationCertificate(status=STATUS_FEASIBLE, polynomial=p, degree_used=degree, max_residual=residual)
     if check_admissibility(problem).admissible:
         # admissible node sets are feasible for every target at some degree,
         # so exhausting the cap flags a conditioning problem, not a disproof

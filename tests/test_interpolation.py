@@ -524,8 +524,8 @@ class TestSolve:
         assert capped["max_degree"] == 4
 
 
-def _posed_lps(monkeypatch, problem, degrees):
-    """The (c, A, b) of every LP solve_at_degree poses at the given degrees."""
+def _recorded_lps(monkeypatch, run):
+    """What ``run()`` returns, and the (c, A, b) of every LP it poses."""
     lps = []
     solve_lp = itp._highs_lp
 
@@ -535,9 +535,12 @@ def _posed_lps(monkeypatch, problem, degrees):
 
     with monkeypatch.context() as patch:
         patch.setattr(itp, "_highs_lp", recording)
-        for degree in degrees:
-            itp.solve_at_degree(problem, degree)
-    return lps
+        return run(), lps
+
+
+def _posed_lps(monkeypatch, problem, degrees):
+    """The (c, A, b) of every LP solve_at_degree poses at the given degrees."""
+    return _recorded_lps(monkeypatch, lambda: [itp.solve_at_degree(problem, d) for d in degrees])[1]
 
 
 def _wide_22_rows() -> itp.InterpolationProblem:
@@ -729,9 +732,10 @@ class TestSingleRoute:
         messages = [r.getMessage() for r in caplog.records]
         assert "degree 4: LP status Unknown, no candidate at this degree" in messages
         assert not any("fallback" in m for m in messages)
-        # solve moved through every escalation degree up to the cap
+        # solve_at_degree logs its one degree, and solve moved through every
+        # escalation degree up to the cap
         assert [m for m in messages if m.endswith("escalating")] == [
-            f"degree {d} infeasible or unverified, escalating" for d in (4, 8, 16)
+            f"degree {d} infeasible or unverified, escalating" for d in (4, 4, 8, 16)
         ]
 
     def test_the_residual_gates_the_polish(self, monkeypatch):
@@ -752,7 +756,8 @@ class TestSingleRoute:
         assert len(polished) == 2 and all(c is not None for c in polished)
 
     def test_an_optimal_lp_builds_the_longdouble_rows_once(self, monkeypatch):
-        # the refinement's rows also gate the candidate and give max_residual
+        # the refinement's rows also gate the candidate and give max_residual,
+        # and one complex build poses the LP of every escalation degree
         dtypes, polished = [], []
         jet_rows, polish = itp._jet_rows, itp._polish
 
@@ -769,12 +774,29 @@ class TestSingleRoute:
         cert = itp.solve(self.PROBLEM)
         # degree 4 is the first escalation degree, and its LP is optimal
         assert cert.degree_used == 4
-        assert dtypes.count(np.clongdouble) == 1
+        assert dtypes == [complex, np.clongdouble]
         assert polished == [(cert.polynomial, cert.max_residual)]
+        for problem in (itp.sample_admissible_problem(np.random.default_rng(0)), self.WIDE):
+            dtypes.clear()
+            polished.clear()
+            cert = itp.solve(problem)
+            assert cert.degree_used > itp._escalation_degrees(problem)[0]
+            assert dtypes == [complex] + [np.clongdouble] * len(polished)
+
+    def test_weights_that_vanish_unscaled_give_no_candidate(self):
+        # at scale 1e100 the column scale 1e100**(-i) underflows to 0 from
+        # column 4 on: an LP point there refines to weights that sum to 0
+        problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(-1e100, (1.0,)),))
+        rows, _ = itp._jet_rows(problem, np.arange(6), complex, 1e100)
+        row_norm = np.abs(rows).max(axis=1)
+        eq_rows = rows / row_norm[:, None]
+        assert np.all(np.isfinite(eq_rows)) and np.all(eq_rows[-1, 4:] == 0.0)
+        assert itp._polish(problem, eq_rows, row_norm, np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])) is None
 
     @staticmethod
-    def _four_step_polish(problem, eq_rows, row_norm, col_scale, b):
+    def _four_step_polish(problem, eq_rows, row_norm, b):
         """``_polish`` as it was before its fixed-point exit: four refinement steps always."""
+        col_scale = eq_rows[-1]
         support = np.flatnonzero(b > b.max() * 1e-14)
         sub_eq = eq_rows[:, support]
         raw_ld, rhs_ld = itp._jet_rows(problem, support, np.clongdouble, 1.0)
@@ -872,35 +894,44 @@ class TestSingleGate:
         ),
     )
 
+    @staticmethod
+    def _decisions(monkeypatch, problem):
+        """The certificate of ``solve(problem)`` and, per polished candidate on
+        its route, ``(degree, accepted, exactly within tolerance)``; the
+        degree is the LP's width less one."""
+        polish, polished = itp._polish, []
+
+        def recording_polish(problem, eq_rows, *args):
+            polished.append((eq_rows.shape[1] - 1, polish(problem, eq_rows, *args)))
+            return polished[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(itp, "_polish", recording_polish)
+            cert = itp.solve(problem)
+        decisions = [
+            (degree, c[0] is cert.polynomial, _exact_within_tol(problem, c[0]))
+            for degree, c in polished
+            if c is not None
+        ]
+        return cert, decisions
+
     def test_gate_matches_exact_decision(self, monkeypatch):
-        polish, certify = itp._polish, itp._certify
-        polished, decisions = [], []
-
-        def recording_polish(*args):
-            polished.append(polish(*args))
-            return polished[-1]
-
-        def recording_certify(problem, degree):
-            polished.clear()
-            found = certify(problem, degree)
-            decisions.extend(
-                (degree, c is found, _exact_within_tol(problem, c[0])) for c in polished if c is not None
-            )
-            return found
-
-        monkeypatch.setattr(itp, "_polish", recording_polish)
-        monkeypatch.setattr(itp, "_certify", recording_certify)
         rng = np.random.default_rng(0)
+        decisions = []
         for problem in [itp.sample_admissible_problem(rng) for _ in range(40)]:
-            assert itp.solve(problem).status == itp.STATUS_FEASIBLE
+            cert, found = self._decisions(monkeypatch, problem)
+            assert cert.status == itp.STATUS_FEASIBLE
+            decisions += found
+        assert [d for d in decisions if d[1] != d[2]] == []
         # TestHighsLp.ROWS14 is wide case 23: a float64 Horner gate rejected
         # its candidates at degrees 128 and 200, exact residuals 5.5e-9 and
         # 1.6e-9, and the solve ended InfeasibleAtCap
         for problem in (TestHighsLp.ROWS14, self.ROWS22):
-            decisions.clear()
-            cert = itp.solve(problem)
-            assert [d for d in decisions if d[1] != d[2]] == []
+            cert, found = self._decisions(monkeypatch, problem)
+            assert [d for d in found if d[1] != d[2]] == []
             assert (cert.status, cert.degree_used) == (itp.STATUS_FEASIBLE, 200)
+            assert (200, True, True) in found
+            decisions += found
         assert len(decisions) > 0
 
 
@@ -908,14 +939,23 @@ class TestOverflowingRows:
     """Powers of the largest node overflow float64 long before their
     scaled row entries do; the solve must still end in a certificate."""
 
-    @pytest.mark.parametrize(
-        "nodes",
-        [
-            (itp.RealNode(-40.0, (1.0,)), itp.RealNode(-1.5, (1e6,))),
-            (itp.RealNode(-1000.0, (1.0,)), itp.RealNode(-1.2, (50.0,))),
-            (itp.RealNode(-200.0, (0.5, 0.0)), itp.RealNode(-1.1, (3.0,))),
-        ],
-    )
+    OVERFLOWING = [
+        (itp.RealNode(-40.0, (1.0,)), itp.RealNode(-1.5, (1e6,))),
+        (itp.RealNode(-1000.0, (1.0,)), itp.RealNode(-1.2, (50.0,))),
+        (itp.RealNode(-200.0, (0.5, 0.0)), itp.RealNode(-1.1, (3.0,))),
+    ]
+    PAST_FLOAT_RANGE = [
+        itp.RealNode(-2.0, (0.5,) + (0.0,) * 149),
+        itp.RealNode(-1e6, (0.5,) + (0.0,) * 59),
+        itp.RealNode(-1000.0, (0.5,) + (0.0,) * 109),
+    ]
+    OBJECTIVE_SUM_NODE = itp.RealNode(-0.5, (0.5,) + (0.0,) * 158)
+    RHS_PAST_FLOAT_RANGE = [
+        itp.InterpolationProblem(real_nodes=(itp.RealNode(-1e10, (0.0, 1e300)),)),
+        itp.InterpolationProblem(complex_nodes=(itp.ComplexNode(1e10j, (0.0, 1e300)),)),
+    ]
+
+    @pytest.mark.parametrize("nodes", OVERFLOWING)
     def test_admissible_problem_gets_a_certificate(self, nodes):
         problem = itp.InterpolationProblem(real_nodes=nodes)
         assert itp.check_admissibility(problem).admissible
@@ -929,13 +969,7 @@ class TestOverflowingRows:
         assert cert.status in (itp.STATUS_FEASIBLE, itp.STATUS_INFEASIBLE_AT_CAP)
 
     @pytest.mark.parametrize(
-        "node",
-        [
-            itp.RealNode(-2.0, (0.5,) + (0.0,) * 149),
-            itp.RealNode(-1e6, (0.5,) + (0.0,) * 59),
-            itp.RealNode(-1000.0, (0.5,) + (0.0,) * 109),
-        ],
-        ids=["falling-factorial-at-degree-200", "scale-power-1e6", "scale-power-1000"],
+        "node", PAST_FLOAT_RANGE, ids=["falling-factorial-at-degree-200", "scale-power-1e6", "scale-power-1000"]
     )
     def test_a_degree_past_float_range_escalates_to_the_cap(self, node, caplog):
         # falling(200, 149) and 1e6**59, 1000**109 leave float range: those
@@ -948,14 +982,18 @@ class TestOverflowingRows:
         assert (cert.status, cert.max_degree) == (itp.STATUS_INFEASIBLE_AT_CAP, 200)
         assert "degree 200: jet rows or objective leave float range" in caplog.text
 
-    @pytest.mark.parametrize(
-        "problem",
-        [
-            itp.InterpolationProblem(real_nodes=(itp.RealNode(-1e10, (0.0, 1e300)),)),
-            itp.InterpolationProblem(complex_nodes=(itp.ComplexNode(1e10j, (0.0, 1e300)),)),
-        ],
-        ids=["real", "complex"],
-    )
+    def test_an_objective_sum_past_float_range_poses_no_lp(self, caplog):
+        # at scale 1 each objective term up to order 158 is finite at degree
+        # 200, but their sum is not: that degree poses no LP, with no warning
+        problem = itp.InterpolationProblem(real_nodes=(self.OBJECTIVE_SUM_NODE,))
+        with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="convex_cyclic.interpolation"):
+            warnings.simplefilter("error")
+            cert = itp.solve(problem)
+        assert (cert.status, cert.max_degree) == (itp.STATUS_INFEASIBLE_AT_CAP, 200)
+        assert itp._escalation_degrees(problem) == [161, 200]
+        assert "degree 200: jet rows or objective leave float range" in caplog.text
+
+    @pytest.mark.parametrize("problem", RHS_PAST_FLOAT_RANGE, ids=["real", "complex"])
     def test_a_right_hand_side_past_float_range_poses_no_lp(self, problem, caplog):
         # the rows are finite, but rhs / row_norm overflows at the low degrees:
         # those degrees pose no LP (once an overflow warning, then a ValueError
@@ -967,6 +1005,53 @@ class TestOverflowingRows:
         first = itp._escalation_degrees(problem)[0]
         assert f"degree {first}: jet rows or objective leave float range" in caplog.text
         assert f"degree {first} infeasible or unverified, escalating" in caplog.text
+
+
+def _ladder_cases() -> dict[str, itp.InterpolationProblem]:
+    """Sampled problems, the wide one, and every problem of
+    ``TestOverflowingRows``: rows rebuilt from ``u / scale``, objectives or
+    rows past float range at the cap but not below it, and right-hand sides
+    past float range below it."""
+    rng = np.random.default_rng(5)
+    rows = TestOverflowingRows
+    cases = {f"sampled-{k}": itp.sample_admissible_problem(rng) for k in range(12)}
+    cases["wide"] = TestSingleRoute.WIDE
+    cases |= {f"overflowing-{k}": itp.InterpolationProblem(nodes) for k, nodes in enumerate(rows.OVERFLOWING)}
+    cases |= {f"past-float-range-{k}": itp.InterpolationProblem((n,)) for k, n in enumerate(rows.PAST_FLOAT_RANGE)}
+    cases["objective-sum-past-float-range"] = itp.InterpolationProblem((rows.OBJECTIVE_SUM_NODE,))
+    cases |= {f"rhs-past-float-range-{k}": problem for k, problem in enumerate(rows.RHS_PAST_FLOAT_RANGE)}
+    return cases
+
+
+class TestLadder:
+    """One build at the ladder's last degree poses every LP of a solve."""
+
+    CASES = _ladder_cases()
+
+    @pytest.mark.parametrize("problem", CASES.values(), ids=CASES.keys())
+    def test_each_lp_is_the_one_its_degree_poses_alone(self, monkeypatch, problem):
+        # the (c, A, b) of every degree solve tries, byte for byte the LP
+        # that solve_at_degree poses from that degree's own build
+        cert, from_solve = _recorded_lps(monkeypatch, lambda: itp.solve(problem))
+        degrees = itp._escalation_degrees(problem)
+        if cert.is_feasible:
+            degrees = degrees[: degrees.index(cert.degree_used) + 1]
+        alone = _posed_lps(monkeypatch, problem, degrees)
+
+        def lp_bytes(lps):
+            return [[(x.dtype, x.shape, x.tobytes()) for x in lp] for lp in lps]
+
+        assert lp_bytes(from_solve) == lp_bytes(alone)
+
+    def test_the_cases_climb_the_ladder(self):
+        # sampled problems certify past their first degree and the wide one
+        # at 96; the overflowing ones end at the cap, so solve poses every
+        # degree up to 200, where u**i has left float range and rows are rebuilt
+        certs = {name: itp.solve(p) for name, p in self.CASES.items()}
+        firsts = {name: itp._escalation_degrees(p)[0] for name, p in self.CASES.items()}
+        assert any(certs[f"sampled-{k}"].degree_used > firsts[f"sampled-{k}"] for k in range(12))
+        assert certs["wide"].degree_used == 96
+        assert all(certs[f"overflowing-{k}"].status == itp.STATUS_INFEASIBLE_AT_CAP for k in range(3))
 
 
 def _exact(x) -> Fraction:
@@ -1086,6 +1171,20 @@ class TestJetRows:
 
 
 class TestSampler:
+    def test_a_generator_that_cannot_separate_nodes_is_refused(self):
+        class Stuck:
+            """Two real and two complex nodes, each draw at its lower bound,
+            so the two real nodes coincide at every attempt."""
+
+            def integers(self, low, high):
+                return 2
+
+            def uniform(self, low=0.0, high=1.0):
+                return low
+
+        with pytest.raises(PreconditionViolated, match="sampler failed to place separated nodes"):
+            itp.sample_admissible_problem(Stuck())
+
     def test_deterministic_per_seed(self):
         a = itp.sample_admissible_problem(np.random.default_rng(9))
         b = itp.sample_admissible_problem(np.random.default_rng(9))

@@ -42,6 +42,8 @@ CALLS = {
     "peaking-node": (lambda v: convex_poly.peaking_polynomial([v, 2j]), -3.0, "nodes"),
     "peaking-alpha": (lambda v: convex_poly.peaking_polynomial([2j, -2.0], alpha=v), 0.25, "alpha"),
     "peaking-margin_goal": (lambda v: convex_poly.peaking_polynomial([2j, -2.0], margin_goal=v), 0.5, "margin_goal"),
+    "evaluate-point": (lambda v: convex_poly.evaluate([1.0, 1.0], v), 2.0, "evaluation point"),
+    "node_pairs-node": (lambda v: convex_poly.node_pairs([v, 2j]), -3.0, "nodes"),
     "growth_witness-threshold": (
         lambda v: dynamics.growth_witness(np.diag([-2.0]), [1.0], [1.0], v, max_n=10),
         3.0,

@@ -3,15 +3,15 @@
     python3 tools/gate_audit.py [--seeds 0 1 2] [--draws N]
 
 Solves every non-violator problem of the given ``interpolate_round`` seeds
-and N draws of ``sample_admissible_problem(np.random.default_rng(0))``, as
-``solve`` does, degree by degree.  Every candidate that the refinement
-delivers, with the residual it measured on its own longdouble rows, is
-judged twice: by the gate (``_certify`` returns it or not) and by its exact
+and N draws of ``sample_admissible_problem(np.random.default_rng(0))``
+with ``solve``.  Every candidate that the refinement delivers on the way,
+with the residual it measured on its own longdouble rows, is judged twice:
+by the gate (it is the certificate's polynomial or not) and by its exact
 residual, the rational value of every target jet of the stored float64
 coefficients, within ``residual_tol`` or not.  Prints four counts over
 the candidates: all of them, gate accepts, false accepts (accepted, exact
 residual above the tolerance) and false rejects (rejected, exact residual
-within it), then one line per disagreement.
+within it), then one line per disagreement, and exits 1 if there is any.
 
 Run it on two checkouts to compare their gates.  It uses the library in
 the ``src/`` next to it and reads ``bench/inputs.py`` without changing
@@ -54,29 +54,19 @@ def exact_within(problem: itp.InterpolationProblem, coeffs: np.ndarray) -> tuple
 
 def candidates(problem: itp.InterpolationProblem) -> list[tuple[int, bool, np.ndarray]]:
     """``(degree, accepted, coeffs)`` of every polished candidate on the
-    route of ``solve(problem)``."""
-    out = []
-    polish, certify = itp._polish, itp._certify
-    polished = []
+    route of ``solve(problem)``; the degree is the LP's width less one."""
+    polish, polished = itp._polish, []
 
-    def recording_polish(*args):
-        polished.append(polish(*args))
-        return polished[-1]
+    def recording_polish(problem, eq_rows, *args):
+        polished.append((eq_rows.shape[1] - 1, polish(problem, eq_rows, *args)))
+        return polished[-1][1]
 
-    def recording_certify(problem, degree):
-        polished.clear()
-        found = certify(problem, degree)
-        for c in polished:
-            if c is not None:
-                out.append((degree, c is found, c[0].coeffs))
-        return found
-
-    itp._polish, itp._certify = recording_polish, recording_certify
+    itp._polish = recording_polish
     try:
-        itp.solve(problem)
+        cert = itp.solve(problem)
     finally:
-        itp._polish, itp._certify = polish, certify
-    return out
+        itp._polish = polish
+    return [(degree, c[0] is cert.polynomial, c[0].coeffs) for degree, c in polished if c is not None]
 
 
 def problems(seeds: list[int], draws: int):
@@ -95,7 +85,7 @@ def problems(seeds: list[int], draws: int):
         yield f"draw {k}", itp.sample_admissible_problem(rng)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2], help="interpolate_round seeds")
     parser.add_argument("--draws", type=int, default=0, help="sampler draws from default_rng(0)")
@@ -117,7 +107,8 @@ def main() -> None:
     print(f"candidates {total} accepts {accepts} false_accepts {false_accepts} false_rejects {false_rejects}")
     for line in disagreements:
         print(line)
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
