@@ -112,11 +112,11 @@ def _matrix_from_obj(obj: Any) -> MatrixSpec:
     return MatrixSpec.from_jsonable(obj)
 
 
-def _vector_from_obj(obj: Any, matrix: MatrixSpec, key: str = "vector") -> np.ndarray:
-    raw = obj.get(key)
+def _vector(raw: Any, matrix: MatrixSpec, where: str) -> np.ndarray:
+    """A vector of the matrix's dimension and field, named ``where`` in errors."""
     if not isinstance(raw, list) or len(raw) != matrix.dimension:
-        raise ParseError(f"'{key}' must be a list of {matrix.dimension} entries")
-    return parse_entries(raw, matrix.field, key)
+        raise ParseError(f"'{where}' must be a list of {matrix.dimension} entries")
+    return parse_entries(raw, matrix.field, where)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -160,7 +160,7 @@ def _cmd_peak(args: argparse.Namespace) -> int:
     payload = {
         "alpha": certificate.alpha,
         "power": certificate.power,
-        "min_power": certificate.min_power,
+        "min_power": certificate.power,
         "peak_point": complex_pair(certificate.peak_point),
         "peak_value": certificate.peak_value,
         "max_modulus": certificate.max_modulus,
@@ -179,7 +179,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("expected an object with 'matrix' and 'vector'")
     matrix = _matrix_from_obj(obj["matrix"])
-    vector = _vector_from_obj(obj, matrix)
+    vector = _vector(obj.get("vector"), matrix, "vector")
     horizon = parse_int(obj.get("horizon", 20), "'horizon'")
     # a non-finite step is reported as OverflowReached, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,11 +203,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("expected an object with 'matrix', 'vector' and 'targets'")
     matrix = _matrix_from_obj(obj["matrix"])
-    vector = _vector_from_obj(obj, matrix)
+    vector = _vector(obj.get("vector"), matrix, "vector")
     raw_targets = obj.get("targets")
     if not isinstance(raw_targets, list) or not raw_targets:
         raise ParseError("'targets' must be a nonempty list of vectors")
-    targets = [_vector_from_obj({"vector": item}, matrix) for item in raw_targets]
+    targets = [_vector(item, matrix, f"targets[{i}]") for i, item in enumerate(raw_targets)]
     budget = parse_int(obj.get("poly_budget", 400), "'poly_budget'")
     report = empirical_density_scan(matrix, vector, targets, poly_budget=budget)
     _emit(args, dumps_canonical(report.to_jsonable()))

@@ -226,11 +226,10 @@ def compose(p: ConvexPolynomial, q: ConvexPolynomial) -> ConvexPolynomial:
 class PeakingCertificate:
     """Verified strict peak of ``z^power * (alpha*z + 1 - alpha)`` on a node set.
 
+    ``power`` is the smallest power verified to peak at this ``alpha``;
     ``peak_value`` is the closed form ``c * max_modulus**power`` where ``c``
-    is the largest ``|alpha*z + 1 - alpha|`` over maximum-modulus nodes;
-    ``margin`` is the measured gap to the second-largest node value and
-    ``min_power`` the smallest power verified to peak (the scan returns the
-    smallest, so it equals ``power``).
+    is the largest ``|alpha*z + 1 - alpha|`` over maximum-modulus nodes, and
+    ``margin`` the measured gap to the second-largest node value.
     """
 
     polynomial: ConvexPolynomial
@@ -239,19 +238,12 @@ class PeakingCertificate:
     peak_point: complex
     peak_value: float
     max_modulus: float
-    min_power: int
     margin: float
 
 
-def _peaking_coeffs(power: int, alpha: float) -> np.ndarray:
-    coeffs = np.zeros(power + 2)
-    coeffs[power] = 1.0 - alpha
-    coeffs[power + 1] = alpha
-    return coeffs
-
-
-def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[complex]]:
-    """Validate the peaking preconditions; return (R, maximum-modulus mask, those nodes).
+def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[complex], bool]:
+    """Validate the peaking preconditions; return (R, maximum-modulus mask,
+    those nodes, whether some node fails ``_node_clauses``' realness clause).
 
     ``R > 1`` exactly when some node is off ``_node_clauses``' closed disk.
     """
@@ -267,7 +259,7 @@ def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[
     top = [z for z, t in zip(nodes, is_top) if t]
     if node_pairs(top, conjugate=True):
         raise PreconditionViolated("conjugate pair among maximum-modulus nodes")
-    return max_modulus, is_top, top
+    return max_modulus, is_top, top, any(clause == "real" for clause, _ in failed)
 
 
 def _scan_for_peak(
@@ -276,13 +268,13 @@ def _scan_for_peak(
     margin_goal: float,
     power_cap: int,
     is_top: list[bool],
-) -> tuple[int, int, float, ConvexPolynomial, list[complex]] | None:
+) -> tuple[int, int, float, ConvexPolynomial, list[complex]]:
     """Find the smallest power whose peak lies at a maximum-modulus node.
 
     Comparisons run in log space so large powers cannot overflow; the scan
-    additionally stops once the would-be peak value leaves double range.
-    Returns ``(power, peak_index, margin, polynomial, node_values)`` or None
-    at the cap.
+    raises ``NoPeakWithinCap`` once the would-be peak value leaves double
+    range, and at the cap.  Returns ``(power, peak_index, margin,
+    polynomial, node_values)``.
     """
     log_base = [math.log(abs(a)) if (a := alpha * z + (1.0 - alpha)) != 0 else -math.inf for z in nodes]
     log_mod = [math.log(abs(z)) if z != 0 else -math.inf for z in nodes]
@@ -302,14 +294,16 @@ def _scan_for_peak(
             continue
         # Confirm with direct linear-scale evaluation; these are the numbers
         # a caller can reproduce through evaluate().
-        poly = ConvexPolynomial(_peaking_coeffs(power, alpha))
+        coeffs = np.zeros(power + 2)
+        coeffs[power:] = 1.0 - alpha, alpha
+        poly = ConvexPolynomial(coeffs)
         node_values = [evaluate(poly, z) for z in nodes]
         values = [abs(v) for v in node_values]
         others = [v for k, v in enumerate(values) if k != best]
         margin = values[best] - max(others) if others else values[best]
         if values[best] >= max(values) and margin > margin_goal:
             return power, best, margin, poly, node_values
-    return None
+    raise NoPeakWithinCap(power_cap)
 
 
 def peaking_polynomial(
@@ -345,7 +339,7 @@ def peaking_polynomial(
     margin_goal = _require_number(margin_goal, "margin_goal")
     power_cap = _require_int(power_cap, "power_cap", 0)
     node_list = [_require_number(z, "nodes", complex) for z in nodes]
-    max_modulus, is_top, top = _check_peaking_nodes(node_list)
+    max_modulus, is_top, top, on_axis = _check_peaking_nodes(node_list)
 
     auto = isinstance(alpha, str)
     if auto and alpha != "auto":
@@ -357,38 +351,27 @@ def peaking_polynomial(
     # The single excluded alpha solves (alpha - 1)/alpha = dominant node,
     # which kills the dominant node value and makes a peak impossible.
     dominant = max(top, key=lambda z: z.real)
-    scale = 1.0 + alpha_value * max_modulus
-
-    def excluded(a: float) -> bool:
-        return abs(a * dominant + (1.0 - a)) <= 1e-14 * scale
-
-    if auto and excluded(alpha_value):
+    if abs(alpha_value * dominant + (1.0 - alpha_value)) <= 1e-14 * (1.0 + alpha_value * max_modulus):
+        if not auto:
+            raise PreconditionViolated("alpha is the excluded value for this node set")
         alpha_value = 1.0 / 3.0
-    if not auto and excluded(alpha_value):
-        raise PreconditionViolated("alpha is the excluded value for this node set")
+    if avoid_real_values and on_axis:
+        raise PreconditionViolated("avoid_real_values requires a node set disjoint from the real axis")
 
-    if avoid_real_values:
-        failed, _ = _node_clauses(node_list, True, NODE_TOLERANCE, 0.0, pair_clause=False)
-        if any(clause == "real" for clause, _ in failed):
-            raise PreconditionViolated("avoid_real_values requires a node set disjoint from the real axis")
-        candidates = _alpha_grid(alpha_value)
-        for a in candidates:
-            try:
-                found = _scan_for_peak(node_list, a, margin_goal, power_cap, is_top)
-            except NoPeakWithinCap:
-                continue
-            if found is None:
-                continue
-            power, best, margin, poly, values = found
-            if all(abs(v.imag) > NODE_TOLERANCE * max(1.0, abs(v)) for v in values):
-                return _certificate(poly, a, power, node_list[best], max_modulus, top, margin)
-        raise AlphaGridExhausted(power_cap, len(candidates))
-
-    found = _scan_for_peak(node_list, alpha_value, margin_goal, power_cap, is_top)
-    if found is None:
-        raise NoPeakWithinCap(power_cap)
-    power, best, margin, poly, _ = found
-    return _certificate(poly, alpha_value, power, node_list[best], max_modulus, top, margin)
+    # A plain call scans its one alpha and lets the scan's NoPeakWithinCap
+    # through; a realness-avoiding one moves on to the next grid alpha.
+    candidates = _alpha_grid(alpha_value) if avoid_real_values else [alpha_value]
+    for a in candidates:
+        try:
+            power, best, margin, poly, values = _scan_for_peak(node_list, a, margin_goal, power_cap, is_top)
+        except NoPeakWithinCap:
+            if not avoid_real_values:
+                raise
+            continue
+        if not avoid_real_values or all(abs(v.imag) > NODE_TOLERANCE * max(1.0, abs(v)) for v in values):
+            factor = max(abs(a * z + (1.0 - a)) for z in top)
+            return PeakingCertificate(poly, a, power, node_list[best], factor * max_modulus**power, max_modulus, margin)
+    raise AlphaGridExhausted(power_cap, len(candidates))
 
 
 def _alpha_grid(center: float) -> list[float]:
@@ -403,25 +386,3 @@ def _alpha_grid(center: float) -> list[float]:
                 grid.append(a)
         j += 1
     return grid
-
-
-def _certificate(
-    poly: ConvexPolynomial,
-    alpha: float,
-    power: int,
-    peak_point: complex,
-    max_modulus: float,
-    top: list[complex],
-    margin: float,
-) -> PeakingCertificate:
-    factor = max(abs(alpha * z + (1.0 - alpha)) for z in top)
-    return PeakingCertificate(
-        polynomial=poly,
-        alpha=alpha,
-        power=power,
-        peak_point=peak_point,
-        peak_value=factor * max_modulus**power,
-        max_modulus=max_modulus,
-        min_power=power,
-        margin=margin,
-    )

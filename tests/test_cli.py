@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 
 import pytest
@@ -20,6 +21,8 @@ INTERPOLATE_OK = json.dumps(
     }
 )
 PEAK_OK = json.dumps({"nodes": [[0.0, 2.0], [-2.0, 0.0]]})
+# equal-modulus nodes off the real axis that keep trading the lead
+STUBBORN_NODES = [[z.real, z.imag] for z in (2.0 * cmath.exp(1.0j), 2.0 * cmath.exp(2.0j))]
 ORBIT_REAL = json.dumps(
     {"matrix": {"field": "real", "rows": [[-2.0, 0.0], [0.0, -3.0]]}, "vector": [1.0, 1.0], "horizon": 2}
 )
@@ -108,6 +111,14 @@ class TestPeak:
         assert payload["peak_point"] == [0.0, 2.0]
         assert payload["max_modulus"] == 2.0
         assert payload["polynomial"]["coeffs_nonzero"]
+
+    def test_min_power_is_the_power(self, run_cli):
+        # the wire keeps the key; the scan returns the smallest power, so it is the power
+        body = json.dumps({"nodes": [[0.0, 2.0], [-2.0, 0.0]], "margin_goal": 1.0})
+        code, out, _ = run_cli(["peak", "--input", body])
+        payload = json.loads(out)
+        assert code == 0 and payload["power"] == 1
+        assert payload["min_power"] == payload["power"]
 
     def test_threshold_overrides_the_margin_goal(self, run_cli):
         # at power 0 the margin is 0.618; a margin goal of 1 asks for more
@@ -243,6 +254,25 @@ class TestErrorHandling:
         error = json.loads(err)["error"]
         assert error["type"] == "ParseError" and message in error["message"]
 
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            (
+                "density",
+                dict(json.loads(DENSITY_OK), targets=[[-4.0, 2.0], [3.0]]),
+                "'targets[1]' must be a list of 2 entries",
+            ),
+            ("density", dict(json.loads(DENSITY_OK), targets=[[True, 2.0]]), "targets[0]: expected a number, got True"),
+            ("density", dict(json.loads(DENSITY_OK), vector=[1.0]), "'vector' must be a list of 2 entries"),
+            ("orbit", dict(json.loads(ORBIT_REAL), vector=[1.0, True]), "vector: expected a number, got True"),
+        ],
+        ids=["target-length", "target-entry", "vector-length", "vector-entry"],
+    )
+    def test_a_bad_vector_names_itself(self, run_cli, command, body, message):
+        code, out, err = run_cli([command, "--input", json.dumps(body)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
+
     def test_malformed_matrix_is_a_parse_error(self, run_cli):
         bad = json.dumps({"field": "real", "rows": [[1.0, 2.0]]})
         code, _, err = run_cli(["analyze", "--input", bad])
@@ -282,6 +312,13 @@ class TestErrorHandling:
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": -3}, 4, "PreconditionViolated"),
         ("peak", {"nodes": [[0.0, 2.0], [2.0, 0.0]], "margin_goal": 1e12, "power_cap": 3}, 3, "NoPeakWithinCap"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "alpha": "half"}, 1, "ParseError"),
+        (
+            "peak",
+            {"nodes": STUBBORN_NODES, "margin_goal": 1e12, "power_cap": 3, "avoid_real_values": True},
+            3,
+            "AlphaGridExhausted",
+        ),
+        ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "avoid_real_values": True}, 4, "PreconditionViolated"),
         ("orbit", dict(json.loads(ORBIT_REAL), horizon="2"), 1, "ParseError"),
         ("orbit", dict(json.loads(ORBIT_REAL), horizon=-1), 4, "PreconditionViolated"),
         ("orbit", dict(json.loads(ORBIT_REAL), vector=[1.0, 1.0, 1.0]), 1, "ParseError"),
@@ -304,6 +341,7 @@ class TestErrorHandling:
             "interpolate-malformed", "interpolate-max-degree", "interpolate-residual-tol", "interpolate-cap",
             "interpolate-cap-past-float-range", "interpolate-rhs-past-float-range",
             "peak-malformed", "peak-power-cap", "peak-cap", "peak-alpha-string",
+            "peak-avoid-grid-exhausted", "peak-avoid-on-axis",
             "orbit-malformed", "orbit-horizon", "orbit-vector-length", "orbit-overflow",
             "density-malformed", "density-poly-budget", "density-target-length",
         ],

@@ -411,7 +411,8 @@ class TestNodeClauses:
 def _reference_peaking_nodes(nodes):
     """The peaking preconditions ``_check_peaking_nodes`` tested before
     ``_node_clauses``, after distinctness: the message it raised, or
-    ``(R, maximum-modulus mask, those nodes)``."""
+    ``(R, maximum-modulus mask, those nodes, whether a node lies within
+    NODE_TOLERANCE of the real axis)``."""
     moduli = [abs(z) for z in nodes]
     max_modulus = max(moduli)
     if not max_modulus > 1.0:
@@ -420,7 +421,7 @@ def _reference_peaking_nodes(nodes):
     top = [z for z, t in zip(nodes, is_top) if t]
     if convex_poly.node_pairs(top, conjugate=True):
         return "conjugate pair among maximum-modulus nodes"
-    return max_modulus, is_top, top
+    return max_modulus, is_top, top, any(abs(z.imag) <= convex_poly.NODE_TOLERANCE for z in nodes)
 
 
 class TestPeaking:
@@ -443,8 +444,10 @@ class TestPeaking:
             except PreconditionViolated as exc:
                 got = str(exc)
             assert got == _reference_peaking_nodes(nodes)
-            outcomes.add(got if isinstance(got, str) else len(got[2]))
-        assert len(outcomes) > 3  # both refusals, and one or more maximum-modulus nodes
+            outcomes.add(got if isinstance(got, str) else (len(got[2]), got[3]))
+        # both refusals, one or more maximum-modulus nodes, on and off the axis
+        assert {o[1] for o in outcomes if isinstance(o, tuple)} == {False, True}
+        assert len(outcomes) > 4
 
     def test_avoid_real_values_refuses_nodes_within_the_node_tolerance_of_the_axis(self):
         with pytest.raises(PreconditionViolated, match="disjoint from the real axis"):
@@ -453,11 +456,26 @@ class TestPeaking:
         with pytest.raises(NoPeakWithinCap):
             convex_poly.peaking_polynomial([z], power_cap=3, avoid_real_values=True)
 
+    def test_one_node_clause_call_per_avoiding_call(self, monkeypatch):
+        # the realness refusal reads the flag of the precondition check's call
+        calls = []
+        node_clauses = convex_poly._node_clauses
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return node_clauses(*args, **kwargs)
+
+        monkeypatch.setattr(convex_poly, "_node_clauses", counting)
+        convex_poly.peaking_polynomial([2.0 * cmath.exp(0.7j), 1.5 * cmath.exp(2.1j)], avoid_real_values=True)
+        assert len(calls) == 1
+        with pytest.raises(PreconditionViolated, match="disjoint from the real axis"):
+            convex_poly.peaking_polynomial([2j, -2.0], avoid_real_values=True)
+        assert len(calls) == 2
+
     def test_frozen_mixed_pair(self):
         cert = convex_poly.peaking_polynomial([2j, -2.0])
         assert cert.alpha == pytest.approx(0.5)
         assert cert.power == 0
-        assert cert.min_power == cert.power
         assert cert.peak_point == 2j
         assert cert.peak_value == pytest.approx(math.sqrt(1.25))
         assert cert.max_modulus == pytest.approx(2.0)

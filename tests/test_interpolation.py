@@ -16,26 +16,11 @@ import pytest
 from scipy.optimize import linprog
 
 from convex_cyclic import interpolation as itp
-from convex_cyclic.acceptance import _exact_jet
+from convex_cyclic.acceptance import _exact_jet, _exact_within
 from convex_cyclic.convex_poly import ConvexPolynomial
 from convex_cyclic.errors import ParseError, PreconditionViolated
 from convex_cyclic.jordan_forms import JordanBlockSpec, build, matrix_polynomial
 from convex_cyclic.spectral import classify
-
-
-def _exact_within_tol(problem: itp.InterpolationProblem, p: ConvexPolynomial) -> bool:
-    """Whether every target jet of the stored coefficients is within
-    ``residual_tol`` of its target, decided in rational arithmetic."""
-    tol2 = Fraction(problem.residual_tol) ** 2
-    jets = [(complex(n.x), n.targets) for n in problem.real_nodes]
-    jets += [(n.z, n.targets) for n in problem.complex_nodes]
-    for z, targets in jets:
-        for order, w in enumerate(targets):
-            vr, vi = _exact_jet(p.coeffs, order, z)
-            w = complex(w)
-            if (vr - Fraction(w.real)) ** 2 + (vi - Fraction(w.imag)) ** 2 > tol2:
-                return False
-    return True
 
 
 class TestProblem:
@@ -311,7 +296,7 @@ class TestNecessaryChecks:
         assert itp.necessary_target_check(problem) == []
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
-        assert _exact_within_tol(problem, cert.polynomial)
+        assert _exact_within(problem, cert.polynomial.coeffs)[0]
 
 
 class TestNonNegativeNodes:
@@ -377,7 +362,7 @@ class TestNonNegativeNodes:
         assert jets[10] < -1e-4
         problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(u, jets),))
         assert itp.necessary_target_check(problem) == []
-        assert _exact_within_tol(problem, ConvexPolynomial([0.0] * 11 + [1.0]))
+        assert _exact_within(problem, ConvexPolynomial([0.0] * 11 + [1.0]).coeffs)[0]
 
 
 class TestSolve:
@@ -388,14 +373,14 @@ class TestSolve:
         assert cert.is_feasible
         assert cert.degree_used <= problem.max_degree
         assert cert.max_residual <= problem.residual_tol
-        assert _exact_within_tol(problem, cert.polynomial)
+        assert _exact_within(problem, cert.polynomial.coeffs)[0]
 
     def test_frozen_hermite_pair(self):
         problem = itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),))
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
         assert cert.degree_used == 4
-        assert _exact_within_tol(problem, cert.polynomial)
+        assert _exact_within(problem, cert.polynomial.coeffs)[0]
 
     def test_hermite_infeasible_at_degree_two(self):
         # the simplex constraint leaves no room below degree three
@@ -447,7 +432,7 @@ class TestSolve:
         )
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
-        assert _exact_within_tol(problem, cert.polynomial)
+        assert _exact_within(problem, cert.polynomial.coeffs)[0]
 
     @pytest.mark.xfail(
         strict=True,
@@ -472,7 +457,7 @@ class TestSolve:
         assert itp.check_admissibility(problem).admissible
         cert = itp.solve(problem)
         assert cert.status == itp.STATUS_FEASIBLE
-        assert _exact_within_tol(problem, cert.polynomial)
+        assert _exact_within(problem, cert.polynomial.coeffs)[0]
 
     def test_solver_is_deterministic(self):
         rng = np.random.default_rng(71)
@@ -490,7 +475,7 @@ class TestSolve:
             assert cert.status == itp.STATUS_FEASIBLE
             assert cert.degree_used <= problem.max_degree
             assert cert.max_residual <= problem.residual_tol
-            assert _exact_within_tol(problem, cert.polynomial)
+            assert _exact_within(problem, cert.polynomial.coeffs)[0]
             assert np.all(cert.polynomial.coeffs >= 0.0)
             assert float(cert.polynomial.coeffs.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -503,7 +488,7 @@ class TestSolve:
             assert cert.status == itp.STATUS_FEASIBLE
             doubled = itp.solve_at_degree(problem, 2 * cert.degree_used)
             assert doubled is not None
-            assert _exact_within_tol(problem, doubled)
+            assert _exact_within(problem, doubled.coeffs)[0]
             checked += 1
 
     def test_certificate_jsonable_shapes(self):
@@ -861,7 +846,7 @@ class TestSingleRoute:
         assert cert.degree_used == 96
         # float64 re-evaluation of this polynomial reads 1.2e-8; the exact
         # residual is within the tolerance
-        assert _exact_within_tol(self.WIDE, cert.polynomial)
+        assert _exact_within(self.WIDE, cert.polynomial.coeffs)[0]
 
 
 class TestSingleGate:
@@ -909,7 +894,7 @@ class TestSingleGate:
             patch.setattr(itp, "_polish", recording_polish)
             cert = itp.solve(problem)
         decisions = [
-            (degree, c[0] is cert.polynomial, _exact_within_tol(problem, c[0]))
+            (degree, c[0] is cert.polynomial, _exact_within(problem, c[0].coeffs)[0])
             for degree, c in polished
             if c is not None
         ]
@@ -1217,7 +1202,7 @@ class TestAnnihilator:
         cert = itp.vanishing_annihilator([(-2.0, 2)], value_nodes=[(-3.0, 4.0)])
         assert cert.status == itp.STATUS_FEASIBLE
         targets = (itp.RealNode(-2.0, (0.0, 0.0)), itp.RealNode(-3.0, (4.0,)))
-        assert _exact_within_tol(itp.InterpolationProblem(real_nodes=targets), cert.polynomial)
+        assert _exact_within(itp.InterpolationProblem(real_nodes=targets), cert.polynomial.coeffs)[0]
 
     def test_annihilates_the_matching_jordan_block(self):
         cert = itp.vanishing_annihilator([(-2.0, 2)], value_nodes=[(-3.0, 4.0)])
@@ -1237,7 +1222,7 @@ class TestAnnihilator:
         cert = itp.vanishing_annihilator([(2.0 + 2.0j, 1)])
         assert cert.status == itp.STATUS_FEASIBLE
         targets = (itp.ComplexNode(2.0 + 2.0j, (0.0,)),)
-        assert _exact_within_tol(itp.InterpolationProblem(complex_nodes=targets), cert.polynomial)
+        assert _exact_within(itp.InterpolationProblem(complex_nodes=targets), cert.polynomial.coeffs)[0]
 
     def test_inadmissible_node_reports_reason(self):
         cert = itp.vanishing_annihilator([(-0.5, 1)])
@@ -1259,13 +1244,13 @@ class TestAnnihilator:
         cert = itp.vanishing_annihilator([(complex(-2.0, itp.NODE_TOLERANCE), 1)], [(-3.0 - 1e-11j, 4.0 + 1e-9j)])
         assert cert.status == itp.STATUS_FEASIBLE
         targets = (itp.RealNode(-2.0, (0.0,)), itp.RealNode(-3.0, (4.0,)))
-        assert _exact_within_tol(itp.InterpolationProblem(real_nodes=targets), cert.polynomial)
+        assert _exact_within(itp.InterpolationProblem(real_nodes=targets), cert.polynomial.coeffs)[0]
         # one rounding step further out the node is complex
         z = complex(-2.0, math.nextafter(itp.NODE_TOLERANCE, 1.0))
         cert = itp.vanishing_annihilator([(z, 1)])
         assert cert.status == itp.STATUS_FEASIBLE
         targets = (itp.ComplexNode(z, (0.0,)),)
-        assert _exact_within_tol(itp.InterpolationProblem(complex_nodes=targets), cert.polynomial)
+        assert _exact_within(itp.InterpolationProblem(complex_nodes=targets), cert.polynomial.coeffs)[0]
 
     @pytest.mark.parametrize(
         "nodes, message",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,22 +33,7 @@ import numpy as np  # noqa: E402
 
 import inputs  # noqa: E402
 from convex_cyclic import interpolation as itp  # noqa: E402
-from convex_cyclic.acceptance import _exact_jet  # noqa: E402
-
-
-def exact_within(problem: itp.InterpolationProblem, coeffs: np.ndarray) -> tuple[bool, float]:
-    """Whether every target's exact residual is within ``residual_tol``, and
-    the largest one, rounded to float."""
-    tol2 = Fraction(problem.residual_tol) ** 2
-    worst2 = Fraction(0)
-    jets = [(complex(n.x), n.targets) for n in problem.real_nodes]
-    jets += [(n.z, n.targets) for n in problem.complex_nodes]
-    for z, targets in jets:
-        for order, w in enumerate(targets):
-            vr, vi = _exact_jet(coeffs, order, z)
-            w = complex(w)
-            worst2 = max(worst2, (vr - Fraction(w.real)) ** 2 + (vi - Fraction(w.imag)) ** 2)
-    return worst2 <= tol2, float(worst2) ** 0.5
+from convex_cyclic.acceptance import _exact_within  # noqa: E402
 
 
 def candidates(problem: itp.InterpolationProblem) -> list[tuple[int, bool, np.ndarray]]:
@@ -96,7 +80,7 @@ def main() -> int:
     disagreements = []
     for label, problem in problems(args.seeds, args.draws):
         for degree, accepted, coeffs in candidates(problem):
-            within, residual = exact_within(problem, coeffs)
+            within, residual = _exact_within(problem, coeffs)
             total += 1
             accepts += accepted
             if accepted != within:

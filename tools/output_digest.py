@@ -24,6 +24,12 @@ Prints one SHA-256 per layer:
 - ``peak``: the peaking certificates of the 200 node sets that acceptance
   criterion 2 draws at seed 0, each with and without ``avoid_real_values``
   (an exception counts by its type and message);
+- ``peak_options``: the same on 100 of those node sets, every third with
+  a node on the real axis added and every third with one inside the unit
+  disk, each with every alpha of auto, 0.3, 0.5, 0.9 and 1/3, margin goal
+  of 0, 0.5 and 1e3, power cap of 0, 2, 50 and 10 000, and
+  ``avoid_real_values`` off and on; then ``[-2]`` at alpha 1/3 and ``[-1 -
+  3e-14]`` at auto, which reach the two excluded-alpha branches;
 - ``cli``: the exit code and stdout of every command line example in the
   README (``analyze`` on dense rows and on block form, ``interpolate``,
   ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``;
@@ -169,18 +175,38 @@ def orbit_entries(seeds=(0, 1, 2, 3)) -> Iterator[bytes]:
                 yield orbit(case.matrix, case.x, case.budget - 1).points.tobytes()
 
 
+def _peak_entry(nodes: list[complex], **options) -> bytes:
+    try:
+        cert = peaking_polynomial(nodes, **options)
+    except ConvexCyclicError as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+    # the power twice, so a checkout whose certificate has a min_power field (the power) digests the same bytes
+    fields = (cert.alpha, cert.power, cert.peak_point, cert.peak_value, cert.max_modulus, cert.power, cert.margin)
+    return repr(fields).encode() + np.asarray(cert.polynomial.coeffs, dtype=float).tobytes()
+
+
 def peak_entries(seed=0, trials=200) -> Iterator[bytes]:
     rng = np.random.default_rng(seed + 1)  # criterion 2's generator
     for _ in range(trials):
         nodes = _peaking_nodes(rng)
         for avoid in (False, True):
-            try:
-                cert = peaking_polynomial(nodes, avoid_real_values=avoid)
-            except ConvexCyclicError as exc:
-                yield repr((type(exc).__name__, str(exc))).encode()
-                continue
-            fields = (cert.alpha, cert.power, cert.peak_point, cert.peak_value, cert.max_modulus, cert.min_power, cert.margin)
-            yield repr(fields).encode() + np.asarray(cert.polynomial.coeffs, dtype=float).tobytes()
+            yield _peak_entry(nodes, avoid_real_values=avoid)
+
+
+def peak_options_entries(seed=0, trials=100) -> Iterator[bytes]:
+    rng = np.random.default_rng(seed + 1)  # criterion 2's generator
+    for k in range(trials):
+        nodes = _peaking_nodes(rng)
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        nodes += ([], [complex(3.0 * math.cos(angle), 0.0)], [0.9 * complex(np.exp(1j * angle))])[k % 3]
+        for alpha in ("auto", 0.3, 0.5, 0.9, 1.0 / 3.0):
+            for goal in (0.0, 0.5, 1e3):
+                for cap in (0, 2, 50, 10_000):
+                    for avoid in (False, True):
+                        yield _peak_entry(nodes, alpha=alpha, margin_goal=goal, power_cap=cap, avoid_real_values=avoid)
+    # the two excluded-alpha branches: an explicit alpha is refused, auto takes 1/3
+    yield _peak_entry([-2.0], alpha=1.0 / 3.0)
+    yield _peak_entry([-1.0 - 3e-14])
 
 
 README_EXAMPLES = (
@@ -298,6 +324,7 @@ LAYERS = (
     ("hull", hull_entries),
     ("orbit", orbit_entries),
     ("peak", peak_entries),
+    ("peak_options", peak_options_entries),
     ("cli", cli_entries),
     ("admissibility", admissibility_entries),
     ("necessary", necessary_entries),
