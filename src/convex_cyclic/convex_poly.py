@@ -128,8 +128,9 @@ def evaluate(p: ConvexPolynomial | Sequence[complex], z: complex | float) -> com
     ``z`` by Horner's scheme in Python scalars: a float for real ``z`` and
     coefficients, a complex number for any complex ``z``, numpy's included,
     so ``p(conj(z)) == conj(p(z))`` exactly.  ``z`` is read by
-    ``errors._require_number``.  The package's one scalar Horner; the
-    rational reference ``acceptance._exact_jet`` stays apart.
+    ``errors._require_number``.  The package's one scalar Horner: the peak
+    scan carries its complex step ``acc * z + 0j`` from power to power, and
+    the rational reference ``acceptance._exact_jet`` stays apart.
     """
     coeffs = _coefficients(p)
     if isinstance(z, (complex, np.complexfloating)):
@@ -170,19 +171,18 @@ def _pair_gaps(points: Sequence[complex], conjugate: bool = False) -> tuple[np.n
 
 
 def _node_clauses(
-    points: Sequence[complex], complex_field: bool, tol: float, disk_tol: float, pair_clause: bool = True
+    points: Sequence[complex], complex_field: bool, tol: float, disk_tol: float
 ) -> tuple[list[tuple[str, tuple[int, ...]]], tuple[list[float], list[float], list[float], tuple | None]]:
     """The paper's node clauses, the package's one encoding of them.
 
     A point fails ``"real"`` when ``|Im z| <= tol`` (in the real field only
     when also ``Re z >= -tol``) and ``"disk"`` when ``|z| <= 1 + disk_tol``;
     in the complex field a pair fails ``"pair"`` when its conjugate gap is at
-    most ``tol``, unless ``pair_clause=False`` leaves the pair clause out.
-    Returns the failures as ``(clause, indices)``, per point in point order
-    (real before disk) and then the pairs, and the margins they were
-    decided on: the lists of ``|z|`` (Python's rounding), ``|Im z|`` and
-    ``Re z``, and with the pair clause ``_pair_gaps(..., conjugate=True)``
-    (else None).
+    most ``tol``.  Returns the failures as ``(clause, indices)``, per point
+    in point order (real before disk) and then the pairs, and the margins
+    they were decided on: the lists of ``|z|`` (Python's rounding),
+    ``|Im z|`` and ``Re z``, and in the complex field
+    ``_pair_gaps(..., conjugate=True)`` (else None).
     """
     z = [complex(p) for p in points]
     moduli, imag, real = [abs(p) for p in z], [abs(p.imag) for p in z], [p.real for p in z]
@@ -193,7 +193,7 @@ def _node_clauses(
         if m <= 1.0 + disk_tol:
             failed.append(("disk", (i,)))
     pairs = None
-    if complex_field and pair_clause:
+    if complex_field:
         pairs = first, second, gaps = _pair_gaps(z, conjugate=True)
         paired = gaps <= tol
         failed += [("pair", pair) for pair in zip(first[paired].tolist(), second[paired].tolist())]
@@ -245,19 +245,20 @@ def _check_peaking_nodes(nodes: list[complex]) -> tuple[float, list[bool], list[
     """Validate the peaking preconditions; return (R, maximum-modulus mask,
     those nodes, whether some node fails ``_node_clauses``' realness clause).
 
-    ``R > 1`` exactly when some node is off ``_node_clauses``' closed disk.
+    ``R > 1`` exactly when some node is off that call's closed disk; a
+    conjugate pair among the maximum-modulus nodes is a pair it fails.
     """
     if not nodes:
         raise PreconditionViolated("node set must be nonempty")
     if node_pairs(nodes):
         raise PreconditionViolated("nodes must be distinct")
-    failed, (moduli, *_) = _node_clauses(nodes, True, NODE_TOLERANCE, 0.0, pair_clause=False)
+    failed, (moduli, *_) = _node_clauses(nodes, True, NODE_TOLERANCE, 0.0)
     if sum(clause == "disk" for clause, _ in failed) == len(nodes):
         raise PreconditionViolated("maximum node modulus must exceed 1")
     max_modulus = max(moduli)
     is_top = [max_modulus - m <= NODE_TOLERANCE * max(1.0, max_modulus) for m in moduli]
     top = [z for z, t in zip(nodes, is_top) if t]
-    if node_pairs(top, conjugate=True):
+    if any(clause == "pair" and all(is_top[k] for k in pair) for clause, pair in failed):
         raise PreconditionViolated("conjugate pair among maximum-modulus nodes")
     return max_modulus, is_top, top, any(clause == "real" for clause, _ in failed)
 
@@ -273,8 +274,10 @@ def _scan_for_peak(
 
     Comparisons run in log space so large powers cannot overflow; the scan
     raises ``NoPeakWithinCap`` once the would-be peak value leaves double
-    range, and at the cap.  Returns ``(power, peak_index, margin,
-    polynomial, node_values)``.
+    range, and at the cap.  The node values carry ``evaluate``'s Horner:
+    power 0 evaluates ``alpha*z + 1 - alpha`` and each further power takes
+    its step ``v * z + 0j`` for one more zero coefficient, bit for bit.
+    Returns ``(power, peak_index, margin, polynomial, node_values)``.
     """
     log_base = [math.log(abs(a)) if (a := alpha * z + (1.0 - alpha)) != 0 else -math.inf for z in nodes]
     log_mod = [math.log(abs(z)) if z != 0 else -math.inf for z in nodes]
@@ -285,24 +288,21 @@ def _scan_for_peak(
             return lb if power == 0 else -math.inf
         return power * lm + lb
 
+    base = ConvexPolynomial([1.0 - alpha, alpha])
+    node_values = [evaluate(base, z) for z in nodes]
     for power in range(power_cap + 1):
         logs = [node_log(power, lm, lb) for lm, lb in zip(log_mod, log_base)]
         best = max(range(len(nodes)), key=lambda k: logs[k])
         if logs[best] > _LOG_VALUE_MAX:
             raise NoPeakWithinCap(power, "peak value left float range before a strict peak")
-        if not is_top[best]:
-            continue
-        # Confirm with direct linear-scale evaluation; these are the numbers
-        # a caller can reproduce through evaluate().
-        coeffs = np.zeros(power + 2)
-        coeffs[power:] = 1.0 - alpha, alpha
-        poly = ConvexPolynomial(coeffs)
-        node_values = [evaluate(poly, z) for z in nodes]
-        values = [abs(v) for v in node_values]
-        others = [v for k, v in enumerate(values) if k != best]
-        margin = values[best] - max(others) if others else values[best]
-        if values[best] >= max(values) and margin > margin_goal:
-            return power, best, margin, poly, node_values
+        if is_top[best]:
+            # Confirm on the linear-scale values, the numbers evaluate() gives.
+            values = [abs(v) for v in node_values]
+            others = [v for k, v in enumerate(values) if k != best]
+            margin = values[best] - max(others) if others else values[best]
+            if values[best] >= max(values) and margin > margin_goal:
+                return power, best, margin, ConvexPolynomial(np.r_[np.zeros(power), 1.0 - alpha, alpha]), node_values
+        node_values = [v * z + 0j for v, z in zip(node_values, nodes)]
     raise NoPeakWithinCap(power_cap)
 
 
@@ -322,7 +322,10 @@ def peaking_polynomial(
     dominant node).  With ``avoid_real_values=True`` (only for node sets
     off the real axis: no node with ``|Im z| <= NODE_TOLERANCE``, the node
     tolerance ``RealTarget`` uses) alpha is perturbed over a deterministic
-    grid until every node value is non-real.
+    grid until every node value ``v`` is non-real: ``|Im v| > NODE_TOLERANCE
+    * max(1, |v|)``.  A value below about 1e-10 in modulus is real, so a node
+    inside the disk can exhaust the grid at high powers (``[1.0001
+    e^{0.5i}, 0.5 + 0.1i]`` at margin goal 1).
 
     Raises
     ------
@@ -375,14 +378,7 @@ def peaking_polynomial(
 
 
 def _alpha_grid(center: float) -> list[float]:
-    """Deterministic grid of alphas around ``center``, clipped to (0, 1)."""
-    grid = [center]
-    step = 1.0 / 53.0
-    j = 1
-    while len(grid) < _ALPHA_GRID_SIZE:
-        for sign in (+1.0, -1.0):
-            a = center + sign * j * step
-            if 0.02 <= a <= 0.98 and len(grid) < _ALPHA_GRID_SIZE:
-                grid.append(a)
-        j += 1
-    return grid
+    """Deterministic grid of alphas: ``center``, then ``center + j/53`` and
+    ``center - j/53`` for j = 1, 2, ... that lie in [0.02, 0.98]."""
+    offsets = (sign * j * (1.0 / 53.0) for j in range(1, 53) for sign in (+1.0, -1.0))
+    return ([center] + [a for a in (center + d for d in offsets) if 0.02 <= a <= 0.98])[:_ALPHA_GRID_SIZE]

@@ -162,7 +162,10 @@ class InterpolationProblem:
         nodes: dict[str, list] = {"real_nodes": [], "complex_nodes": []}
         readers = (("real_nodes", "x", parse_real, RealNode), ("complex_nodes", "z", parse_complex, ComplexNode))
         for key, point, parse, node in readers:
-            for i, item in enumerate(obj.get(key, [])):
+            items = obj.get(key, [])
+            if not isinstance(items, list):
+                raise ParseError(f"'{key}' must be a list")
+            for i, item in enumerate(items):
                 where = f"{key}[{i}]"
                 if not isinstance(item, dict) or point not in item:
                     raise ParseError(f"{where}: expected an object with '{point}' and 'targets'")
@@ -639,7 +642,7 @@ def vanishing_annihilator(
     read = functools.partial(_require_number, kind=complex)
     jets = [(read(u, "vanishing node"), _require_int(k, "vanishing order", 1) * [0j]) for u, k in vanish_nodes]
     jets += [(read(u, "value node"), [read(w, "value")]) for u, w in value_nodes]
-    failed, _ = _node_clauses([u for u, _ in jets], True, NODE_TOLERANCE, 0.0, pair_clause=False)
+    failed, _ = _node_clauses([u for u, _ in jets], True, NODE_TOLERANCE, 0.0)
     on_axis = {i for clause, (i, *_) in failed if clause == "real"}
     nodes = [
         RealNode(u.real, tuple(t.real for t in ts)) if i in on_axis else ComplexNode(u, tuple(ts))

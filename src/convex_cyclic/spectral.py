@@ -287,7 +287,7 @@ class ConvexCyclicVerdict:
 def _sort_failures(failures: list[FailedCondition]) -> tuple[FailedCondition, ...]:
     def key(c: FailedCondition):
         values = tuple((z.real, z.imag) for z in c.eigenvalues)
-        return (_REASON_ORDER.get(c.reason, 99), values)
+        return (_REASON_ORDER[c.reason], values)
 
     return tuple(sorted(failures, key=key))
 

@@ -273,6 +273,21 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"real_nodes": 5}, "real_nodes"),
+            ({"complex_nodes": None}, "complex_nodes"),
+            ({"real_nodes": "ab"}, "real_nodes"),
+            ({"complex_nodes": {}}, "complex_nodes"),
+        ],
+        ids=["number", "null", "string", "object"],
+    )
+    def test_a_node_list_that_is_not_a_list_is_named(self, run_cli, body, key):
+        code, out, err = run_cli(["interpolate", "--input", json.dumps(body)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {"type": "ParseError", "message": f"'{key}' must be a list"}
+
     def test_malformed_matrix_is_a_parse_error(self, run_cli):
         bad = json.dumps({"field": "real", "rows": [[1.0, 2.0]]})
         code, _, err = run_cli(["analyze", "--input", bad])
@@ -308,10 +323,16 @@ class TestErrorHandling:
         ("interpolate", {"real_nodes": [{"x": -1.5, "targets": [1e6]}], "max_degree": 4}, 3, None),
         ("interpolate", {"real_nodes": [{"x": -1e6, "targets": [0.5] + [0.0] * 59}]}, 3, None),
         ("interpolate", {"real_nodes": [{"x": -1e10, "targets": [0.0, 1e300]}]}, 3, None),
+        ("interpolate", {"real_nodes": 5}, 1, "ParseError"),
+        ("interpolate", {"complex_nodes": None}, 1, "ParseError"),
+        ("interpolate", {"real_nodes": "ab"}, 1, "ParseError"),
+        ("interpolate", {"real_nodes": {}}, 1, "ParseError"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": 3.0}, 1, "ParseError"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "power_cap": -3}, 4, "PreconditionViolated"),
         ("peak", {"nodes": [[0.0, 2.0], [2.0, 0.0]], "margin_goal": 1e12, "power_cap": 3}, 3, "NoPeakWithinCap"),
         ("peak", {"nodes": [[0.0, 2.0], [-2.0, 0.0]], "alpha": "half"}, 1, "ParseError"),
+        # the node leads at every power up to the default cap of 10 000 without the margin
+        ("peak", {"nodes": [[-1.0 - 3e-14, 0.0]], "margin_goal": 0.5}, 3, "NoPeakWithinCap"),
         (
             "peak",
             {"nodes": STUBBORN_NODES, "margin_goal": 1e12, "power_cap": 3, "avoid_real_values": True},
@@ -340,7 +361,9 @@ class TestErrorHandling:
             "analyze-malformed", "analyze-block-size", "analyze-block-modulus",
             "interpolate-malformed", "interpolate-max-degree", "interpolate-residual-tol", "interpolate-cap",
             "interpolate-cap-past-float-range", "interpolate-rhs-past-float-range",
-            "peak-malformed", "peak-power-cap", "peak-cap", "peak-alpha-string",
+            "interpolate-nodes-number", "interpolate-nodes-null", "interpolate-nodes-string",
+            "interpolate-nodes-object",
+            "peak-malformed", "peak-power-cap", "peak-cap", "peak-alpha-string", "peak-default-cap",
             "peak-avoid-grid-exhausted", "peak-avoid-on-axis",
             "orbit-malformed", "orbit-horizon", "orbit-vector-length", "orbit-overflow",
             "density-malformed", "density-poly-budget", "density-target-length",

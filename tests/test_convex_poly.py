@@ -472,6 +472,77 @@ class TestPeaking:
             convex_poly.peaking_polynomial([2j, -2.0], avoid_real_values=True)
         assert len(calls) == 2
 
+    def test_one_node_pairs_call_per_peaking_call(self, monkeypatch):
+        # the conjugate pairs among maximum-modulus nodes are read off the
+        # one _node_clauses call, so only distinctness calls node_pairs
+        calls = []
+        node_pairs = convex_poly.node_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return node_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(convex_poly, "node_pairs", counting)
+        convex_poly.peaking_polynomial([2.0 * cmath.exp(0.7j), 1.5 * cmath.exp(2.1j)], avoid_real_values=True)
+        assert len(calls) == 1
+        with pytest.raises(PreconditionViolated, match="conjugate pair among maximum-modulus nodes"):
+            convex_poly.peaking_polynomial([2.0 + 1.0j, 0.5j, 2.0 - 1.0j])
+        assert len(calls) == 2
+
+    # (nodes, margin goal, alpha, power): powers in the hundreds and
+    # thousands, the node 0 and -0j, nodes inside the disk (their values
+    # underflow to 0) and on the negative real axis (signs alternate)
+    CARRIED = (
+        ([1.0001 * cmath.exp(0.5j), 0.5 + 0.1j], 1.0, 0.5, 316),
+        ([1.0001 * cmath.exp(0.5j), 0.5 + 0.1j], 1.2, 0.3, 2087),
+        ([1.0001 * cmath.exp(0.5j), 0.99 * cmath.exp(2j)], 1.2, 0.5, 2139),
+        ([1.0001 * cmath.exp(0.5j), 0j, -0.3 + 0j, 0.5 + 0.1j], 1.0, 0.3, 264),
+        ([-1.5 + 0j, complex(0.0, -0.0), 0.2 - 0.7j], 1e6, 0.5, 38),
+        ([-1.0001 + 0j, -0.9 + 0j, 0.9j], 0.5, 0.3, 2233),
+    )
+
+    @pytest.mark.parametrize("nodes, goal, alpha, power", CARRIED)
+    def test_scan_values_are_evaluate_bit_for_bit(self, nodes, goal, alpha, power):
+        _, is_top, _, _ = convex_poly._check_peaking_nodes(nodes)
+        got, _, _, poly, values = convex_poly._scan_for_peak(nodes, alpha, goal, 10_000, is_top)
+        assert got == power == poly.degree - 1
+        # repr, so that a signed zero counts
+        assert [repr(v) for v in values] == [repr(convex_poly.evaluate(poly, z)) for z in nodes]
+
+    def test_a_scan_builds_its_polynomial_once(self, monkeypatch):
+        built = []
+
+        class Counting(ConvexPolynomial):
+            def __post_init__(self):
+                built.append(len(self.coeffs))
+                super().__post_init__()
+
+        monkeypatch.setattr(convex_poly, "ConvexPolynomial", Counting)
+        # one node, so it leads at every power up to the cap
+        with pytest.raises(NoPeakWithinCap):
+            convex_poly.peaking_polynomial([-1.0 - 3e-14], margin_goal=0.5, power_cap=2000)
+        assert built == [2]
+        built.clear()
+        # every grid alpha peaks at a real value, so each builds two
+        with pytest.raises(AlphaGridExhausted) as info:
+            convex_poly.peaking_polynomial([1.0001 * cmath.exp(0.5j), 0.5 + 0.1j], margin_goal=1.0, avoid_real_values=True)
+        assert len(built) == 2 * info.value.grid_size
+
+    def test_alpha_grid_matches_the_loop_it_replaced(self):
+        def loop(center):
+            grid, j = [center], 1
+            while len(grid) < 16:
+                for sign in (+1.0, -1.0):
+                    a = center + sign * j * (1.0 / 53.0)
+                    if 0.02 <= a <= 0.98 and len(grid) < 16:
+                        grid.append(a)
+                j += 1
+            return grid
+
+        rng = np.random.default_rng(79)
+        for center in [*rng.uniform(0.0, 1.0, 2000), 5e-324, 0.5, 1.0 / 3.0, 0.02, 0.98, math.nextafter(1.0, 0.0)]:
+            assert [a.hex() for a in convex_poly._alpha_grid(float(center))] == [a.hex() for a in loop(float(center))]
+
     def test_frozen_mixed_pair(self):
         cert = convex_poly.peaking_polynomial([2j, -2.0])
         assert cert.alpha == pytest.approx(0.5)
@@ -508,7 +579,7 @@ class TestPeaking:
             assert abs(nodes[best]) == pytest.approx(cert.max_modulus, rel=1e-12)
             others = [v for i, v in enumerate(values) if i != best]
             if others:
-                assert values[best] - max(others) == pytest.approx(cert.margin, rel=1e-9)
+                assert values[best] - max(others) == cert.margin
 
     def test_peak_power_grows_with_margin_goal(self):
         nodes = [2.0 + 1.0j, -2.1]

@@ -29,7 +29,10 @@ Prints one SHA-256 per layer:
   disk, each with every alpha of auto, 0.3, 0.5, 0.9 and 1/3, margin goal
   of 0, 0.5 and 1e3, power cap of 0, 2, 50 and 10 000, and
   ``avoid_real_values`` off and on; then ``[-2]`` at alpha 1/3 and ``[-1 -
-  3e-14]`` at auto, which reach the two excluded-alpha branches;
+  3e-14]`` at auto, which reach the two excluded-alpha branches; then the
+  high powers: ``[1.0001 e^{0.5i}, 0.5 + 0.1i]`` and ``[1.0001 e^{0.5i},
+  0.99 e^{2i}]`` at margin goals 1 and 1.2, avoid off and on, and ``[-1 -
+  3e-14]`` at goal 0.5 and power cap 2 000;
 - ``cli``: the exit code and stdout of every command line example in the
   README (``analyze`` on dense rows and on block form, ``interpolate``,
   ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``;
@@ -67,6 +70,7 @@ the benchmark does.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import io
@@ -207,6 +211,13 @@ def peak_options_entries(seed=0, trials=100) -> Iterator[bytes]:
     # the two excluded-alpha branches: an explicit alpha is refused, auto takes 1/3
     yield _peak_entry([-2.0], alpha=1.0 / 3.0)
     yield _peak_entry([-1.0 - 3e-14])
+    # high powers: certificates at powers 316 to 2 139 or an exhausted grid,
+    # and a node that leads at every power without the margin
+    for other in (0.5 + 0.1j, 0.99 * cmath.exp(2.0j)):
+        for goal in (1.0, 1.2):
+            for avoid in (False, True):
+                yield _peak_entry([1.0001 * cmath.exp(0.5j), other], margin_goal=goal, avoid_real_values=avoid)
+    yield _peak_entry([-1.0 - 3e-14], margin_goal=0.5, power_cap=2000)
 
 
 README_EXAMPLES = (
