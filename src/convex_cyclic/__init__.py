@@ -7,11 +7,11 @@ polynomials behind that theory, and certifies orbit-hull density
 empirically through growth witnesses and hull-membership scans.
 
 Modules import only from modules before them in the layer order
-``errors``, ``_jsonutil``, ``convex_poly``, ``spectral``, ``jordan_forms``,
-``suite``, ``interpolation``, ``dynamics``, ``cli``, ``acceptance``.  Each
-library module's ``__all__`` is its one list of public names; the package
-re-exports all of them.  The command line (``cli``) and the acceptance
-battery (``acceptance``) are not imported here.
+``errors``, ``_jsonutil``, ``_solvers``, ``convex_poly``, ``spectral``,
+``jordan_forms``, ``suite``, ``dynamics``, ``interpolation``, ``cli``,
+``acceptance``.  Each library module's ``__all__`` is its one list of
+public names; the package re-exports all of them.  The command line
+(``cli``) and the acceptance battery (``acceptance``) are not imported here.
 """
 
 from . import convex_poly, dynamics, errors, interpolation, jordan_forms, spectral, suite
@@ -32,6 +32,6 @@ __all__ = [
     *spectral.__all__,
     *jordan_forms.__all__,
     *suite.__all__,
-    *interpolation.__all__,
     *dynamics.__all__,
+    *interpolation.__all__,
 ]

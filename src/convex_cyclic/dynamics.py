@@ -4,9 +4,8 @@ The membership question "is a target in the closed convex hull of the
 convex-polynomial images of a vector" is settled empirically.  Those
 images are exactly the convex hull of the orbit x, Tx, T^2 x, ..., so a
 hull test by nonnegative least squares against a finite orbit prefix
-decides it, up to ``HULL_RTOL * max(1, |t|)`` for a target t; its kernel,
-scipy's compiled ``_slsqplib``, is loaded alone at the first hull test,
-never ``scipy.optimize``.  One chunked builder makes the orbits of
+decides it, up to ``HULL_RTOL * max(1, |t|)`` for a target t, with the
+NNLS kernel of ``_solvers``.  One chunked builder makes the orbits of
 ``orbit`` and of every scan, and a scan's hull test is one array-wide pass
 around its NNLS solves, so a scan costs little more than those solves.
 Growth witnesses, which step ``T @ v`` themselves to stop at the first
@@ -24,8 +23,8 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
+from ._solvers import _nnls
 from .errors import OverflowReached, PreconditionViolated, ZeroFunctional, _require_array, _require_int, _require_number
-from .interpolation import _scipy_extension
 from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
 __all__ = [
@@ -189,8 +188,8 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     Array-wide passes compute everything around the solves: G's peak,
     column norms and unit-norm columns, and for all targets at once their
     units, scaled targets (the right-hand sides), unit-sum rows and column
-    scales.  The loop only writes a target's unit-sum row into one NNLS
-    system and solves it into one weight matrix, renormalized afterwards in
+    scales.  ``_solvers._nnls`` only writes a target's unit-sum row into one
+    NNLS system and solves it into one weight matrix, renormalized afterwards in
     one pass.  The verdict uses the true Euclidean distance after
     renormalizing, so it never depends on the penalty weight or on the
     column scaling; each target's gap comes from one matrix-vector product,
@@ -234,15 +233,7 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     unit_sums = b[:, dim:] / col
     A = np.empty((dim + 1, count))
     A[:dim] = points / np.where(nonzero, norms, 1.0)
-    # scipy's default cap of 3 iterations per column is too small for long,
-    # nearly collinear orbit prefixes and raises instead of answering
-    nnls, cap = _scipy_extension("optimize._slsqplib").nnls, 10 * count
-    w = np.empty((len(targets), count))
-    for i, (row, rhs) in enumerate(zip(unit_sums, b)):
-        A[dim] = row
-        w[i], _, info = nnls(A, rhs, cap)
-        if info == 3:
-            raise RuntimeError("NNLS reached its iteration cap")
+    w = _nnls(A, unit_sums, b)
     w /= col
     total = w.sum(axis=1, keepdims=True)
     np.divide(w, total, out=w, where=total > 0)

@@ -74,6 +74,14 @@ def _require_number(value: Any, name: str, kind: type = float) -> float | comple
     raise PreconditionViolated(f"{name} must be finite")
 
 
+def _holds_bool(value: Any) -> bool:
+    """Whether ``value`` is or holds, in lists and tuples at any depth, a
+    boolean or a boolean array: numpy reads one beside numbers as a number."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_)) or isinstance(value, np.ndarray) and value.dtype.kind == "b"
+
+
 def _require_array(value: Any, name: str, kind: type | None = None) -> np.ndarray:
     """``value`` as a homogeneous (not ragged) array of finite integers, floats
     or, unless ``kind`` is ``float``, complex numbers, never booleans: as
@@ -82,7 +90,9 @@ def _require_array(value: Any, name: str, kind: type | None = None) -> np.ndarra
         arr = np.asarray(value)
     except ValueError:  # a ragged operand has no array form
         arr = None
-    if arr is not None and arr.dtype.kind in ("iuf" if kind is float else "iufc"):
+    numeric = arr is not None and arr.dtype.kind in ("iuf" if kind is float else "iufc")
+    # an operand that is not its own array form may hold booleans numpy read as numbers
+    if numeric and (arr is value or not _holds_bool(value)):
         arr = arr.astype(kind or np.result_type(arr, float), copy=False)
         if np.isfinite(arr).all():  # both parts of a complex entry
             return arr

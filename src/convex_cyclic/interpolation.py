@@ -17,13 +17,6 @@ raw longdouble rows, once per candidate, that refinement and the
 measurement apply to the coefficients.  Any other outcome (an infeasible
 LP, an LP that ends without an optimum, a candidate that fails the gate)
 moves on to the next degree.
-One HiGHS instance per thread, driven through scipy's bindings, serves
-every LP of every solve on that thread with the options and status reading
-of ``linprog(method="highs", options={"presolve": False})``, bit for bit,
-without the wrapper's per-call option validation, sparse conversion and
-result assembly; presolve removes nothing from these small dense LPs.  The
-compiled HiGHS bindings are loaded alone at the first LP, and
-``scipy.optimize`` itself never is, so a cold solve pays only for them.
 Node sets with distinct real nodes below -1 and distinct non-real complex
 nodes outside the closed unit disk with no conjugate pairs are admissible:
 for those, every target assignment is feasible at some degree.
@@ -32,19 +25,15 @@ for those, every target assignment is feasible at some degree.
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import logging
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
 from ._jsonutil import parse_complex, parse_int, parse_real
+from ._solvers import LP_INFEASIBLE, LP_OPTIMAL, _highs_lp
 from .convex_poly import NODE_TOLERANCE, ConvexPolynomial, node_pairs, _falling, _node_clauses, _pair_gaps
 from .errors import ParseError, PreconditionViolated, _require_int, _require_number
 
@@ -434,103 +423,6 @@ def _polish(
     return p, worst
 
 
-def _scipy_extension(name: str) -> Any:
-    """The compiled module ``scipy.<name>``, loaded without running the package
-    ``__init__`` above it (``scipy.optimize``'s takes 0.28 s) and registered in
-    ``sys.modules``, so a later ``import scipy.optimize`` reuses it."""
-    full = "scipy." + name
-    if full in sys.modules:
-        return sys.modules[full]
-    root = importlib.util.find_spec("scipy")
-    *package, leaf = name.split(".")
-    directory = root and os.path.join(root.submodule_search_locations[0], *package)
-    spec = directory and importlib.machinery.PathFinder.find_spec(leaf, [directory])
-    if spec is None:
-        raise ImportError(f"No module named {full!r}", name=full)
-    sys.modules[full] = module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[full]
-        raise
-    return module
-
-
-LP_OPTIMAL = "optimal"
-LP_INFEASIBLE = "infeasible"
-
-
-@functools.cache
-def _lp_options() -> tuple[Any, Any]:
-    """scipy's compiled HiGHS bindings and linprog's options for this LP but
-    presolve (it removes nothing from these small dense LPs and cost a
-    quarter of each LP), loaded at the first LP without ``scipy.optimize``."""
-    highs = _scipy_extension("optimize._highspy._core")
-
-    options = highs.HighsOptions()
-    options.presolve = "off"
-    options.primal_feasibility_tolerance = 1e-10
-    options.dual_feasibility_tolerance = 1e-7
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = False
-    options.output_flag = False
-    return highs, options
-
-
-_THREAD = threading.local()
-
-
-def _highs_solver() -> Any:
-    """This thread's HiGHS instance, holding the options of ``_lp_options``:
-    built at the thread's first LP, then reused by every solve on it
-    (``passModel`` resets the model and the solver state)."""
-    solver = getattr(_THREAD, "highs", None)
-    if solver is None:
-        highs, options = _lp_options()
-        solver = _THREAD.highs = highs._Highs()
-        solver.passOptions(options)
-    return solver
-
-
-def _highs_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, solver: Any) -> tuple[str, np.ndarray | None]:
-    """Minimize ``c @ x`` subject to ``A x = b``, ``x >= 0``, on ``solver``.
-
-    Same model, status reading and options as ``linprog(method="highs")``
-    with ``presolve=False``.  ``passModel`` clears the instance's previous
-    model and solver state, so a reused instance answers as a fresh one.
-    Returns ``(LP_OPTIMAL, x)``, ``(LP_INFEASIBLE, None)``, or HiGHS's text
-    for any other status with ``None``.  linprog's own check of an optimal
-    point (bounds and rows within 3e-4) is left out: every candidate faces
-    the residual gate of ``_certify``, far tighter.
-    """
-    m, n = A.shape
-    # HiGHS reads n costs and m right-hand sides through raw pointers
-    c, b = np.ascontiguousarray(c, dtype=float), np.ascontiguousarray(b, dtype=float)
-    if c.shape != (n,) or b.shape != (m,):
-        raise ValueError("LP costs and right-hand sides must match the constraint matrix")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("LP input must not contain inf or nan")
-    nonzero = A.T != 0  # CSC, column by column, explicit zeros dropped
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(nonzero.sum(axis=1), out=start[1:])
-    index = np.nonzero(nonzero)[1].astype(np.int32)
-    value = A.T[nonzero]
-    highs, _ = _lp_options()
-    solver.passModel(
-        n, m, len(value), int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
-        c, np.zeros(n), np.full(n, highs.kHighsInf), b, b, start, index, value,
-        np.zeros(n, dtype=np.int32),  # every column continuous
-    )
-    solver.run()
-    status = solver.getModelStatus()
-    if status == highs.HighsModelStatus.kOptimal:
-        return LP_OPTIMAL, np.array(solver.getSolution().col_value)
-    if status == highs.HighsModelStatus.kInfeasible:
-        return LP_INFEASIBLE, None
-    return solver.modelStatusToString(status), None
-
-
 def solve_at_degree(problem: InterpolationProblem, degree: int) -> ConvexPolynomial | None:
     """Feasibility at one fixed degree; verified polynomial or None."""
     found = _certify(problem, [degree])
@@ -575,7 +467,7 @@ def _certify(problem: InterpolationProblem, degrees: list[int]) -> tuple[ConvexP
         if not all(np.isfinite(x).all() for x in (c, eq_rows, eq_rhs)):  # every input of the LP
             logger.debug("degree %d: jet rows or objective leave float range, no candidate at this degree", degree)
         else:
-            status, b = _highs_lp(c, eq_rows, eq_rhs, _highs_solver())
+            status, b = _highs_lp(c, eq_rows, eq_rhs)
             if status == LP_OPTIMAL:
                 candidate = _polish(problem, eq_rows, row_norm, b)
                 if candidate is not None and candidate[1] <= problem.residual_tol:

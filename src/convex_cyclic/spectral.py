@@ -21,7 +21,7 @@ import numpy as np
 
 from ._jsonutil import complex_pair, parse_entries
 from .convex_poly import _node_clauses, _pair_gaps
-from .errors import DimensionMismatch, NonSquare, ParseError, PreconditionViolated, _require_array
+from .errors import DimensionMismatch, NonSquare, ParseError, PreconditionViolated, _holds_bool, _require_array
 
 __all__ = [
     "MatrixSpec",
@@ -127,17 +127,17 @@ def _vectors(rows: Any, dimension: int, is_complex: bool) -> np.ndarray:
     shaped, kinds = [], ""
     for row in rows:
         try:
-            row = np.atleast_1d(np.asarray(row))
-        except ValueError:  # a ragged row: the array check refuses the stack
-            pass
-        else:
-            if row.ndim != 1 or len(row) != dimension:
-                raise DimensionMismatch(dimension, len(row) if row.ndim == 1 else -1)
-            kinds += row.dtype.kind
-        shaped.append(row)
+            arr = np.atleast_1d(np.asarray(row))
+        except ValueError:  # a ragged row has no length; its object stand-in fails the array check
+            arr = np.empty(dimension, dtype=object)
+        if arr.ndim != 1 or len(arr) != dimension:
+            raise DimensionMismatch(dimension, len(arr) if arr.ndim == 1 else -1)
+        # a row that is not an array already may hold booleans numpy read as numbers
+        kinds += "b" if arr is not row and _holds_bool(row) else arr.dtype.kind
+        shaped.append(arr)
     if "c" in kinds and not is_complex:
         raise PreconditionViolated("real field requires a real vector")
-    stack = [True] if "b" in kinds else shaped  # numpy stacks a boolean row with numeric ones as numbers
+    stack = [True] if "b" in kinds else np.array(shaped)  # numpy stacks a boolean row with numeric ones as numbers
     return _require_array(stack, "vector entries", complex if is_complex else float).reshape(len(shaped), dimension)
 
 

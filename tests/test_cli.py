@@ -535,10 +535,10 @@ class TestScipyCoexistence:
     def test_package_first(self, fresh_python):
         script = SOLVE_AND_SCAN + f"""
 import sys
-from convex_cyclic import interpolation
+from convex_cyclic import _solvers
 assert "scipy.optimize" not in sys.modules
 used = {{name: sys.modules[name] for name in {KERNELS!r}}}
-assert interpolation._lp_options()[0] is used["scipy.optimize._highspy._core"]
+assert _solvers._highs()[0] is used["scipy.optimize._highspy._core"]
 """ + SCIPY_OPTIMIZE_WORKS + """
 assert all(sys.modules[name] is module for name, module in used.items())
 assert scipy.optimize._nnls._nnls is used["scipy.optimize._slsqplib"].nnls
@@ -554,9 +554,9 @@ created = []
 module_from_spec = importlib.util.module_from_spec
 importlib.util.module_from_spec = lambda spec: created.append(spec.name) or module_from_spec(spec)
 """ + SOLVE_AND_SCAN + """
-from convex_cyclic import interpolation
+from convex_cyclic import _solvers
 assert created == []
-assert interpolation._lp_options()[0] is before["scipy.optimize._highspy._core"]
+assert _solvers._highs()[0] is before["scipy.optimize._highspy._core"]
 assert all(sys.modules[name] is module for name, module in before.items())
 """
         proc = fresh_python(script)

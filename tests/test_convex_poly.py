@@ -204,10 +204,11 @@ class TestCoefficients:
         np.array([True, False]),
         np.array(["0.5", "0.5"]),
         [[0.5], [0.25, 0.25]],
+        [0.0, True],
     ]
     IDS = [
         "row-matrix", "2-d", "scalar", "boolean", "string", "object", "ragged", "nan", "infinite-imaginary",
-        "numpy-boolean", "numpy-string", "ragged-rows",
+        "numpy-boolean", "numpy-string", "ragged-rows", "mixed-boolean",
     ]
     CALLS = {
         "evaluate": lambda c: convex_poly.evaluate(c, 2.0),

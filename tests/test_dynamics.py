@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import importlib.abc
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import sys
 import tracemalloc
 import types
 
@@ -15,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls as scipy_nnls
 
-from convex_cyclic import dynamics, interpolation, suite
+from convex_cyclic import _solvers, dynamics, suite
 from convex_cyclic.dynamics import Bounded, DensityReport, GrowthWitness, HullQuery
 from convex_cyclic.errors import (
     DimensionMismatch,
@@ -164,8 +160,8 @@ class TestMatrixCoercion:
 
     @pytest.mark.parametrize(
         "T",
-        [[[-2.0, 0.0], [0.0]], [["-2", "0"], ["0", "-3"]], np.eye(2, dtype=bool)],
-        ids=["ragged", "string", "boolean"],
+        [[[-2.0, 0.0], [0.0]], [["-2", "0"], ["0", "-3"]], np.eye(2, dtype=bool), [[-2.0, True], [0.0, -3.0]]],
+        ids=["ragged", "string", "boolean", "mixed-boolean"],
     )
     def test_non_numeric_matrix_rejected(self, T):
         # once a bare ValueError, a TypeError, or a boolean matrix taken as 0/1
@@ -456,40 +452,6 @@ class TestHullContains:
         assert result.contained
         assert result.weights == pytest.approx([0.5, 0.5])
 
-    def test_iteration_cap_raises_runtime_error(self, monkeypatch):
-        # an NNLS that stops at its iteration cap (info 3) leaves no answer
-        capped = types.SimpleNamespace(nnls=lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0, 3))
-        monkeypatch.setattr(dynamics, "_scipy_extension", lambda name: capped)
-        with pytest.raises(RuntimeError):
-            dynamics.hull_contains(HullQuery(self.TRIANGLE, np.array([0.25, 0.25])))
-
-
-class TestScipyExtension:
-    def test_missing_module_is_named(self):
-        with pytest.raises(ImportError, match="scipy.optimize._no_such_kernel") as info:
-            interpolation._scipy_extension("optimize._no_such_kernel")
-        assert info.value.name == "scipy.optimize._no_such_kernel"
-
-    def test_failed_load_is_unregistered(self, monkeypatch):
-        class Broken(importlib.abc.Loader):
-            def create_module(self, spec):
-                return None
-
-            def exec_module(self, module):
-                assert sys.modules["scipy.optimize._broken_kernel"] is module  # registered first
-                raise ImportError("broken kernel")
-
-        spec = importlib.util.spec_from_loader("scipy.optimize._broken_kernel", Broken())
-        find_spec = importlib.machinery.PathFinder.find_spec
-        monkeypatch.setattr(
-            importlib.machinery.PathFinder,
-            "find_spec",
-            lambda name, path=None, target=None: spec if name == "_broken_kernel" else find_spec(name, path, target),
-        )
-        with pytest.raises(ImportError, match="broken kernel"):
-            interpolation._scipy_extension("optimize._broken_kernel")
-        assert "scipy.optimize._broken_kernel" not in sys.modules
-
 
 class TestDensityScan:
     GRID = [np.array([a, b]) for a in (-8.0, 0.0, 8.0) for b in (-8.0, 0.0, 8.0)]
@@ -580,13 +542,13 @@ class TestDensityScan:
 
     def test_nnls_sees_only_the_orbit_prefix(self, monkeypatch):
         widths = []
-        kernel = dynamics._scipy_extension("optimize._slsqplib")
+        kernel = _solvers._scipy_extension("optimize._slsqplib")
 
         def recording(A, b, maxiter):
             widths.append(A.shape[1])
             return kernel.nnls(A, b, maxiter)
 
-        monkeypatch.setattr(dynamics, "_scipy_extension", lambda name: types.SimpleNamespace(nnls=recording))
+        monkeypatch.setattr(_solvers, "_scipy_extension", lambda name: types.SimpleNamespace(nnls=recording))
         report = dynamics.empirical_density_scan(
             np.diag([-2.0, -3.0]), np.ones(2), self.GRID, poly_budget=400
         )
@@ -603,6 +565,7 @@ BAD_VECTORS = {
     "ragged": [[1.0, 2.0], [3.0]],
     "string": ["1", "2"],
     "boolean": [True, False],
+    "mixed boolean": [1.0, True],
 }
 
 

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import logging
 import math
-import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
+from convex_cyclic import _solvers
 from convex_cyclic import interpolation as itp
 from convex_cyclic.acceptance import _exact_jet, _exact_within
 from convex_cyclic.convex_poly import ConvexPolynomial
@@ -320,7 +318,7 @@ class TestNonNegativeNodes:
         problem = itp.InterpolationProblem(real_nodes, complex_nodes)
         (violation,) = itp.necessary_target_check(problem)
         assert (violation.reason, violation.order) == (itp.NECESSARY_NONNEGATIVE_NODE, order)
-        monkeypatch.setattr(itp, "_highs_solver", None)  # any LP would now raise
+        monkeypatch.setattr(itp, "_highs_lp", None)  # any LP would now raise
         cert = itp.solve(problem)
         assert (cert.status, cert.reason) == (itp.STATUS_INFEASIBLE_NECESSARY, itp.NECESSARY_NONNEGATIVE_NODE)
 
@@ -514,9 +512,9 @@ def _recorded_lps(monkeypatch, run):
     lps = []
     solve_lp = itp._highs_lp
 
-    def recording(c, A, b, solver):
+    def recording(c, A, b):
         lps.append((c.copy(), A.copy(), b.copy()))
-        return solve_lp(c, A, b, solver)
+        return solve_lp(c, A, b)
 
     with monkeypatch.context() as patch:
         patch.setattr(itp, "_highs_lp", recording)
@@ -528,146 +526,23 @@ def _posed_lps(monkeypatch, problem, degrees):
     return _recorded_lps(monkeypatch, lambda: [itp.solve_at_degree(problem, d) for d in degrees])[1]
 
 
-def _wide_22_rows() -> itp.InterpolationProblem:
-    """5 real and 3 complex nodes with order-2 targets, one modulus band."""
-    rng = np.random.default_rng(22)
-    return itp.InterpolationProblem(
-        tuple(itp.RealNode(x, tuple(rng.uniform(-10, 10, 2))) for x in (-2.1, -2.6, -3.1, -3.6, -4.1)),
-        tuple(
-            itp.ComplexNode(cmath.rect(m, a), tuple(complex(*rng.uniform(-5, 5, 2)) for _ in range(2)))
-            for m, a in ((2.3, 0.9), (3.0, 1.8), (3.7, -2.4))
+# a 14-row instance whose degree-32 LP ends in neither status on scipy 1.17
+ROWS14 = itp.InterpolationProblem(
+    (
+        itp.RealNode(-3.133764120927619, (-6.905888997842469, 3.3167200629204086, 5.008674682345415)),
+        itp.RealNode(-2.345031586792506, (2.837780656714415, -1.14785459212853, 4.414099133436853)),
+    ),
+    (
+        itp.ComplexNode(
+            -2.8788728112725805 - 1.841823195963359j,
+            (0.09111335132213633 + 0.3016478974487963j, -2.5476551680754804 - 0.2169776452178685j),
         ),
-    )
-
-
-class TestHighsLp:
-    """The direct HiGHS call must answer exactly as ``linprog(method="highs")``
-    with the same options did: same status class, bit-identical point."""
-
-    # a 14-row instance whose degree-32 LP ends in neither status on scipy 1.17
-    ROWS14 = itp.InterpolationProblem(
-        (
-            itp.RealNode(-3.133764120927619, (-6.905888997842469, 3.3167200629204086, 5.008674682345415)),
-            itp.RealNode(-2.345031586792506, (2.837780656714415, -1.14785459212853, 4.414099133436853)),
+        itp.ComplexNode(
+            -2.3960342542048862 - 0.37955156062138334j,
+            (-2.41295640303655 - 0.0330728275777674j, -3.2885688285899617 + 4.914453892138966j),
         ),
-        (
-            itp.ComplexNode(
-                -2.8788728112725805 - 1.841823195963359j,
-                (0.09111335132213633 + 0.3016478974487963j, -2.5476551680754804 - 0.2169776452178685j),
-            ),
-            itp.ComplexNode(
-                -2.3960342542048862 - 0.37955156062138334j,
-                (-2.41295640303655 - 0.0330728275777674j, -3.2885688285899617 + 4.914453892138966j),
-            ),
-        ),
-    )
-
-    @staticmethod
-    def _linprog(c, A, b):
-        return linprog(
-            c=c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-            options={"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-7},
-        )
-
-    def test_matches_linprog(self, monkeypatch):
-        sampled = itp.sample_admissible_problem(np.random.default_rng(0))
-        wide = _wide_22_rows()
-        assert wide.constraint_count() == 22 and itp.check_admissibility(wide).admissible
-        lps = (
-            _posed_lps(monkeypatch, itp.InterpolationProblem(real_nodes=(itp.RealNode(-2.0, (0.0, 1.0)),)), [4])
-            + _posed_lps(monkeypatch, sampled, itp._escalation_degrees(sampled)[:2])
-            + _posed_lps(monkeypatch, wide, itp._escalation_degrees(wide))
-            + _posed_lps(monkeypatch, self.ROWS14, [32])
-        )
-        seen = set()
-        for c, A, b in lps:
-            expected = self._linprog(c, A, b)
-            status, x = itp._highs_lp(c, A, b, itp._highs_solver())
-            if expected.status == 0:
-                assert status == itp.LP_OPTIMAL
-                assert np.array_equal(x, expected.x)
-            elif expected.status == 2:
-                assert (status, x) == (itp.LP_INFEASIBLE, None)
-            else:
-                assert status not in (itp.LP_OPTIMAL, itp.LP_INFEASIBLE) and x is None
-            seen.add(expected.status)
-        assert {0, 2} <= seen
-
-    def test_first_escalation_degree_proven_infeasible(self, monkeypatch):
-        # the sampled narrow problem and the 22-row one both need more than
-        # #rows + 2 coefficients
-        for problem in (itp.sample_admissible_problem(np.random.default_rng(0)), _wide_22_rows()):
-            ((c, A, b),) = _posed_lps(monkeypatch, problem, [problem.constraint_count() + 2])
-            assert itp._highs_lp(c, A, b, itp._highs_solver()) == (itp.LP_INFEASIBLE, None)
-            assert self._linprog(c, A, b).status == 2
-
-    def test_reused_instance_answers_as_a_fresh_one(self, monkeypatch):
-        # every escalation degree of the 22-row problem, in both orders, with
-        # a sampled narrow problem's LPs in between, so each LP follows an
-        # infeasible and an optimal one of another shape on the instance; the
-        # fresh side is built here, since _highs_solver() would hand back the
-        # thread's own instance
-        wide = _wide_22_rows()
-        narrow = itp.sample_admissible_problem(np.random.default_rng(0))
-        wide_lps = _posed_lps(monkeypatch, wide, itp._escalation_degrees(wide))
-        narrow_lps = _posed_lps(monkeypatch, narrow, [8, 16, 32])  # infeasible, infeasible, optimal
-        lps = [lp for pair in zip(wide_lps + wide_lps[::-1], itertools.cycle(narrow_lps)) for lp in pair]
-        highs, options = itp._lp_options()
-        solver = itp._highs_solver()
-        statuses = set()
-        for c, A, b in lps:
-            fresh = highs._Highs()
-            fresh.passOptions(options)
-            status, x = itp._highs_lp(c, A, b, solver)
-            fresh_status, fresh_x = itp._highs_lp(c, A, b, fresh)
-            assert status == fresh_status
-            assert (x is None and fresh_x is None) or x.tobytes() == fresh_x.tobytes()
-            statuses.add((len(b), status))
-        assert statuses == {(rows, status) for rows in (23, narrow.constraint_count() + 1)
-                            for status in (itp.LP_OPTIMAL, itp.LP_INFEASIBLE)}
-
-    def test_one_instance_per_thread(self, monkeypatch):
-        highs, _ = itp._lp_options()
-        make, made, posed = highs._Highs, [], []
-        solve_lp = itp._highs_lp
-
-        def counting():
-            made.append(1)
-            return make()
-
-        def recording(c, A, b, solver):
-            posed.append(solver)
-            return solve_lp(c, A, b, solver)
-
-        monkeypatch.setattr(highs, "_Highs", counting)
-        monkeypatch.setattr(itp, "_highs_lp", recording)
-        wide = _wide_22_rows()
-        sampled = itp.sample_admissible_problem(np.random.default_rng(0))
-        statuses = []
-
-        def solves():
-            # both need more than one LP: the 22-row problem ends InfeasibleAtCap,
-            # the sampled one's first escalation degree is infeasible
-            statuses.extend(itp.solve(problem).status for problem in (wide, sampled))
-            itp.solve_at_degree(wide, 48)
-
-        for thread in range(2):  # new threads, so neither meets an instance built earlier
-            worker = threading.Thread(target=solves)
-            worker.start()
-            worker.join(timeout=120)
-            assert not worker.is_alive() and len(made) == thread + 1
-        assert statuses == [itp.STATUS_INFEASIBLE_AT_CAP, itp.STATUS_FEASIBLE] * 2
-        first, second = posed[: len(posed) // 2], posed[len(posed) // 2 :]
-        assert len(first) >= 5 and all(solver is first[0] for solver in first)
-        assert all(solver is second[0] for solver in second) and second[0] is not first[0]
-
-    def test_malformed_input_rejected(self):
-        with pytest.raises(ValueError):
-            itp._highs_lp(np.ones(2), np.array([[1.0, np.nan]]), np.ones(1), itp._highs_solver())
-        with pytest.raises(ValueError):
-            itp._highs_lp(np.ones(1), np.ones((1, 2)), np.ones(1), itp._highs_solver())
-        with pytest.raises(ValueError):
-            itp._highs_lp(np.ones(2), np.ones((1, 2)), np.ones(2), itp._highs_solver())
+    ),
+)
 
 
 class TestSingleRoute:
@@ -706,9 +581,8 @@ class TestSingleRoute:
     def test_unknown_lp_status_escalates_without_nnls(self, monkeypatch, caplog):
         # with the LP stubbed out, no compiled solver (NNLS included) may load
         calls = []
-        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b, solver: ("Unknown", None))
-        monkeypatch.setattr(itp, "_highs_solver", lambda: None)
-        monkeypatch.setattr(itp, "_scipy_extension", calls.append)
+        monkeypatch.setattr(itp, "_highs_lp", lambda c, A, b: ("Unknown", None))
+        monkeypatch.setattr(_solvers, "_scipy_extension", calls.append)
         with caplog.at_level("DEBUG", logger="convex_cyclic.interpolation"):
             assert itp.solve_at_degree(self.PROBLEM, 4) is None
             capped = itp.solve(itp.InterpolationProblem(self.PROBLEM.real_nodes, max_degree=16))
@@ -908,10 +782,10 @@ class TestSingleGate:
             assert cert.status == itp.STATUS_FEASIBLE
             decisions += found
         assert [d for d in decisions if d[1] != d[2]] == []
-        # TestHighsLp.ROWS14 is wide case 23: a float64 Horner gate rejected
+        # ROWS14 is wide case 23: a float64 Horner gate rejected
         # its candidates at degrees 128 and 200, exact residuals 5.5e-9 and
         # 1.6e-9, and the solve ended InfeasibleAtCap
-        for problem in (TestHighsLp.ROWS14, self.ROWS22):
+        for problem in (ROWS14, self.ROWS22):
             cert, found = self._decisions(monkeypatch, problem)
             assert [d for d in found if d[1] != d[2]] == []
             assert (cert.status, cert.degree_used) == (itp.STATUS_FEASIBLE, 200)

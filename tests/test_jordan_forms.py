@@ -224,14 +224,15 @@ def test_dimension_properties():
         (lambda: DirectSumSpec.from_jsonable({"blocks": [{"k": 2}]}), ParseError, r"blocks\[0\]: expected an object"),
         (lambda: complexify([[1.0, 2.0]]), PreconditionViolated, "1-d vector"),
         (lambda: complexify([True, False]), PreconditionViolated, "^complexify's real vector must be finite$"),
+        (lambda: complexify([1.0, True]), PreconditionViolated, "^complexify's real vector must be finite$"),
         (lambda: complexify(["1", "2"]), PreconditionViolated, "^complexify's real vector must be finite$"),
         (lambda: complexify([[1.0, 2.0], [3.0]]), PreconditionViolated, "^complexify's real vector must be finite$"),
         (lambda: poly_on_jordan_block([0.5, 0.5], math.nan, 2), PreconditionViolated, "eigenvalue must be finite"),
         (lambda: poly_on_jordan_block([0.5, 0.5], complex(1.0, -math.inf), 2), PreconditionViolated, "eigenvalue"),
     ],
     ids=[
-        "foreign-block", "untagged-block", "complexify-2d", "complexify-boolean", "complexify-string",
-        "complexify-ragged", "nan-eigenvalue", "infinite-eigenvalue",
+        "foreign-block", "untagged-block", "complexify-2d", "complexify-boolean", "complexify-mixed-boolean",
+        "complexify-string", "complexify-ragged", "nan-eigenvalue", "infinite-eigenvalue",
     ],
 )
 def test_input_checks(call, error, message):

@@ -17,17 +17,18 @@ from convex_cyclic import errors
 LAYERS = (
     "errors",
     "_jsonutil",
+    "_solvers",
     "convex_poly",
     "spectral",
     "jordan_forms",
     "suite",
-    "interpolation",
     "dynamics",
+    "interpolation",
     "cli",
     "acceptance",
 )
 # the modules whose ``__all__`` the package re-exports, in layer order
-LIBRARY = ("errors", "convex_poly", "spectral", "jordan_forms", "suite", "interpolation", "dynamics")
+LIBRARY = ("errors", "convex_poly", "spectral", "jordan_forms", "suite", "dynamics", "interpolation")
 # the package itself re-exports the library; ``python -m`` runs the command line
 ENTRY_POINTS = {"__init__": set(LIBRARY), "__main__": {"cli"}}
 # the only exceptions: the command line reads the package version, and loads

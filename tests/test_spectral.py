@@ -86,10 +86,13 @@ class TestMatrixSpec:
             (lambda: spectral.classify([[1, 2], [3]]), PreconditionViolated, "^matrix entries must be finite$"),
             (lambda: spectral.classify([["1", "2"], ["3", "4"]]), PreconditionViolated, "^matrix entries must be finite$"),
             (lambda: spectral.classify([[True, False], [False, True]]), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: MatrixSpec("real", [[-2.0, True], [0.0, -3.0]]), PreconditionViolated, "^matrix entries must be finite$"),
+            (lambda: spectral.classify([[-2.0, True], [0.0, -3.0]]), PreconditionViolated, "^matrix entries must be finite$"),
         ],
         ids=[
             "empty-matrix", "non-object-spec", "non-list-row",
             "ragged", "string", "boolean", "classify-ragged", "classify-string", "classify-boolean",
+            "mixed-boolean", "classify-mixed-boolean",
         ],
     )
     def test_input_checks(self, call, error, message):

@@ -8,8 +8,10 @@ Prints one SHA-256 per layer:
 - ``solve``: the certificates of ``interpolate_round`` seeds 0-2 (status,
   reason, detail, degree, ``max_residual`` and the coefficient bytes);
 - ``lp``: the bytes of the objective, the rows and the right-hand sides
-  ``(c, A, b)`` of every LP those solves pose, read by wrapping
-  ``interpolation._highs_lp``;
+  ``(c, A, b)`` of every LP those solves pose, read by wrapping the name
+  ``interpolation._highs_lp`` (the LP call of ``_solvers``, imported there);
+  a seed whose solves record no LP stops the tool with exit code 1, since
+  the LP is then called under another name;
 - ``classify``: ``classify(...).to_jsonable()`` on ``classify_round``
   seeds 0-2;
 - ``density``: the ``DensityReport`` of every scan of ``density_round``
@@ -134,9 +136,14 @@ def lp_entries(seeds=(0, 1, 2)) -> Iterator[bytes]:
 
     interpolation._highs_lp = recording
     try:
-        for _ in solve_entries(seeds):
-            yield from posed
-            posed.clear()
+        for seed in seeds:
+            recorded = 0
+            for _ in solve_entries((seed,)):
+                recorded += len(posed)
+                yield from posed
+                posed.clear()
+            if not recorded:
+                raise SystemExit(f"lp: the solves of seed {seed} recorded no LP through interpolation._highs_lp")
     finally:
         interpolation._highs_lp = highs_lp
 
