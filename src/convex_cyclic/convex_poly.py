@@ -9,7 +9,6 @@ polynomials ``z^m (alpha*z + 1 - alpha)`` for admissible node sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +50,7 @@ DEFAULT_POWER_CAP = 10000
 
 # Largest magnitude a certificate value may take; beyond this the scan
 # reports the cap instead of returning non-representable numbers.
-_LOG_VALUE_MAX = math.log(1e300)
+_VALUE_MAX = 1e300
 
 # Realness-avoidance retries draw from a grid of this many alpha values.
 _ALPHA_GRID_SIZE = 16
@@ -73,9 +72,9 @@ class ConvexPolynomial:
         arr = _require_array(self.coeffs, "coefficients", float)
         if arr.ndim != 1 or arr.size == 0:
             raise PreconditionViolated("coefficients must be a nonempty 1-d vector")
-        for index, value in enumerate(arr):
-            if value < 0.0:
-                raise NegativeCoefficient(index, float(value))
+        negative = np.flatnonzero(arr < 0.0)
+        if negative.size:
+            raise NegativeCoefficient(int(negative[0]), float(arr[negative[0]]))
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumNotOne(total)
@@ -272,35 +271,24 @@ def _scan_for_peak(
 ) -> tuple[int, int, float, ConvexPolynomial, list[complex]]:
     """Find the smallest power whose peak lies at a maximum-modulus node.
 
-    Comparisons run in log space so large powers cannot overflow; the scan
-    raises ``NoPeakWithinCap`` once the would-be peak value leaves double
-    range, and at the cap.  The node values carry ``evaluate``'s Horner:
-    power 0 evaluates ``alpha*z + 1 - alpha`` and each further power takes
-    its step ``v * z + 0j`` for one more zero coefficient, bit for bit.
-    Returns ``(power, peak_index, margin, polynomial, node_values)``.
+    The node values carry ``evaluate``'s Horner: power 0 evaluates
+    ``alpha*z + 1 - alpha``, each further power takes its step ``v * z + 0j``
+    for one more zero coefficient, bit for bit.  Each power decides on their
+    moduli: the largest leads, a lead not at most ``_VALUE_MAX`` (inf and nan
+    too) raises ``NoPeakWithinCap``, as the cap does, and the margin is the
+    lead's gap to the next largest.  Returns ``(power, peak_index, margin,
+    polynomial, node_values)``.
     """
-    log_base = [math.log(abs(a)) if (a := alpha * z + (1.0 - alpha)) != 0 else -math.inf for z in nodes]
-    log_mod = [math.log(abs(z)) if z != 0 else -math.inf for z in nodes]
-
-    def node_log(power: int, lm: float, lb: float) -> float:
-        # z**0 is 1 even for the node 0, so keep 0 * (-inf) out of the arithmetic.
-        if lm == -math.inf:
-            return lb if power == 0 else -math.inf
-        return power * lm + lb
-
     base = ConvexPolynomial([1.0 - alpha, alpha])
     node_values = [evaluate(base, z) for z in nodes]
     for power in range(power_cap + 1):
-        logs = [node_log(power, lm, lb) for lm, lb in zip(log_mod, log_base)]
-        best = max(range(len(nodes)), key=lambda k: logs[k])
-        if logs[best] > _LOG_VALUE_MAX:
+        values = [abs(v) for v in node_values]
+        best = values.index(max(values))
+        if not values[best] <= _VALUE_MAX:
             raise NoPeakWithinCap(power, "peak value left float range before a strict peak")
         if is_top[best]:
-            # Confirm on the linear-scale values, the numbers evaluate() gives.
-            values = [abs(v) for v in node_values]
-            others = [v for k, v in enumerate(values) if k != best]
-            margin = values[best] - max(others) if others else values[best]
-            if values[best] >= max(values) and margin > margin_goal:
+            margin = values[best] - max(values[:best] + values[best + 1 :], default=0.0)
+            if margin > margin_goal:
                 return power, best, margin, ConvexPolynomial(np.r_[np.zeros(power), 1.0 - alpha, alpha]), node_values
         node_values = [v * z + 0j for v, z in zip(node_values, nodes)]
     raise NoPeakWithinCap(power_cap)

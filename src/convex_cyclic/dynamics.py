@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence, Union
 import numpy as np
 
 from ._solvers import _nnls
-from .errors import OverflowReached, PreconditionViolated, ZeroFunctional, _require_array, _require_int, _require_number
+from .errors import OverflowReached, PreconditionViolated, ZeroFunctional, _require_int, _require_number
 from .spectral import MatrixSpec, _coerce_matrix, _vectors
 
 __all__ = [
@@ -249,12 +249,16 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def hull_contains(query: HullQuery) -> HullResult:
-    """Convex-hull membership of the query target by nonnegative least squares; points (each
-    read by ``errors._require_array``) and target are finite vectors of one length, complex if any point is."""
+    """Convex-hull membership of the query target by nonnegative least squares; points and target are
+    finite vectors (one ``spectral._vectors`` check) of the first point's length, complex if any point is."""
     if len(query.points) == 0:
         raise PreconditionViolated("hull query needs at least one point")
-    points = [np.atleast_1d(_require_array(p, "vector entries")) for p in query.points]
-    rows = _vectors([*points, query.target], len(points[0]), any(p.dtype.kind == "c" for p in points)).view(float)
+    try:  # only the length and the field: _vectors checks the entries
+        looks = [np.asarray(p) for p in query.points]
+    except ValueError:  # a ragged point has no array form
+        raise PreconditionViolated("vector entries must be finite") from None
+    is_complex = any(a.dtype.kind == "c" for a in looks)
+    rows = _vectors([*query.points, query.target], len(np.atleast_1d(looks[0])), is_complex).view(float)
     (contained,), (residual,), (weights,) = _hull_solve(rows[:-1].T.copy(), rows[-1:])
     return HullResult(contained=bool(contained), residual=float(residual), weights=weights)
 

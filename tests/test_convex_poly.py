@@ -37,6 +37,13 @@ class TestConstruction:
         with pytest.raises(NegativeCoefficient) as info:
             ConvexPolynomial([0.5, -0.1, 0.6])
         assert info.value.index == 1
+        # a long vector with two negative entries reports the first one
+        coeffs = np.full(2000, 1.0 / 1996)
+        coeffs[[700, 1500]] = -1.0 / 1996
+        with pytest.raises(NegativeCoefficient) as info:
+            ConvexPolynomial(coeffs)
+        assert (info.value.index, info.value.value) == (700, -1.0 / 1996)
+        assert type(info.value.index) is int and type(info.value.value) is float
 
     def test_negative_rejected_even_when_tiny(self):
         with pytest.raises(NegativeCoefficient):
@@ -642,6 +649,19 @@ class TestPeaking:
         with pytest.raises(NoPeakWithinCap, match="float range") as info:
             convex_poly.peaking_polynomial([3j], margin_goal=1e300)
         assert not isinstance(info.value, AlphaGridExhausted)
+
+    @pytest.mark.parametrize(
+        "nodes, power",
+        [([1e200j], 1), ([1e200j, 2.0], 1), ([3e8j, -2.0], 35)],
+        ids=["alone", "beside a real node", "after 34 powers"],
+    )
+    def test_scan_stops_where_one_step_jumps_past_float_range(self, nodes, power):
+        # a node of modulus above 1.8e8 can step from below 1e300 past the float range at once
+        with pytest.raises(NoPeakWithinCap) as info:
+            convex_poly.peaking_polynomial(nodes, margin_goal=1e300)
+        assert type(info.value) is NoPeakWithinCap and info.value.power_cap == power
+        detail = "peak value left float range before a strict peak"
+        assert str(info.value) == f"no strict peak found up to power {power}: {detail}"
 
     def test_avoid_real_values_moves_past_an_alpha_that_left_float_range(self):
         # at alpha = 1/2 the value at 3j is 6.8e299 at power 628 and beyond

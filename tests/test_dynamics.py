@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls as scipy_nnls
 
-from convex_cyclic import _solvers, dynamics, suite
+from convex_cyclic import _solvers, dynamics, spectral, suite
 from convex_cyclic.dynamics import Bounded, DensityReport, GrowthWitness, HullQuery
 from convex_cyclic.errors import (
     DimensionMismatch,
@@ -419,6 +419,23 @@ class TestHullContains:
             dynamics.hull_contains(HullQuery((np.array([0.0, 1.0]),), np.array([0.0])))
         with pytest.raises(PreconditionViolated):
             dynamics.hull_contains(HullQuery((np.zeros(2), np.array([np.inf, 1.0])), np.zeros(2)))
+        for points in (([1.0, [2.0]], np.zeros(2)), (np.zeros(2), [1.0, [2.0]])):  # a ragged point, first or later
+            with pytest.raises(PreconditionViolated, match="^vector entries must be finite$"):
+                dynamics.hull_contains(HullQuery(points, np.zeros(2)))
+
+    def test_points_and_target_are_checked_once(self, monkeypatch):
+        # one stacked check through spectral._vectors, not one more per point
+        points = tuple(dynamics.orbit(np.diag([-1.01, -1.02, 0.5, 0.3]), np.ones(4), 399).points)
+        calls = []
+
+        def counted(check):
+            return lambda *args: calls.append(args) or check(*args)
+
+        for module in (dynamics, spectral):
+            if hasattr(module, "_require_array"):
+                monkeypatch.setattr(module, "_require_array", counted(module._require_array))
+        assert dynamics.hull_contains(HullQuery(points, np.zeros(4))).weights.size == 400
+        assert len(calls) == 1
 
     def test_entries_at_the_top_of_the_float_range_are_answered(self):
         # entries of 2^1023 and more: the solve scale stops at 2^1023
@@ -619,6 +636,8 @@ def test_a_wrong_length_outranks_an_earlier_bad_entry():
         dynamics.growth_witness(T2, [math.nan, 1.0], [1.0, 2.0, 3.0], threshold=10.0)
     with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
         dynamics.empirical_density_scan(T2, [1.0, 1.0], [[1.0j, 2.0], [math.inf, 0.0], [1.0]])
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+        dynamics.hull_contains(HullQuery((np.zeros(2), [math.nan, 1.0]), [1.0, 2.0, 3.0]))
 
 
 class TestOrbitHullCapture:

@@ -34,7 +34,9 @@ Prints one SHA-256 per layer:
   3e-14]`` at auto, which reach the two excluded-alpha branches; then the
   high powers: ``[1.0001 e^{0.5i}, 0.5 + 0.1i]`` and ``[1.0001 e^{0.5i},
   0.99 e^{2i}]`` at margin goals 1 and 1.2, avoid off and on, and ``[-1 -
-  3e-14]`` at goal 0.5 and power cap 2 000;
+  3e-14]`` at goal 0.5 and power cap 2 000; last the one-step overflows:
+  ``[1e200 i]``, ``[1e200 i, 2]`` and ``[3e8 i, -2]`` at goal 1e300, avoid
+  off and on;
 - ``cli``: the exit code and stdout of every command line example in the
   README (``analyze`` on dense rows and on block form, ``interpolate``,
   ``peak``, ``orbit``, ``density``), run in-process through ``cli.main``;
@@ -225,6 +227,10 @@ def peak_options_entries(seed=0, trials=100) -> Iterator[bytes]:
             for avoid in (False, True):
                 yield _peak_entry([1.0001 * cmath.exp(0.5j), other], margin_goal=goal, avoid_real_values=avoid)
     yield _peak_entry([-1.0 - 3e-14], margin_goal=0.5, power_cap=2000)
+    # a lead that steps from below 1e300 past the float range at once
+    for nodes in ([1e200j], [1e200j, 2.0], [3e8j, -2.0]):
+        for avoid in (False, True):
+            yield _peak_entry(nodes, margin_goal=1e300, avoid_real_values=avoid)
 
 
 README_EXAMPLES = (
