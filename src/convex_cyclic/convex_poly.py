@@ -162,11 +162,12 @@ def _pair_gaps(points: Sequence[complex], conjugate: bool = False) -> tuple[np.n
     """The package's one pairwise-gap kernel: every index pair ``i < j``, in
     row order, as ``(first, second, gaps)`` with ``gaps[k] = |a_i - a_j|``,
     or ``|a_i - conj(a_j)|`` with ``conjugate`` (a real point is its own
-    conjugate, but ``i == j`` is never a pair)."""
+    conjugate, but ``i == j`` is never a pair); a gap past the float range is inf."""
     a = np.asarray(points, dtype=complex)
     first, second = np.triu_indices(len(a), 1)
     other = a[second].conj() if conjugate else a[second]
-    return first, second, np.abs(a[first] - other)
+    with np.errstate(over="ignore"):
+        return first, second, np.abs(a[first] - other)
 
 
 def _node_clauses(

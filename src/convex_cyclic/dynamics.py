@@ -53,10 +53,10 @@ _SQUARES_EXACT = 2.0**-511
 
 
 def _lengths(rows: np.ndarray) -> np.ndarray:
-    """``sqrt(v @ v)`` of each row v, or ``hypot``'s scaled length where
-    underflowing squares may have shrunk it; one BLAS dot per row, since a
-    batched sum of squares rounds differently."""
-    lengths = np.sqrt([v.dot(v) for v in rows])
+    """Each row's Euclidean length, the module's one: the square root of one
+    ``einsum`` sum of squares (rounded by the rows' layout, not their count),
+    or ``hypot``'s scaled length where underflowing squares may have shrunk it."""
+    lengths = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     for k in np.flatnonzero(lengths < _SQUARES_EXACT):
         lengths[k] = math.hypot(*rows[k].tolist())
     return lengths
@@ -192,8 +192,10 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     NNLS system and solves it into one weight matrix, renormalized afterwards in
     one pass.  The verdict uses the true Euclidean distance after
     renormalizing, so it never depends on the penalty weight or on the
-    column scaling; each target's gap comes from one matrix-vector product,
-    since a batched product rounds differently.
+    column scaling; one ``einsum`` gives all gaps, summing each entry in
+    the same order for any number of targets (a scan's residual is
+    ``hull_contains``'s, bit for bit).  No hull weight at all (every
+    weight 0) means not contained, at residual inf.
 
     Each solve runs in units of ``s``, the least power of two above every
     entry of G and of its target but at most 2**1023, so scaling rounds
@@ -204,16 +206,13 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     columns changes no bit of the result while no scaled entry (nor its
     square, inside the column norms) leaves the normal range.  The verdict
     compares in units of ``s`` too; only the residual may round to infinity.
-    Far below the largest entry, squares underflow instead: a column norm,
-    target size or distance shorter than ``_SQUARES_EXACT`` is measured
-    again by ``math.hypot``.
+    Far below the largest entry squares underflow instead, and ``_lengths``
+    measures every norm, size and distance again by ``math.hypot``.
     """
     peak = np.max(np.abs(G), initial=1.0)
     scale = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
     points = G / scale
-    norms = np.linalg.norm(points, axis=0)
-    for k in np.flatnonzero(norms < _SQUARES_EXACT):
-        norms[k] = math.hypot(*points[:, k].tolist())
+    norms = _lengths(points.T)
     nonzero = norms > 0
     dim, count = G.shape
     t_peak = np.max(np.abs(targets), axis=1, initial=1.0)
@@ -237,12 +236,7 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     w /= col
     total = w.sum(axis=1, keepdims=True)
     np.divide(w, total, out=w, where=total > 0)
-    gaps = np.empty_like(t)
-    for wi, gap in zip(w, gaps):
-        points.dot(wi, out=gap)
-    gaps *= r[:, None]
-    gaps -= t
-    distance = _lengths(gaps)
+    distance = np.where(total[:, 0] > 0, _lengths(np.einsum("kc,dc->kd", w, points) * r[:, None] - t), np.inf)
     with np.errstate(over="ignore"):  # only the residual may round to infinity
         residual = s * distance
     return distance <= HULL_RTOL * size, residual, w
@@ -250,7 +244,8 @@ def _hull_solve(G: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def hull_contains(query: HullQuery) -> HullResult:
     """Convex-hull membership of the query target by nonnegative least squares; points and target are
-    finite vectors (one ``spectral._vectors`` check) of the first point's length, complex if any point is."""
+    finite vectors (one ``spectral._vectors`` check) of the first point's length, complex if any point is.
+    A target the solve gives no hull weight (its weights all 0) is not contained, at residual inf."""
     if len(query.points) == 0:
         raise PreconditionViolated("hull query needs at least one point")
     try:  # only the length and the field: _vectors checks the entries
@@ -311,7 +306,7 @@ def empirical_density_scan(
 
     # overflow shows as a non-finite orbit point or an infinite norm cap
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(1.0, float(np.linalg.norm(v)), float(_lengths(embedded).max()))
+        scale = max(1.0, float(_lengths(np.vstack([v.view(float), embedded])).max()))
         generators, stop_reason = _orbit_points(T, v, poly_budget, norm_cap=1e7 * scale)
     contained, residuals, _ = _hull_solve(np.ascontiguousarray(generators.view(float).T), embedded)
     misses = np.flatnonzero(~contained).tolist()

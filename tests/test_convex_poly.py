@@ -294,6 +294,10 @@ class TestNodePairs:
         assert convex_poly.node_pairs([-2.0, -3.0, -2.0], conjugate=True) == [(0, 2)]
         assert convex_poly.node_pairs([2j, -2j, 3.0], conjugate=True) == [(0, 1)]
 
+    def test_a_gap_past_the_float_range_is_far_without_a_warning(self):
+        assert convex_poly.node_pairs([1e308, -1e308]) == []
+        assert convex_poly.node_pairs([1e308j, 1e308j], conjugate=True) == []
+
 
 class TestPairGaps:
     """``_pair_gaps`` against the code it replaced: identical pairs, indices and gaps."""

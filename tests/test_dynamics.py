@@ -258,6 +258,39 @@ class TestGrowthWitness:
             assert (outcome.index if isinstance(outcome, GrowthWitness) else None) == expected
 
 
+class TestLengths:
+    """``dynamics._lengths``, the hull test's one Euclidean length, against ``math.hypot``."""
+
+    @staticmethod
+    def _assert_hypot_lengths(rows):
+        lengths = dynamics._lengths(rows)
+        expected = [math.hypot(*row) for row in rows.tolist()]
+        assert lengths == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0.0)
+
+    def test_ordinary_rows(self):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((20, 13)) * 10.0 ** rng.integers(-100, 100, (20, 1))
+        self._assert_hypot_lengths(rows)
+        # a row's bits do not depend on how many rows share the call
+        lengths = dynamics._lengths(rows)
+        assert all(dynamics._lengths(rows[k : k + 1])[0] == lengths[k] for k in range(len(rows)))
+
+    def test_rows_whose_squares_underflow_and_zero_rows(self):
+        rows = np.array([[3e-200, 4e-200], [1e-310, 0.0], [2e-160, -1e-170], [0.0, 0.0], [5e-324, 5e-324]])
+        lengths = dynamics._lengths(rows)
+        assert lengths[3] == 0.0 and np.all(lengths[[0, 1, 2, 4]] > 0.0)
+        self._assert_hypot_lengths(rows)
+
+    def test_transposed_non_contiguous_input(self):
+        rng = np.random.default_rng(12)
+        columns = rng.standard_normal((7, 30))
+        columns[:, 4] = 0.0
+        columns[:, 9] *= 1e-170
+        rows = columns[:, ::2].T  # neither C- nor F-contiguous
+        assert not rows.flags.c_contiguous and not rows.flags.f_contiguous
+        self._assert_hypot_lengths(rows)
+
+
 class TestHullContains:
     TRIANGLE = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -337,15 +370,15 @@ class TestHullContains:
         peak = max(np.max(np.abs(G), initial=1.0), np.max(np.abs(target), initial=1.0))
         s = math.ldexp(1.0, math.frexp(peak)[1])
         G, target = G / s, target / s
-        norms = np.linalg.norm(G, axis=0)
+        norms = dynamics._lengths(G.T)
         norms[norms == 0] = 1.0
-        weight = 1e3 * max(1.0 / s, float(np.linalg.norm(target)))
+        weight = 1e3 * max(1.0 / s, float(dynamics._lengths(target[None])[0]))
         A = np.vstack([G / norms, weight / norms])
         u, _ = scipy_nnls(A, np.append(target, weight), maxiter=10 * A.shape[1])
         w = u / norms
         if w.sum() > 0:
             w = w / w.sum()
-        return s * float(np.linalg.norm(G @ w - target)), w
+        return s * float(dynamics._lengths(np.einsum("kc,dc->kd", w[None], G) - target)[0]), w
 
     @staticmethod
     def _per_target_hull(G, target):
@@ -355,12 +388,12 @@ class TestHullContains:
         peak = np.max(np.abs(G), initial=1.0)
         scale = math.ldexp(1.0, math.frexp(peak)[1])
         points = G / scale
-        norms = np.linalg.norm(points, axis=0)
+        norms = dynamics._lengths(points.T)
         unit = points / np.where(norms > 0, norms, 1.0)
         s = math.ldexp(1.0, math.frexp(max(peak, np.max(np.abs(target), initial=1.0)))[1])
         r = scale / s
         target = target / s
-        size = max(1.0 / s, float(np.linalg.norm(target)))
+        size = max(1.0 / s, float(dynamics._lengths(target[None])[0]))
         col = np.where(norms > 0, norms * r, 1.0)
         weight = 1e3 * size
         A = np.vstack([unit, weight / col])
@@ -369,7 +402,7 @@ class TestHullContains:
         total = w.sum()
         if total > 0:
             w = w / total
-        distance = float(np.linalg.norm((points @ w) * r - target))
+        distance = float(dynamics._lengths(np.einsum("kc,dc->kd", w[None], points) * r - target)[0])
         return dynamics.HullResult(contained=distance <= dynamics.HULL_RTOL * size, residual=s * distance, weights=w)
 
     def test_shared_basis_is_bit_identical_to_per_call_scaling(self):
@@ -449,6 +482,15 @@ class TestHullContains:
         # a distance beyond the float range is reported as an infinite residual
         beyond = dynamics.hull_contains(HullQuery((np.zeros(2), np.ones(2)), np.array([1.7e308, 1.7e308])))
         assert not beyond.contained and beyond.residual == math.inf
+
+    def test_a_target_without_hull_weight_is_not_contained(self):
+        # far below the generators the unit-sum row's weight falls under
+        # NNLS's tolerance and every weight is 0; every hull point has second
+        # coordinate 1e200, so the origin is rightly not contained
+        result = dynamics.hull_contains(HullQuery(((1e200, 1e200), (2e199, 1e200)), (0.0, 0.0)))
+        assert not result.contained
+        assert result.residual == math.inf
+        assert not np.any(result.weights)
 
     @pytest.mark.parametrize("far", [1e170, 1e200, 1e300])
     def test_a_target_far_below_the_generators_keeps_its_distance(self, far):
@@ -543,6 +585,23 @@ class TestDensityScan:
         report = dynamics.empirical_density_scan(np.diag([-2.0, -3.0]), [1.0, 1.0], [[1e308, 0.0], [-2.0, -3.0]])
         assert report.miss_indices == (0,)
         assert report.captured == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND in CHANGES.md, scan verdicts near the origin depend on the inputs' scale: the "
+        "absolute floor of HULL_RTOL * max(1, |t|) and the unit-sum row's weight ignore the generators' "
+        "scale, so the origin is missed from x = 1e10 (1, 1) on, and from 1e200 on it gets no hull weight "
+        "(ROADMAP item 5's capture rule)",
+    )
+    def test_capture_near_the_origin_does_not_depend_on_the_scale(self):
+        # the origin is x/2 + 5 Tx/12 + T^2 x/12 for every x = 10^k (1, 1),
+        # and the midpoint of the segment from 1e308 (1, 1) to -1e308 (1, 1)
+        captured = [
+            dynamics.empirical_density_scan(np.diag([-2.0, -3.0]), [10.0**k, 10.0**k], [[0.0, 0.0]], 20).captured
+            for k in (0, 10, 20, 200)
+        ]
+        midpoint = dynamics.hull_contains(HullQuery(((1e308, 1e308), (-1e308, -1e308)), (0.0, 0.0)))
+        assert captured == [1, 1, 1, 1] and midpoint.contained
 
     def test_misses_match_per_target_hull_verdicts(self):
         rng = np.random.default_rng(8)

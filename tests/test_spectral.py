@@ -399,6 +399,11 @@ class TestClassify:
         assert not verdict.is_cyclic
         assert verdict.invariant_convex_sets_are_subspaces is False
 
+    def test_eigenvalues_farther_apart_than_the_float_range_classify_without_a_warning(self):
+        verdict = spectral.classify(np.diag([1e308, -1e308]))
+        assert verdict.is_cyclic and not verdict.is_convex_cyclic
+        assert [c.reason for c in verdict.failed_conditions] == ["NonNegativeRealEigenvalue"]
+
     def test_verdict_jsonable_shape(self):
         payload = spectral.classify(np.diag([-2.0, -3.0])).to_jsonable()
         assert payload["is_convex_cyclic"] is True

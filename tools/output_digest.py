@@ -20,6 +20,13 @@ Prints one SHA-256 per layer:
   ``hull_contains`` for every target of the budget-400 scans of
   ``density_round`` seeds 0-1, on the orbit prefix the benchmark's trace
   uses (cut where a point first exceeds 1e7 times the largest input norm);
+- ``hull_verdict``: the verdict (``contained``) of each ``hull`` entry, then
+  of the two hull queries and the scan (its misses) whose origin target
+  lies far below the generators: ``((1e200, 1e200), (2e199, 1e200))``,
+  ``((1e308, 1e308), (-1e308, -1e308))`` and ``diag(-2, -3)`` from
+  ``x = 1e200 (1, 1)`` at budget 20 (the origin lies in the last two
+  hulls; their misses are the scale defect that
+  ``test_capture_near_the_origin_does_not_depend_on_the_scale`` pins);
 - ``orbit``: the point bytes of ``orbit`` for every case of
   ``density_round`` seeds 0-3 at horizon ``budget - 1`` (overflow warnings
   ignored), so every orbit point a scan's prefix can use is checked;
@@ -97,6 +104,7 @@ import test_operands  # noqa: E402
 from convex_cyclic import (  # noqa: E402
     ConvexCyclicError,
     HullQuery,
+    HullResult,
     MatrixSpec,
     NODE_TOLERANCE,
     check_admissibility,
@@ -164,7 +172,7 @@ def density_entries(seeds=(0, 1, 2, 3)) -> Iterator[bytes]:
             yield repr(report).encode()
 
 
-def hull_entries(seeds=(0, 1)) -> Iterator[bytes]:
+def _hull_results(seeds=(0, 1)) -> Iterator[HullResult]:
     for seed in seeds:
         for case in inputs.density_round(seed):
             if case.budget != 400:
@@ -177,8 +185,22 @@ def hull_entries(seeds=(0, 1)) -> Iterator[bytes]:
                 keep += 1
             prefix = tuple(points[:keep])
             for target in case.targets:
-                result = hull_contains(HullQuery(prefix, target))
-                yield repr(result.residual).encode() + result.weights.tobytes()
+                yield hull_contains(HullQuery(prefix, target))
+
+
+def hull_entries() -> Iterator[bytes]:
+    for result in _hull_results():
+        yield repr(result.residual).encode() + result.weights.tobytes()
+
+
+def hull_verdict_entries() -> Iterator[bytes]:
+    for result in _hull_results():
+        yield repr(result.contained).encode()
+    # targets far below the generators, which NNLS gives no hull weight
+    for points in (((1e200, 1e200), (2e199, 1e200)), ((1e308, 1e308), (-1e308, -1e308))):
+        yield repr(hull_contains(HullQuery(points, (0.0, 0.0))).contained).encode()
+    report = empirical_density_scan(np.diag([-2.0, -3.0]), [1e200, 1e200], [[0.0, 0.0]], 20)
+    yield repr(report.miss_indices).encode()
 
 
 def orbit_entries(seeds=(0, 1, 2, 3)) -> Iterator[bytes]:
@@ -346,6 +368,7 @@ LAYERS = (
     ("classify", classify_entries),
     ("density", density_entries),
     ("hull", hull_entries),
+    ("hull_verdict", hull_verdict_entries),
     ("orbit", orbit_entries),
     ("peak", peak_entries),
     ("peak_options", peak_options_entries),
